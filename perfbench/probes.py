@@ -24,7 +24,10 @@ from tracer import Tracer
 OP_NORM_TOL = 1e-10
 CAPTURE_CALLS = (0, 8, 16)  # randomized_polar calls whose input/output are kept
 DGEMM_SHAPE = (1024, 1024, 64)  # wide-sketch power-iteration GEMM
+DGEMM_REPS = 40
 STAGE_SHAPE, STAGE_S, STAGE_P = 2048, 126, 2  # ell = 128
+STAGE_REPS = 3
+MIN_TIMED_S = 0.2  # shortest total time of one _median_s measurement
 
 
 def _power_iterate_cost(m, omega, h):
@@ -109,24 +112,24 @@ class Probe:
         ]
 
 
-def _median_s(fn, min_reps=3, min_s=0.2) -> float:
+def _median_s(fn, min_reps=3) -> float:
     times = []
     start = time.perf_counter()
-    while len(times) < min_reps or time.perf_counter() - start < min_s:
+    while len(times) < min_reps or time.perf_counter() - start < MIN_TIMED_S:
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
 
 
-def dgemm_gflops(seed: int, reps: int = 40) -> float:
-    """Best-of-``reps`` DGEMM rate at the wide-sketch power-iteration shape,
+def dgemm_gflops(seed: int) -> float:
+    """Best-of-``DGEMM_REPS`` DGEMM rate at the wide-sketch power-iteration shape,
     as the machine's reference peak for the pinned thread count."""
     m, k, n = DGEMM_SHAPE
     rng = RngStream(seed, 0xD6E)
     a, b = rng.normal((m, k)), rng.normal((k, n))
     best = float("inf")
-    for _ in range(reps):
+    for _ in range(DGEMM_REPS):
         t0 = time.perf_counter()
         a @ b
         best = min(best, time.perf_counter() - t0)
@@ -166,15 +169,15 @@ STAGES = {
 }
 
 
-def stage_split(seed: int, reps: int = 3) -> dict:
+def stage_split(seed: int) -> dict:
     """Per-stage ms of one randomized_polar call at 2048^2, ell=128, q=5, h=1
-    (median of ``reps`` traced calls).  ``compress_lift`` is the call's self
+    (median of ``STAGE_REPS`` traced calls).  ``compress_lift`` is the call's self
     time: the two projections plus glue."""
     m = RngStream(seed, 0x2048).normal((STAGE_SHAPE, STAGE_SHAPE))
     scfg = SketchConfig(s=STAGE_S, p=STAGE_P, h=1)
     pcfg = PolarConfig(schedule=quintic_theoretical_schedule(5))
     per_rep = []
-    for r in range(reps):
+    for r in range(STAGE_REPS):
         with Tracer(keep_ops=0) as t:
             # looked up through runner, whose wrap point times the whole call
             runner.randomized_polar(m, scfg, pcfg, RngStream(seed, r))

@@ -7,9 +7,10 @@ Run from the root of a source checkout; the package is imported from
 ``src/``.  Ops are ``polarmuon.cli.main([...])`` calls made in this process
 on inputs generated from ``--seed``; op outputs are checked after each op.
 
-``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` first repeats the
-untraced run, then runs the same ops again with every wrap point of
-``tracer.py`` active and prints the per-layer metrics.  The last stdout line
+``--trace 0`` prints the end-to-end metrics, with times scaled to the host's
+fast speed (``hostspeed.py``).  ``--trace 1`` runs
+every op of the untraced run twice, once plain and once with every wrap
+point of ``tracer.py`` active, and prints the per-layer metrics.  The last stdout line
 is one JSON object; details (manifest, op times, span table, the first ops'
 spans) go to ``.perfbench/<workload>-seed<N>-trace<T>.json``.  The exit code
 is nonzero when any op or gate fails.
@@ -39,7 +40,8 @@ import time
 import traceback
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench"
 SETUP_REPS = 5
@@ -53,12 +55,14 @@ import numpy as np
 from polarmuon import cli
 
 import probes
+from hostspeed import REF_MS, HostSampler
 from tracer import SPAN_NAMES, Tracer
 from workloads import WORKLOADS, OpCheck
 
 END_TO_END_UNITS = {
     "setup_s": "s",
     "steps_per_s": "1/s",
+    "op_ms_p50": "ms",
     "op_ms_p90": "ms",
     "grad_ratio": "ratio",
 }
@@ -82,42 +86,87 @@ def invoke(argv) -> tuple:
     return rc, ms
 
 
-def spawn_import() -> None:
-    """Interpreter start plus package import, in a fresh process."""
-    code = f"import sys; sys.path.insert(0, {str(SRC)!r}); import polarmuon.cli"
-    subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True)
+# Times ``import polarmuon.cli`` in a fresh interpreter that has already
+# imported numpy (through hostspeed); prints (own ms, mean sample ms).
+_IMPORT_CODE = """
+import sys, time
+sys.path[:0] = [{here!r}, {src!r}]
+import hostspeed
+sampler = hostspeed.HostSampler()
+with sampler:
+    t0 = time.perf_counter()
+    import polarmuon.cli
+    ms = (time.perf_counter() - t0) * 1e3
+print(*sampler.own_ms(ms))
+"""
 
 
-def run_ops(wl, work: Path, seconds: float, n_ops=None, tracer=None) -> list:
-    """Run ops until ``seconds`` have passed and ``wl.min_ops`` are done (or
-    exactly ``n_ops``).  Op 0 writes to ``op0`` so it can be compared with
-    the warm-up run of the same op."""
-    records = []
-    start = time.perf_counter()
-    while True:
-        i = len(records)
-        if n_ops is not None:
-            if i >= n_ops:
-                break
-        elif i >= wl.min_ops and time.perf_counter() - start >= seconds:
-            break
-        out_dir = work / ("op0" if i == 0 else "op")
-        argv = wl.argv(i, out_dir)
-        if tracer is not None:
+def timed(sampler, fn) -> tuple:
+    """Run ``fn`` under ``sampler``; (its result, own ms, mean sample ms)."""
+    with sampler:
+        t0 = time.perf_counter()
+        out = fn()
+        ms = (time.perf_counter() - t0) * 1e3
+    return (out, *sampler.own_ms(ms))
+
+
+def set_up(wl, sampler) -> float:
+    """One set-up, scaled to the host's fast speed: the import of
+    ``polarmuon.cli`` in a fresh interpreter, timed inside it, plus the
+    workload's input generation.  Returns seconds."""
+    code = _IMPORT_CODE.format(here=str(HERE), src=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, check=True,
+                         capture_output=True, text=True)
+    import_ms, import_ref = (float(x) for x in out.stdout.split())
+    _, gen_ms, gen_ref = timed(sampler, wl.setup)
+    return (import_ms / import_ref + gen_ms / gen_ref) * REF_MS / 1e3
+
+
+def run_op(wl, i: int, out_dir: Path, tracer=None, sampler=None) -> dict:
+    """Op ``i`` into ``out_dir``, traced or host-sampled when a tracer or a
+    sampler is given, and the check of its outputs."""
+    argv = wl.argv(i, out_dir)
+    ref_ms = REF_MS
+    if tracer is not None:
+        with tracer:
             tracer.op = i
-        rc, ms = invoke(argv)
-        if tracer is not None:
+            rc, ms = invoke(argv)
             tracer.op = -1
-        if rc == 0:
-            try:
-                check = wl.inspect(i, out_dir)
-            except (OSError, ValueError, IndexError, KeyError, StopIteration) as e:
-                check = OpCheck(0, [], error=f"unreadable outputs: {e!r}")
-        else:
-            check = OpCheck(0, [], error=str(rc)[-500:])
-        records.append({"ms": ms, "units": check.units, "ratios": check.ratios,
-                        "seeds_aborted": check.seeds_aborted, "error": check.error})
-    return records
+    elif sampler is not None:
+        (rc, _), ms, ref_ms = timed(sampler, lambda: invoke(argv))
+    else:
+        rc, ms = invoke(argv)
+    if rc == 0:
+        try:
+            check = wl.inspect(i, out_dir)
+        except (OSError, ValueError, IndexError, KeyError, StopIteration) as e:
+            check = OpCheck(0, [], error=f"unreadable outputs: {e!r}")
+    else:
+        check = OpCheck(0, [], error=str(rc)[-500:])
+    return {"ms": ms, "ref_ms": ref_ms, "units": check.units, "ratios": check.ratios,
+            "seeds_aborted": check.seeds_aborted, "error": check.error}
+
+
+def run_ops(wl, work: Path, seconds: float, tracer=None, sampler=None) -> tuple:
+    """Run ops until their wall time adds up to ``seconds`` and ``wl.min_ops``
+    are done.  Op 0 writes to ``op0`` so it can be compared with the warm-up
+    run of the same op.  With a tracer every op also runs traced, right next
+    to its untraced run, so both see the same host speed; which of the two
+    goes first alternates.  Returns (untraced, traced) records."""
+    records, traced = [], []
+    op_s = 0.0
+    while len(records) < wl.min_ops or op_s < seconds:
+        i = len(records)
+        name = "op0" if i == 0 else "op"
+        passes = [(records, None, name)]
+        if tracer is not None:
+            passes.append((traced, tracer, f"traced-{name}"))
+            if i % 2:
+                passes.reverse()
+        for out, t, out_name in passes:
+            out.append(run_op(wl, i, work / out_name, t, sampler))
+        op_s += records[-1]["ms"] / 1e3
+    return records, traced
 
 
 def same_outputs(a: Path, b: Path) -> bool:
@@ -135,12 +184,18 @@ def rate(records) -> float:
     return sum(r["units"] for r in records) / sum(r["ms"] / 1e3 for r in records)
 
 
+def scaled_ms(records) -> list:
+    """Op times scaled to the host's fast speed (``REF_MS``)."""
+    return [r["ms"] * REF_MS / r["ref_ms"] for r in records]
+
+
 def end_to_end(records, setup_times, wl) -> dict:
-    ms = [r["ms"] for r in records]
+    ms = scaled_ms(records)
     ratios = [x for r in records[: wl.min_ops] for x in r["ratios"]]
     return {
         "setup_s": statistics.median(setup_times),
-        "steps_per_s": rate(records),
+        "steps_per_s": sum(r["units"] for r in records) / sum(ms) * 1e3,
+        "op_ms_p50": statistics.median(ms),
         "op_ms_p90": float(np.percentile(ms, 90)),
         "grad_ratio": statistics.fmean(ratios) if ratios else float("nan"),
     }
@@ -239,19 +294,27 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp(prefix="work-", dir=OUT))
     try:
         wl = WORKLOADS[args.workload](args.seed)
-        setup_times = []
-        for _ in range(SETUP_REPS):
-            t0 = time.perf_counter()
-            spawn_import()
-            wl.setup()
-            setup_times.append(time.perf_counter() - t0)
-
+        if args.trace:
+            # set-up once, traced, so noise.calibrate shows on desk-heavytail
+            probe = probes.Probe()
+            tracer = Tracer(hooks=probe.hooks())
+            with tracer:
+                wl.setup()
+            setup_self = {k: v[2] for k, v in tracer.stats.items()}
+            sampler = None
+        else:
+            tracer = None
+            sampler = HostSampler()
+            setup_times = [set_up(wl, sampler) for _ in range(SETUP_REPS)]
         warm_rc, _ = invoke(wl.argv(0, work / "warmup"))
-        records = run_ops(wl, work, args.seconds)
-        check_rerun(records, work, "rerun of op 0 differs from the warm-up run")
+        records, traced = run_ops(wl, work, args.seconds, tracer, sampler)
+        check_rerun(records, work / "op0", "rerun of op 0 differs from the warm-up run")
         result = {"manifest": manifest(), "op_ms": [r["ms"] for r in records]}
         if args.trace:
-            metrics, traced, tracer, shares = traced_pass(wl, work, records, args.seed)
+            check_rerun(traced, work / "traced-op0",
+                        "traced op 0 differs from the warm-up run")
+            metrics, shares = traced_metrics(
+                wl, tracer, probe, setup_self, records, traced, args.seed)
             result.update(
                 self_time_share_by_layer=shares,
                 steps_per_s={"untraced": rate(records), "traced": rate(traced)},
@@ -263,9 +326,13 @@ def main(argv=None) -> int:
             records = records + traced
         else:
             metrics = end_to_end(records, setup_times, wl)
-            # Printed, not bounded: on desk-heavytail the median flips
-            # between the host's fast and contended speeds (README).
-            result["op_ms_p50"] = statistics.median(result["op_ms"])
+            result["setup_s_reps"] = setup_times
+            result["ref_ms"] = [r["ref_ms"] for r in records]
+            result["unscaled"] = {
+                "steps_per_s": rate(records),
+                "op_ms_p50": statistics.median(result["op_ms"]),
+                "op_ms_p90": float(np.percentile(result["op_ms"], 90)),
+            }
         result["run"] = run_stats(cpu0, steal0)
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -288,22 +355,17 @@ def main(argv=None) -> int:
     return 1 if failures else 0
 
 
-def check_rerun(records, work, message) -> None:
+def check_rerun(records, out_dir: Path, message) -> None:
     """Op 0 ran the warm-up op's config; its output files must match byte
     for byte."""
-    if not same_outputs(work / "warmup", work / "op0"):
+    if not same_outputs(out_dir.parent / "warmup", out_dir):
         records[0]["error"] = records[0]["error"] or message
 
 
-def traced_pass(wl, work, untraced, seed):
-    """Same op count as the untraced run, every wrap point active."""
-    probe = probes.Probe()
-    tracer = Tracer(hooks=probe.hooks())
-    with tracer:
-        wl.setup()
-        setup_self = {k: v[2] for k, v in tracer.stats.items()}
-        traced = run_ops(wl, work, 0, n_ops=len(untraced), tracer=tracer)
-    check_rerun(traced, work, "traced op 0 differs from the untraced run")
+def traced_metrics(wl, tracer, probe, setup_self, untraced, traced, seed) -> tuple:
+    """Gates and per-layer metrics of a traced run, and the self time of
+    each layer in the traced ops (set-up's ``setup_self`` taken out) as a
+    share of traced op wall time."""
     for op in probe.op_norm_failures():
         traced[op]["error"] = traced[op]["error"] or "output operator norm > 1"
     if wl.name == "wide-sketch":
@@ -317,11 +379,12 @@ def traced_pass(wl, work, untraced, seed):
     by_layer = {}
     for name, (_calls, _ns, self_ns) in tracer.stats.items():
         layer = name.split(".", 1)[0]
-        by_layer[layer] = by_layer.get(layer, 0.0) + (self_ns - setup_self.get(name, 0)) / 1e9
+        op_self_s = (self_ns - setup_self.get(name, 0)) / 1e9
+        by_layer[layer] = by_layer.get(layer, 0.0) + op_self_s
     # shares of traced op wall time; "uncovered" is time outside every span
     shares = {k: v / op_s for k, v in sorted(by_layer.items(), key=lambda kv: -kv[1])}
     shares["uncovered"] = 1.0 - sum(shares.values())
-    return per_layer(tracer, probe, traced, untraced, extra), traced, tracer, shares
+    return per_layer(tracer, probe, traced, untraced, extra), shares
 
 
 def unit_of(name: str) -> str:
@@ -356,8 +419,8 @@ def report(args, result, attempted, failed, path) -> None:
             f"{k} {v:.1%}" for k, v in result["self_time_share_by_layer"].items()))
     for k, v in result["metrics"].items():
         print(f"  {k} = {v:.6g} {unit_of(k)}")
-    if "op_ms_p50" in result:
-        print(f"  op_ms_p50 = {result['op_ms_p50']:.6g} ms (reported, not bounded)")
+    for k, v in result.get("unscaled", {}).items():
+        print(f"  unscaled {k} = {v:.6g} {unit_of(k)} (as measured, not bounded)")
     print(f"  details: {path}")
 
 

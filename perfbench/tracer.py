@@ -8,7 +8,7 @@ from other modules and calls made inside the same module alike.  Nothing in
 Self time of a span is its duration minus the time covered by its child
 spans.  Aggregates (calls, inclusive ns, self ns) are kept for every span;
 full span records (id, parent, op, name, start, end) are kept for the first
-``keep_ops`` ops, up to ``max_spans`` records, so a long run does not hold
+``keep_ops`` ops, up to ``MAX_SPANS`` records, so a long run does not hold
 millions of records.
 """
 
@@ -68,6 +68,8 @@ WRAP_POINTS = (
 
 SPAN_NAMES = tuple(dict.fromkeys(row[3] for row in WRAP_POINTS))
 
+MAX_SPANS = 50_000
+
 _MISSING = object()
 
 
@@ -100,10 +102,9 @@ class Tracer:
     call into the package.
     """
 
-    def __init__(self, hooks=None, keep_ops: int = 2, max_spans: int = 50_000):
+    def __init__(self, hooks=None, keep_ops: int = 2):
         self.hooks = dict(hooks or {})
         self.keep_ops = keep_ops
-        self.max_spans = max_spans
         self.stats = {}  # span name -> [calls, inclusive ns, self ns]
         self.spans = []  # (id, parent id, op, name, start ns, end ns)
         self.op = -1  # -1 marks spans outside any op (set-up, probes)
@@ -136,7 +137,7 @@ class Tracer:
                 st[2] += dur - frame[0]
                 if stack:
                     stack[-1][0] += dur
-                if tracer.op < tracer.keep_ops and len(tracer.spans) < tracer.max_spans:
+                if tracer.op < tracer.keep_ops and len(tracer.spans) < MAX_SPANS:
                     parent = stack[-1][1] if stack else -1
                     tracer.spans.append((frame[1], parent, tracer.op, name, t0, t1))
             if hook is not None:
