@@ -8,7 +8,6 @@ Subcommands:
                                         "m=4096,n=4096,ell=256,q=5,h=1"
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 numerical abort.
-Worker count is taken from the POLARMUON_WORKERS environment variable.
 """
 
 from __future__ import annotations
@@ -47,7 +46,10 @@ def _parse_values(raw: list[str]):
         for v in chunk.split(","):
             v = v.strip()
             if v:
-                vals.append(float(v) if "." in v else int(v))
+                try:
+                    vals.append(float(v) if "." in v else int(v))
+                except ValueError as e:
+                    raise ConfigError(f"sweep: bad axis value {v!r}") from e
     if not vals:
         raise ConfigError("sweep: no axis values given")
     return vals

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, PreconditionError
 from .matcore import RngStream, derive_stream_id
 from .noise import NoiseModel, Problem, factorization_problem, quadratic_problem
 from .polar import PolarConfig, PolynomialSchedule, schedule_by_name
@@ -24,7 +25,6 @@ __all__ = [
     "ProblemSpec",
     "OptimizerSpec",
     "PolarSpec",
-    "NoiseSpec",
     "RunConfig",
     "parse",
     "serialize",
@@ -95,7 +95,7 @@ class PolarSpec:
     def delta_rule(self):
         if self.delta.startswith("explicit:"):
             try:
-                return float(self.delta.split(":", 1)[1])
+                return _float(self.delta.split(":", 1)[1])
             except ValueError as e:
                 raise ConfigError(f"polar.delta: bad explicit value: {e}") from e
         if self.delta not in ("operator-norm", "frobenius-norm"):
@@ -115,53 +115,12 @@ class PolarSpec:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    alpha: float = 2.0
-    sigma0: float = 0.0
-    sigma1: float = 0.0
-    tail_exponent: float | None = None
-    scale0: float | None = None
-    scale1: float | None = None
-    calib_shape: tuple[int, int] | None = None
-    calib_rel_tol: float | None = None
-
-    def build(self) -> NoiseModel:
-        return NoiseModel(
-            alpha=self.alpha,
-            sigma0=self.sigma0,
-            sigma1=self.sigma1,
-            tail_exponent=self.tail_exponent,
-            scale0=self.scale0,
-            scale1=self.scale1,
-            calib_shape=self.calib_shape,
-            calib_rel_tol=self.calib_rel_tol,
-        )
-
-    @classmethod
-    def from_model(cls, model: NoiseModel) -> "NoiseSpec":
-        return cls(
-            alpha=model.alpha,
-            sigma0=model.sigma0,
-            sigma1=model.sigma1,
-            tail_exponent=model.tail_exponent,
-            scale0=model.scale0,
-            scale1=model.scale1,
-            calib_shape=model.calib_shape,
-            calib_rel_tol=model.calib_rel_tol,
-        )
-
-    @property
-    def noiseless(self) -> bool:
-        return self.sigma0 == 0.0 and self.sigma1 == 0.0
-
-
-@dataclass(frozen=True)
 class RunConfig:
     problem: ProblemSpec = field(default_factory=ProblemSpec)
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
     polar: PolarSpec = field(default_factory=PolarSpec)
     sketch: SketchConfig | None = None
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
+    noise: NoiseModel = field(default_factory=NoiseModel)
     seeds: tuple[int, ...] = (1,)
     output_dir: str = "out"
     verify: bool = False
@@ -256,6 +215,13 @@ def _get(cp, section, key, conv, default=None, required=False):
         raise ConfigError(f"{section}.{key}: {e}") from e
 
 
+def _float(raw: str) -> float:
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return v
+
+
 def _bool(raw: str) -> bool:
     if raw.lower() in ("true", "1", "yes"):
         return True
@@ -274,11 +240,20 @@ def _triples(raw: str) -> tuple[tuple[float, float, float], ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        vals = [float(v.strip()) for v in chunk.split(",")]
+        vals = [_float(v.strip()) for v in chunk.split(",")]
         if len(vals) != 3:
             raise ValueError(f"coefficient triple needs 3 values: {chunk!r}")
         out.append(tuple(vals))
     return tuple(out)
+
+
+def _section(name: str, build):
+    """Build one section's runtime object, reporting its precondition
+    failures as config errors of that section."""
+    try:
+        return build()
+    except PreconditionError as e:
+        raise ConfigError(f"{name}: {e}") from e
 
 
 def parse(text: str) -> RunConfig:
@@ -293,8 +268,8 @@ def parse(text: str) -> RunConfig:
         m=_get(cp, "problem", "m", int, 16),
         n=_get(cp, "problem", "n", int, 16),
         rank=_get(cp, "problem", "rank", int, 8),
-        decay=_get(cp, "problem", "decay", float, 0.8),
-        scale=_get(cp, "problem", "scale", float, 5.0),
+        decay=_get(cp, "problem", "decay", _float, 0.8),
+        scale=_get(cp, "problem", "scale", _float, 5.0),
         gen_seed=_get(cp, "problem", "gen_seed", int, 20240001),
     )
     optimizer = OptimizerSpec(
@@ -303,9 +278,9 @@ def parse(text: str) -> RunConfig:
         schedule=_get(cp, "optimizer", "schedule", str, "corollary1"),
         K=_get(cp, "optimizer", "k", int, 100),
         B=_get(cp, "optimizer", "b", int, 1),
-        alpha=_get(cp, "optimizer", "alpha", float, 2.0),
-        eta=_get(cp, "optimizer", "eta", float, 0.02),
-        beta=_get(cp, "optimizer", "beta", float, 0.95),
+        alpha=_get(cp, "optimizer", "alpha", _float, 2.0),
+        eta=_get(cp, "optimizer", "eta", _float, 0.02),
+        beta=_get(cp, "optimizer", "beta", _float, 0.95),
     )
     polar = PolarSpec(
         solver=_get(cp, "polar", "solver", str, "polynomial"),
@@ -314,25 +289,26 @@ def parse(text: str) -> RunConfig:
         delta=_get(cp, "polar", "delta", str, "frobenius-norm"),
         coefficients=_get(cp, "polar", "coefficients", _triples, ()),
     )
+    polar.delta_rule()  # a bad explicit delta is a config error, not a run failure
     sketch = None
     if cp.has_section("sketch"):
-        sketch = SketchConfig(
+        sketch = _section("sketch", lambda: SketchConfig(
             s=_get(cp, "sketch", "s", int, required=True),
             p=_get(cp, "sketch", "p", int, 2),
             h=_get(cp, "sketch", "h", int, 0),
             kind=_get(cp, "sketch", "kind", str, "gaussian"),
-        )
+        ))
     calib_shape = _get(cp, "noise", "calib_shape", _int_tuple, None)
-    noise = NoiseSpec(
-        alpha=_get(cp, "noise", "alpha", float, 2.0),
-        sigma0=_get(cp, "noise", "sigma0", float, 0.0),
-        sigma1=_get(cp, "noise", "sigma1", float, 0.0),
-        tail_exponent=_get(cp, "noise", "tail_exponent", float, None),
-        scale0=_get(cp, "noise", "scale0", float, None),
-        scale1=_get(cp, "noise", "scale1", float, None),
+    noise = _section("noise", lambda: NoiseModel(
+        alpha=_get(cp, "noise", "alpha", _float, 2.0),
+        sigma0=_get(cp, "noise", "sigma0", _float, 0.0),
+        sigma1=_get(cp, "noise", "sigma1", _float, 0.0),
+        tail_exponent=_get(cp, "noise", "tail_exponent", _float, None),
+        scale0=_get(cp, "noise", "scale0", _float, None),
+        scale1=_get(cp, "noise", "scale1", _float, None),
         calib_shape=tuple(calib_shape) if calib_shape else None,
-        calib_rel_tol=_get(cp, "noise", "calib_rel_tol", float, None),
-    )
+        calib_rel_tol=_get(cp, "noise", "calib_rel_tol", _float, None),
+    ))
     return RunConfig(
         problem=problem,
         optimizer=optimizer,

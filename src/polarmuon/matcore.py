@@ -125,10 +125,7 @@ def orthonormal_basis(y) -> np.ndarray:
 
     Raises DegenerateInputError for zero input.
     """
-    a = as_matrix(y)
-    if not a.any():
-        raise DegenerateInputError("orthonormal_basis of zero matrix")
-    return svd(a).u
+    return svd(y).u
 
 
 def derive_stream_id(*ids: int) -> int:

@@ -100,8 +100,8 @@ class NoiseModel:
     ``calib_rel_tol`` the Monte Carlo tolerance of the fit.
     """
 
-    alpha: float
-    sigma0: float
+    alpha: float = 2.0
+    sigma0: float = 0.0
     sigma1: float = 0.0
     tail_exponent: float | None = None
     scale0: float | None = None
@@ -198,13 +198,12 @@ def sample_noise(
 
 
 def gradient_oracle(
-    problem: Problem, x, batch: int, model: NoiseModel, rng: RngStream
+    grad: np.ndarray, batch: int, model: NoiseModel, rng: RngStream
 ) -> np.ndarray:
-    """Unbiased stochastic gradient: grad f(x) plus the mean of ``batch``
-    independent noise draws."""
+    """Unbiased stochastic gradient: the exact gradient ``grad`` plus the
+    mean of ``batch`` independent noise draws."""
     if batch < 1:
         raise PreconditionError("batch must be >= 1")
-    grad = problem.gradient(x)
     if model.sigma0 == 0.0 and model.sigma1 == 0.0:
         return grad
     gnorm = float(np.linalg.norm(grad))

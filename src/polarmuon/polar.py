@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from ._kernels import polynomial_iterate
 from .errors import DegenerateInputError, PreconditionError
 
 __all__ = [
@@ -25,6 +24,7 @@ __all__ = [
     "polar_express_schedule",
     "schedule_by_name",
     "exact_polar",
+    "polynomial_iterate",
     "apply_polynomial_step",
     "inexact_polar",
     "prop1_gamma",
@@ -174,6 +174,23 @@ def exact_polar(m) -> np.ndarray:
     """U V^T from the compact SVD: the nuclear-norm-aligned partial isometry."""
     f = matcore.svd(m)
     return f.u @ f.v.T
+
+
+def polynomial_iterate(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Apply each row (a, b, c) of ``coeffs`` as a*Z + b*Z(Z^T Z) + c*Z(Z^T Z)^2.
+
+    Each step is realized on the smaller Gram factor: (ZZ^T)Z when
+    rows <= cols, Z(Z^T Z) otherwise.
+    """
+    for t in range(coeffs.shape[0]):
+        a, b, c = coeffs[t, 0], coeffs[t, 1], coeffs[t, 2]
+        if z.shape[0] <= z.shape[1]:
+            g = z @ z.T
+            z = a * z + (b * g + c * (g @ g)) @ z
+        else:
+            g = z.T @ z
+            z = a * z + z @ (b * g + c * (g @ g))
+    return z
 
 
 def apply_polynomial_step(z, coeffs) -> np.ndarray:

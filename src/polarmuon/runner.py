@@ -8,8 +8,6 @@ written with ``repr`` (shortest exact decimal).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,7 +20,7 @@ from .matcore import RngStream, derive_stream_id
 from .sketch import randomized_polar
 from .verify import StepFlopsConfig, measured_step_flops
 
-__all__ = ["SeedResult", "RunReport", "run_experiment", "sweep", "worker_count"]
+__all__ = ["SeedResult", "RunReport", "run_experiment", "sweep"]
 
 # Stream-id tags: every consumer of randomness gets its own Philox stream.
 _TAG_NOISE = 0x01
@@ -32,13 +30,6 @@ _CALIB_SEED = 0xCA11B
 
 CSV_COLUMNS = ("k", "f", "grad_norm", "cum_flops", "gamma_hat", "nu_hat")
 SUMMARY_COLUMNS = ("seed", "steps", "min_grad_norm", "final_f", "cum_flops", "aborted")
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("POLARMUON_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -87,14 +78,17 @@ def _resolve_schedule(o) -> tuple[float, float]:
     return s.eta, s.beta
 
 
-def _step_flops_config(cfg: RunConfig, shape: tuple[int, int]) -> StepFlopsConfig:
+def _step_flops_config(
+    cfg: RunConfig, pcfg: polar_mod.PolarConfig, shape: tuple[int, int]
+) -> StepFlopsConfig:
+    """Price one step of ``cfg``; q is the built schedule's step count."""
     o = cfg.optimizer
     m, n = shape
     if o.kind in ("sgd_nesterov", "adamw"):
         return StepFlopsConfig(optimizer=o.kind, m=m, n=n)
     if o.kind != "muon":
         raise ConfigError(f"optimizer.kind: unknown kind {o.kind!r}")
-    if cfg.polar.solver == "exact":
+    if pcfg.solver == "exact":
         return StepFlopsConfig("muon", m, n, momentum=o.momentum, polar="exact")
     if cfg.sketch is not None:
         return StepFlopsConfig(
@@ -103,16 +97,15 @@ def _step_flops_config(cfg: RunConfig, shape: tuple[int, int]) -> StepFlopsConfi
             n,
             momentum=o.momentum,
             polar="randomized",
-            q=cfg.polar.q,
+            q=pcfg.q,
             ell=cfg.sketch.ell,
             h=cfg.sketch.h,
         )
-    return StepFlopsConfig("muon", m, n, momentum=o.momentum, polar="polynomial", q=cfg.polar.q)
+    return StepFlopsConfig("muon", m, n, momentum=o.momentum, polar="polynomial", q=pcfg.q)
 
 
-def _make_polar(cfg: RunConfig, sketch_rng: RngStream | None):
+def _make_polar(cfg: RunConfig, pcfg: polar_mod.PolarConfig, sketch_rng: RngStream):
     """Return polar(matrix) -> (direction, alignment_ratio, op_norm)."""
-    pcfg = cfg.polar.build()
 
     def call(m):
         if pcfg.solver == "exact":
@@ -166,8 +159,9 @@ def _run_seed(cfg: RunConfig, seed: int, model, out_path: Path | None) -> SeedRe
     else:
         raise ConfigError(f"optimizer.kind: unknown kind {o.kind!r}")
 
-    polar = _make_polar(cfg, sketch_rng)
-    step_flops = measured_step_flops(_step_flops_config(cfg, shape))
+    pcfg = cfg.polar.build()
+    polar = _make_polar(cfg, pcfg, sketch_rng)
+    step_flops = measured_step_flops(_step_flops_config(cfg, pcfg, shape))
 
     rows = []
     min_grad = float("inf")
@@ -194,7 +188,7 @@ def _run_seed(cfg: RunConfig, seed: int, model, out_path: Path | None) -> SeedRe
             final_f = f_val
 
             gamma_k = nu_k = None
-            g = noise_mod.gradient_oracle(problem, state.x, o.B, model, noise_rng)
+            g = noise_mod.gradient_oracle(grad, o.B, model, noise_rng)
             if o.kind == "muon":
                 captured = {}
 
@@ -233,7 +227,7 @@ def _run_seed(cfg: RunConfig, seed: int, model, out_path: Path | None) -> SeedRe
 
 
 def _calibrated_model(cfg: RunConfig):
-    model = cfg.noise.build()
+    model = cfg.noise
     if (model.sigma0 > 0 or model.sigma1 > 0) and not model.calibrated:
         model = noise_mod.calibrate(
             model, cfg.problem.param_shape, RngStream(_CALIB_SEED)
@@ -258,16 +252,10 @@ def run_experiment(cfg: RunConfig, write_files: bool = True) -> RunReport:
         x0 = np.zeros(cfg.problem.param_shape)
     initial_grad = float(np.linalg.norm(problem.gradient(x0)))
 
-    def job(seed):
+    results = []
+    for seed in cfg.seeds:
         path = out_dir / f"run_seed{seed}.csv" if write_files else None
-        return _run_seed(cfg, seed, model, path)
-
-    workers = worker_count()
-    if workers > 1 and len(cfg.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(job, cfg.seeds))
-    else:
-        results = [job(s) for s in cfg.seeds]
+        results.append(_run_seed(cfg, seed, model, path))
 
     report = RunReport(config=cfg, seed_results=results, initial_grad_norm=initial_grad)
     if write_files:
@@ -366,28 +354,34 @@ def sweep(template: RunConfig, axis: str, values, write_files: bool = True) -> l
     """One run per axis value; failed cells are marked and the sweep continues.
 
     Emits a long-form CSV keyed by axis value; the K axis additionally emits
-    (log K, log mean-min-grad-norm) pairs for slope inspection.
+    (log K, log mean-min-grad-norm) pairs for slope inspection.  A q sweep
+    is rejected when q does not set the step count (exact solver, custom or
+    PolarExpress schedules): its cells would all run the same steps.
     """
+    pl = template.polar
+    if axis == "q" and (
+        pl.solver == "exact"
+        or pl.schedule == "custom"
+        or pl.schedule.startswith("polar-express-")
+    ):
+        raise ConfigError(
+            f"sweep axis 'q': q does not set the step count of solver "
+            f"{pl.solver!r} with schedule {pl.schedule!r}"
+        )
     out_dir = Path(template.output_dir)
     if write_files:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def job(value):
+    cells = []
+    for value in values:
         try:
             cell_cfg = _apply_axis(template, axis, value)
             cell_cfg = replace(
                 cell_cfg, output_dir=str(out_dir / f"{axis}_{value}")
             )
-            return SweepCell(value=value, report=run_experiment(cell_cfg, write_files))
+            cells.append(SweepCell(value=value, report=run_experiment(cell_cfg, write_files)))
         except Exception as e:  # cell failures must not kill the sweep
-            return SweepCell(value=value, report=None, error=str(e))
-
-    workers = worker_count()
-    if workers > 1 and len(values) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            cells = list(ex.map(job, values))
-    else:
-        cells = [job(v) for v in values]
+            cells.append(SweepCell(value=value, report=None, error=str(e)))
 
     if write_files:
         with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="\n") as f:

@@ -14,10 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matcore
-from ._kernels import polynomial_iterate, power_iterate
 from .errors import DegenerateInputError, PreconditionError
 from .matcore import RngStream
-from .polar import PolarConfig
+from .polar import PolarConfig, polynomial_iterate
 
 __all__ = [
     "SketchConfig",
@@ -25,6 +24,7 @@ __all__ = [
     "ThetaGamma",
     "gaussian_sketch",
     "kaczmarz_sketch",
+    "power_iterate",
     "randomized_polar",
     "prop2_lower_bound",
     "choose_power_iterations",
@@ -109,6 +109,14 @@ def kaczmarz_sketch(m, ell: int, rng: RngStream) -> np.ndarray:
     omega = np.zeros((n, ell))
     omega[idx, np.arange(ell)] = 1.0 / np.sqrt(ell * pi[idx])
     return omega
+
+
+def power_iterate(m: np.ndarray, omega: np.ndarray, h: int) -> np.ndarray:
+    """Y = (M M^T)^h M Omega, applied right to left."""
+    y = m @ omega
+    for _ in range(h):
+        y = m @ (m.T @ y)
+    return y
 
 
 def _draw_sketch(a: np.ndarray, scfg: SketchConfig, rng: RngStream) -> np.ndarray:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from polarmuon.config import (
-    NoiseSpec,
     OptimizerSpec,
     PolarSpec,
     ProblemSpec,
@@ -270,7 +269,7 @@ def _muon_config(**kw) -> RunConfig:
         problem=ProblemSpec(kind="quadratic", m=16, n=16, rank=8),
         optimizer=OptimizerSpec(kind="muon", schedule="corollary1", K=500),
         polar=PolarSpec(solver="exact"),
-        noise=NoiseSpec(alpha=2.0, sigma0=0.0),
+        noise=NoiseModel(alpha=2.0, sigma0=0.0),
         seeds=(1,),
         output_dir="out",
     )
@@ -297,7 +296,7 @@ def test_criterion_11_desk_scale_optimization():
                 optimizer=OptimizerSpec(kind="muon", schedule="corollary1", K=K),
                 polar=PolarSpec(solver="polynomial", schedule="quintic-theoretical", q=5),
                 sketch=SketchConfig(s=3, p=2, h=1),
-                noise=NoiseSpec.from_model(model),
+                noise=model,
                 seeds=tuple(range(1, 21)),
             ),
             write_files=False,
@@ -348,7 +347,7 @@ def test_criterion_11_desk_scale_optimization():
 def test_criterion_12_determinism(tmp_path):
     cfg_a = _muon_config(
         optimizer=OptimizerSpec(kind="muon", schedule="corollary1", K=30),
-        noise=NoiseSpec(alpha=1.5, sigma0=0.5),
+        noise=NoiseModel(alpha=1.5, sigma0=0.5),
         seeds=(1, 2),
         output_dir=str(tmp_path / "a"),
         verify=True,

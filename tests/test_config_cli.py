@@ -3,7 +3,6 @@ import pytest
 
 from polarmuon import cli
 from polarmuon.config import (
-    NoiseSpec,
     OptimizerSpec,
     PolarSpec,
     ProblemSpec,
@@ -15,9 +14,10 @@ from polarmuon.config import (
 )
 from polarmuon.errors import ConfigError
 from polarmuon.matcore import RngStream
-from polarmuon.noise import NoiseModel, calibrate
+from polarmuon.noise import NoiseModel, Problem, calibrate
 from polarmuon.runner import CSV_COLUMNS, SUMMARY_COLUMNS, run_experiment, sweep
 from polarmuon.sketch import SketchConfig
+from polarmuon.verify import StepFlopsConfig, measured_step_flops
 
 
 def random_config(rng) -> RunConfig:
@@ -72,7 +72,7 @@ def random_config(rng) -> RunConfig:
             coefficients=coeffs,
         ),
         sketch=sketch,
-        noise=NoiseSpec(
+        noise=NoiseModel(
             alpha=float(g.uniform(1.05, 2.0)),
             sigma0=float(g.uniform(0, 2)),
             sigma1=float(g.uniform(0, 1)),
@@ -111,9 +111,9 @@ class TestConfigRoundTrip:
         model = calibrate(
             NoiseModel(alpha=1.5, sigma0=1.0, sigma1=0.25), (6, 6), RngStream(83)
         )
-        cfg = RunConfig(noise=NoiseSpec.from_model(model))
+        cfg = RunConfig(noise=model)
         again = parse(serialize(cfg))
-        rebuilt = again.noise.build()
+        rebuilt = again.noise
         assert rebuilt.scale0 == model.scale0
         assert rebuilt.scale1 == model.scale1
         assert rebuilt.calib_shape == model.calib_shape
@@ -144,7 +144,7 @@ def small_run_config(tmp_path, **kw) -> RunConfig:
         problem=ProblemSpec(kind="quadratic", m=8, n=8, rank=4, gen_seed=7),
         optimizer=OptimizerSpec(kind="muon", schedule="manual", K=20, eta=0.1, beta=0.9),
         polar=PolarSpec(schedule="quintic-theoretical", q=5),
-        noise=NoiseSpec(alpha=2.0, sigma0=0.0),
+        noise=NoiseModel(alpha=2.0, sigma0=0.0),
         seeds=(1, 2),
         output_dir=str(tmp_path / "out"),
         verify=True,
@@ -179,12 +179,12 @@ class TestRunner:
     def test_deterministic_rerun_byte_identical(self, tmp_path):
         cfg1 = small_run_config(
             tmp_path,
-            noise=NoiseSpec(alpha=1.5, sigma0=0.5),
+            noise=NoiseModel(alpha=1.5, sigma0=0.5),
             output_dir=str(tmp_path / "a"),
         )
         cfg2 = small_run_config(
             tmp_path,
-            noise=NoiseSpec(alpha=1.5, sigma0=0.5),
+            noise=NoiseModel(alpha=1.5, sigma0=0.5),
             output_dir=str(tmp_path / "b"),
         )
         run_experiment(cfg1)
@@ -194,17 +194,32 @@ class TestRunner:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b
 
-    def test_workers_do_not_change_output(self, tmp_path, monkeypatch):
-        cfg1 = small_run_config(tmp_path, output_dir=str(tmp_path / "w1"))
-        cfg4 = small_run_config(tmp_path, output_dir=str(tmp_path / "w4"))
-        monkeypatch.setenv("POLARMUON_WORKERS", "1")
-        run_experiment(cfg1)
-        monkeypatch.setenv("POLARMUON_WORKERS", "4")
-        run_experiment(cfg4)
-        for name in ("run_seed1.csv", "run_seed2.csv", "run.summary.csv"):
-            assert (tmp_path / "w1" / name).read_bytes() == (
-                tmp_path / "w4" / name
-            ).read_bytes()
+    def test_gradient_evaluated_once_per_step(self, tmp_path, monkeypatch):
+        calls = []
+        exact = Problem.gradient
+
+        def counted(self, x):
+            calls.append(1)
+            return exact(self, x)
+
+        monkeypatch.setattr(Problem, "gradient", counted)
+        cfg = small_run_config(tmp_path, noise=NoiseModel(alpha=1.5, sigma0=0.5))
+        report = run_experiment(cfg, write_files=False)
+        steps = sum(r.steps for r in report.seed_results)
+        assert steps == cfg.optimizer.K * len(cfg.seeds)
+        assert len(calls) == 1 + steps  # one more for the initial grad norm
+
+    def test_polar_express_priced_at_its_step_count(self, tmp_path):
+        cfg = small_run_config(
+            tmp_path,
+            polar=PolarSpec(schedule="polar-express-nanogpt", q=6),
+            seeds=(1,),
+            verify=False,
+        )
+        report = run_experiment(cfg, write_files=False)
+        step = measured_step_flops(StepFlopsConfig("muon", 8, 8, polar="polynomial", q=9))
+        rows = report.seed_results[0].rows
+        assert [r[3] for r in rows] == [step * (k + 1) for k in range(len(rows))]
 
     def test_randomized_pipeline_runs(self, tmp_path):
         cfg = small_run_config(
@@ -266,6 +281,48 @@ class TestCli:
         assert rc == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "K=8" in out and "K=16" in out
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[noise]\nalpha = 3\n",
+            "[sketch]\ns = 2\np = 1\n",
+            "[problem]\nscale = nan\n",
+            "[polar]\ndelta = explicit:inf\n",
+            "[optimizer]\neta = -inf\n",
+        ],
+    )
+    def test_run_bad_value_is_config_error(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.ini"
+        path.write_text(body + f"[run]\noutput_dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert "config error" in capsys.readouterr().err
+
+    def test_sweep_bad_values_is_config_error(self, tmp_path, capsys):
+        cfg = small_run_config(tmp_path, seeds=(1,))
+        path = tmp_path / "cfg.ini"
+        save(cfg, path)
+        rc = cli.main(["sweep", str(path), "--axis", "K", "--values", "1e1"])
+        assert rc == cli.EXIT_CONFIG_ERROR
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "polar",
+        [
+            PolarSpec(schedule="polar-express-nanogpt"),
+            PolarSpec(schedule="custom", coefficients=((1.5, -0.5, 0.0),)),
+            PolarSpec(solver="exact"),
+        ],
+    )
+    def test_sweep_q_unused_is_config_error(self, tmp_path, capsys, polar):
+        # q does not set these solvers' step counts: every cell would match
+        cfg = small_run_config(tmp_path, polar=polar, seeds=(1,))
+        path = tmp_path / "cfg.ini"
+        save(cfg, path)
+        rc = cli.main(["sweep", str(path), "--axis", "q", "--values", "3,5"])
+        assert rc == cli.EXIT_CONFIG_ERROR
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_verify_command(self, tmp_path, capsys):
         rc = cli.main(["verify", "flops", "lemma1", "--output-dir", str(tmp_path)])
