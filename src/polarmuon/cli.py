@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import config as config_mod, runner, suites
-from .errors import ConfigError, PolarmuonError
+from .errors import ConfigError, NumericalAbortError, PolarmuonError
 from .verify import FlopModel, flop_counts
 
 EXIT_OK = 0
@@ -35,7 +35,7 @@ def _cmd_run(args) -> int:
         f"cumulative FLOPs per seed = {report.cum_flops}"
     )
     if report.aborted:
-        print("run aborted on non-finite objective; partial CSV retained", file=sys.stderr)
+        print("run aborted on a non-finite or zero step; partial CSV retained", file=sys.stderr)
         return EXIT_NUMERICAL_ABORT
     return EXIT_OK
 
@@ -148,6 +148,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except NumericalAbortError as e:
+        print(f"numerical abort: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL_ABORT
     except PolarmuonError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILURE

@@ -4,6 +4,9 @@ Every RunConfig round-trips losslessly through :func:`serialize` /
 :func:`parse`: floats are written with ``repr`` (shortest exact decimal),
 so re-parsing reproduces the same binary values, including the calibrated
 noise scales and custom schedule coefficients.
+
+:func:`parse` and :class:`RunConfig` check a run's inputs once: every value
+the runtime would reject raises :class:`ConfigError` naming its section.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError
+from . import optimizer as opt
+from .errors import ConfigError, NumericalAbortError, PreconditionError
 from .matcore import RngStream, derive_stream_id
 from .noise import NoiseModel, Problem, factorization_problem, quadratic_problem
 from .polar import PolarConfig, PolynomialSchedule, schedule_by_name
@@ -24,7 +28,6 @@ from .sketch import SketchConfig
 __all__ = [
     "ProblemSpec",
     "OptimizerSpec",
-    "PolarSpec",
     "RunConfig",
     "parse",
     "serialize",
@@ -36,9 +39,21 @@ __all__ = [
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
+    if isinstance(v, tuple):
+        return ", ".join(str(x) for x in v)
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+def _section(name: str, build):
+    """Build one section's runtime object, reporting its precondition
+    failures (and a non-finite matrix it builds) as config errors of that
+    section."""
+    try:
+        return build()
+    except (PreconditionError, NumericalAbortError) as e:
+        raise ConfigError(f"{name}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -51,8 +66,19 @@ class ProblemSpec:
     scale: float = 5.0
     gen_seed: int = 20240001
 
+    def __post_init__(self):
+        if self.kind not in ("quadratic", "factorization"):
+            raise ConfigError(f"problem.kind: unknown kind {self.kind!r}")
+        for key in ("m", "n", "rank"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"problem.{key}: must be >= 1")
+
     def build(self) -> Problem:
-        """Materialize the seeded synthetic target."""
+        """Materialize the seeded synthetic target; a target that overflows
+        (e.g. a huge scale with decay > 1) is a config error."""
+        return _section("problem", self._target)
+
+    def _target(self) -> Problem:
         rng = RngStream(self.gen_seed, derive_stream_id(0xA11CE))
         if self.kind == "quadratic":
             r = min(self.rank, self.m, self.n)
@@ -60,10 +86,8 @@ class ProblemSpec:
             v, _ = np.linalg.qr(rng.normal((self.n, r)))
             sigma = self.scale * self.decay ** np.arange(r)
             return quadratic_problem((u * sigma) @ v.T)
-        if self.kind == "factorization":
-            a0 = self.scale * rng.normal((self.m, self.rank)) / np.sqrt(self.m)
-            return factorization_problem(a0)
-        raise ConfigError(f"problem.kind: unknown kind {self.kind!r}")
+        a0 = self.scale * rng.normal((self.m, self.rank)) / np.sqrt(self.m)
+        return factorization_problem(a0)
 
     @property
     def param_shape(self) -> tuple[int, int]:
@@ -83,42 +107,35 @@ class OptimizerSpec:
     eta: float = 0.02  # manual only
     beta: float = 0.95  # manual only
 
+    def __post_init__(self):
+        _section("optimizer", self._check)
 
-@dataclass(frozen=True)
-class PolarSpec:
-    solver: str = "polynomial"  # "exact" | "polynomial"
-    schedule: str = "quintic-theoretical"
-    q: int = 6
-    delta: str = "frobenius-norm"  # rule name or "explicit:<value>"
-    coefficients: tuple[tuple[float, float, float], ...] = ()
+    def _check(self) -> None:
+        if self.kind not in ("muon", "sgd_nesterov", "adamw"):
+            raise PreconditionError(f"unknown kind {self.kind!r}")
+        if self.K < 1:
+            raise PreconditionError("K must be >= 1")
+        if self.B < 1:
+            raise PreconditionError("B must be >= 1")
+        beta = self.step_schedule().beta
+        opt.check_momentum(self.momentum, beta if self.kind == "muon" else 0.0)
 
-    def delta_rule(self):
-        if self.delta.startswith("explicit:"):
-            try:
-                return _float(self.delta.split(":", 1)[1])
-            except ValueError as e:
-                raise ConfigError(f"polar.delta: bad explicit value: {e}") from e
-        if self.delta not in ("operator-norm", "frobenius-norm"):
-            raise ConfigError(f"polar.delta: unknown rule {self.delta!r}")
-        return self.delta
-
-    def build(self) -> PolarConfig:
-        if self.solver == "exact":
-            return PolarConfig(solver="exact")
-        if self.schedule == "custom":
-            if not self.coefficients:
-                raise ConfigError("polar.coefficients: required for custom schedule")
-            sched = PolynomialSchedule(self.coefficients, name="custom")
-        else:
-            sched = schedule_by_name(self.schedule, self.q)
-        return PolarConfig(solver="polynomial", schedule=sched, delta_rule=self.delta_rule())
+    def step_schedule(self) -> opt.Schedule:
+        """The (eta, beta) pair of this spec's schedule source."""
+        if self.schedule == "manual":
+            return opt.Schedule(eta=self.eta, beta=self.beta)
+        if self.schedule == "corollary1":
+            return opt.corollary1_schedule(self.K)
+        if self.schedule == "theorem1":
+            return opt.theorem1_schedule(self.K, self.alpha)
+        raise PreconditionError(f"unknown schedule source {self.schedule!r}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     problem: ProblemSpec = field(default_factory=ProblemSpec)
     optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
-    polar: PolarSpec = field(default_factory=PolarSpec)
+    polar: PolarConfig = field(default_factory=PolarConfig)
     sketch: SketchConfig | None = None
     noise: NoiseModel = field(default_factory=NoiseModel)
     seeds: tuple[int, ...] = (1,)
@@ -126,75 +143,38 @@ class RunConfig:
     verify: bool = False
 
     def __post_init__(self):
-        if self.optimizer.K < 1:
-            raise ConfigError("optimizer.K: must be >= 1")
-        if self.optimizer.B < 1:
-            raise ConfigError("optimizer.B: must be >= 1")
+        if self.sketch is not None:
+            _section("sketch", lambda: self.sketch.check_shape(self.problem.param_shape))
         if not self.seeds:
             raise ConfigError("run.seeds: at least one seed required")
 
 
+def _write(obj) -> dict:
+    """One INI section from a frozen config object: its fields not None."""
+    return {f.name: _fmt(v) for f in fields(obj) if (v := getattr(obj, f.name)) is not None}
+
+
 def serialize(cfg: RunConfig) -> str:
     cp = configparser.ConfigParser()
-    p = cfg.problem
-    cp["problem"] = {
-        "kind": p.kind,
-        "m": _fmt(p.m),
-        "n": _fmt(p.n),
-        "rank": _fmt(p.rank),
-        "decay": _fmt(p.decay),
-        "scale": _fmt(p.scale),
-        "gen_seed": _fmt(p.gen_seed),
-    }
-    o = cfg.optimizer
-    cp["optimizer"] = {
-        "kind": o.kind,
-        "momentum": o.momentum,
-        "schedule": o.schedule,
-        "k": _fmt(o.K),
-        "b": _fmt(o.B),
-        "alpha": _fmt(o.alpha),
-        "eta": _fmt(o.eta),
-        "beta": _fmt(o.beta),
-    }
+    cp["problem"] = _write(cfg.problem)
+    cp["optimizer"] = _write(cfg.optimizer)
     pl = cfg.polar
+    delta = pl.delta_rule
     cp["polar"] = {
         "solver": pl.solver,
-        "schedule": pl.schedule,
+        "schedule": pl.schedule.name,
         "q": _fmt(pl.q),
-        "delta": pl.delta,
+        "delta": delta if isinstance(delta, str) else f"explicit:{float(delta)!r}",
     }
-    if pl.coefficients:
+    if pl.schedule.name == "custom":
         cp["polar"]["coefficients"] = "; ".join(
-            ", ".join(_fmt(c) for c in triple) for triple in pl.coefficients
+            ", ".join(_fmt(c) for c in triple) for triple in pl.schedule.steps
         )
     if cfg.sketch is not None:
-        s = cfg.sketch
-        cp["sketch"] = {
-            "s": _fmt(s.s),
-            "p": _fmt(s.p),
-            "h": _fmt(s.h),
-            "kind": s.kind,
-        }
-    nz = cfg.noise
-    sec = {
-        "alpha": _fmt(nz.alpha),
-        "sigma0": _fmt(nz.sigma0),
-        "sigma1": _fmt(nz.sigma1),
-    }
-    if nz.tail_exponent is not None:
-        sec["tail_exponent"] = _fmt(nz.tail_exponent)
-    if nz.scale0 is not None:
-        sec["scale0"] = _fmt(nz.scale0)
-    if nz.scale1 is not None:
-        sec["scale1"] = _fmt(nz.scale1)
-    if nz.calib_shape is not None:
-        sec["calib_shape"] = ", ".join(str(v) for v in nz.calib_shape)
-    if nz.calib_rel_tol is not None:
-        sec["calib_rel_tol"] = _fmt(nz.calib_rel_tol)
-    cp["noise"] = sec
+        cp["sketch"] = _write(cfg.sketch)
+    cp["noise"] = _write(cfg.noise)
     cp["run"] = {
-        "seeds": ", ".join(str(s) for s in cfg.seeds),
+        "seeds": _fmt(cfg.seeds),
         "output_dir": cfg.output_dir,
         "verify": _fmt(cfg.verify),
     }
@@ -203,16 +183,28 @@ def serialize(cfg: RunConfig) -> str:
     return buf.getvalue()
 
 
-def _get(cp, section, key, conv, default=None, required=False):
+def _get(cp, section, key, conv, default=None):
     if not cp.has_option(section, key):
-        if required:
-            raise ConfigError(f"{section}.{key}: missing required field")
         return default
     raw = cp.get(section, key)
     try:
         return conv(raw)
     except ValueError as e:
         raise ConfigError(f"{section}.{key}: {e}") from e
+
+
+def _read(cp, section: str, cls) -> dict:
+    """Keyword arguments for ``cls`` from the keys ``section`` sets, each
+    converted by its field's annotation."""
+    kwargs = {}
+    for f in fields(cls):
+        if cp.has_option(section, f.name):
+            kind = f.type.removesuffix(" | None")
+            conv = _int_tuple if kind.startswith("tuple") else _CONVERT[kind]
+            kwargs[f.name] = _get(cp, section, f.name, conv)
+        elif f.default is MISSING:
+            raise ConfigError(f"{section}.{f.name}: missing required field")
+    return kwargs
 
 
 def _float(raw: str) -> float:
@@ -230,8 +222,8 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
+def _int_tuple(raw: str) -> tuple[int, ...] | None:
+    return tuple(int(v.strip()) for v in raw.split(",") if v.strip()) or None
 
 
 def _triples(raw: str) -> tuple[tuple[float, float, float], ...]:
@@ -247,13 +239,29 @@ def _triples(raw: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(out)
 
 
-def _section(name: str, build):
-    """Build one section's runtime object, reporting its precondition
-    failures as config errors of that section."""
-    try:
-        return build()
-    except PreconditionError as e:
-        raise ConfigError(f"{name}: {e}") from e
+_CONVERT = {"str": str, "int": int, "float": _float, "bool": _bool}
+
+
+def _delta_rule(raw: str) -> str | float:
+    if raw.startswith("explicit:"):
+        return _float(raw.split(":", 1)[1])
+    return raw
+
+
+def _polar(cp) -> PolarConfig:
+    name = _get(cp, "polar", "schedule", str, "quintic-theoretical")
+    if name == "custom":
+        coefficients = _get(cp, "polar", "coefficients", _triples, ())
+        if not coefficients:
+            raise PreconditionError("coefficients: required for a custom schedule")
+        schedule = PolynomialSchedule(coefficients, name="custom")
+    else:
+        schedule = schedule_by_name(name, _get(cp, "polar", "q", int, 6))
+    return PolarConfig(
+        solver=_get(cp, "polar", "solver", str, "polynomial"),
+        schedule=schedule,
+        delta_rule=_get(cp, "polar", "delta", _delta_rule, "frobenius-norm"),
+    )
 
 
 def parse(text: str) -> RunConfig:
@@ -263,52 +271,13 @@ def parse(text: str) -> RunConfig:
     except configparser.Error as e:
         raise ConfigError(f"config syntax: {e}") from e
 
-    problem = ProblemSpec(
-        kind=_get(cp, "problem", "kind", str, "quadratic"),
-        m=_get(cp, "problem", "m", int, 16),
-        n=_get(cp, "problem", "n", int, 16),
-        rank=_get(cp, "problem", "rank", int, 8),
-        decay=_get(cp, "problem", "decay", _float, 0.8),
-        scale=_get(cp, "problem", "scale", _float, 5.0),
-        gen_seed=_get(cp, "problem", "gen_seed", int, 20240001),
-    )
-    optimizer = OptimizerSpec(
-        kind=_get(cp, "optimizer", "kind", str, "muon"),
-        momentum=_get(cp, "optimizer", "momentum", str, "nesterov"),
-        schedule=_get(cp, "optimizer", "schedule", str, "corollary1"),
-        K=_get(cp, "optimizer", "k", int, 100),
-        B=_get(cp, "optimizer", "b", int, 1),
-        alpha=_get(cp, "optimizer", "alpha", _float, 2.0),
-        eta=_get(cp, "optimizer", "eta", _float, 0.02),
-        beta=_get(cp, "optimizer", "beta", _float, 0.95),
-    )
-    polar = PolarSpec(
-        solver=_get(cp, "polar", "solver", str, "polynomial"),
-        schedule=_get(cp, "polar", "schedule", str, "quintic-theoretical"),
-        q=_get(cp, "polar", "q", int, 6),
-        delta=_get(cp, "polar", "delta", str, "frobenius-norm"),
-        coefficients=_get(cp, "polar", "coefficients", _triples, ()),
-    )
-    polar.delta_rule()  # a bad explicit delta is a config error, not a run failure
+    problem = ProblemSpec(**_read(cp, "problem", ProblemSpec))
+    optimizer = OptimizerSpec(**_read(cp, "optimizer", OptimizerSpec))
+    polar = _section("polar", lambda: _polar(cp))
     sketch = None
     if cp.has_section("sketch"):
-        sketch = _section("sketch", lambda: SketchConfig(
-            s=_get(cp, "sketch", "s", int, required=True),
-            p=_get(cp, "sketch", "p", int, 2),
-            h=_get(cp, "sketch", "h", int, 0),
-            kind=_get(cp, "sketch", "kind", str, "gaussian"),
-        ))
-    calib_shape = _get(cp, "noise", "calib_shape", _int_tuple, None)
-    noise = _section("noise", lambda: NoiseModel(
-        alpha=_get(cp, "noise", "alpha", _float, 2.0),
-        sigma0=_get(cp, "noise", "sigma0", _float, 0.0),
-        sigma1=_get(cp, "noise", "sigma1", _float, 0.0),
-        tail_exponent=_get(cp, "noise", "tail_exponent", _float, None),
-        scale0=_get(cp, "noise", "scale0", _float, None),
-        scale1=_get(cp, "noise", "scale1", _float, None),
-        calib_shape=tuple(calib_shape) if calib_shape else None,
-        calib_rel_tol=_get(cp, "noise", "calib_rel_tol", _float, None),
-    ))
+        sketch = _section("sketch", lambda: SketchConfig(**_read(cp, "sketch", SketchConfig)))
+    noise = _section("noise", lambda: NoiseModel(**_read(cp, "noise", NoiseModel)))
     return RunConfig(
         problem=problem,
         optimizer=optimizer,

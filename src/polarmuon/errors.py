@@ -21,5 +21,5 @@ class ConfigError(PolarmuonError):
     """Invalid run configuration; message carries the offending field path."""
 
 
-class NumericalAbortError(PolarmuonError):
-    """A run produced non-finite values and was aborted."""
+class NumericalAbortError(PolarmuonError, ValueError):
+    """A matrix holds non-finite values, so the computation cannot go on."""

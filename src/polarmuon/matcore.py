@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError
+from .errors import DegenerateInputError, DimensionError, NumericalAbortError
 
 __all__ = [
     "Svd",
@@ -31,28 +31,38 @@ __all__ = [
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``m`` as a 2-D float64 array with finite entries."""
+    """Validate and return ``m`` as a 2-D float64 array with finite entries.
+
+    Public entry points check their caller's input with it; package code
+    passing an array it computed calls the unchecked ``_``-kernels instead.
+    """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.size == 0:
         raise DimensionError(f"{name} must be nonempty")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NumericalAbortError(f"{name} contains non-finite entries")
     return a
 
 
-def frobenius_norm(m) -> float:
-    a = as_matrix(m)
+def _frobenius(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(a * a)))
+
+
+def frobenius_norm(m) -> float:
+    return _frobenius(as_matrix(m))
+
+
+def _operator_norm(a: np.ndarray) -> float:
+    if not a.any():
+        return 0.0
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def operator_norm(m) -> float:
     """Largest singular value."""
-    a = as_matrix(m)
-    if not a.any():
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return _operator_norm(as_matrix(m))
 
 
 def nuclear_norm(m) -> float:
@@ -96,20 +106,26 @@ class Svd:
         return (self.u * self.sigma) @ self.v.T
 
 
-def svd(m) -> Svd:
-    """Compact SVD with rank-tolerance truncation.
-
-    Raises DegenerateInputError for the zero matrix.
-    """
-    a = as_matrix(m)
+def _svd(a: np.ndarray) -> Svd:
     if not a.any():
         raise DegenerateInputError("svd of zero matrix")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as e:  # LAPACK meets a NaN
+        raise NumericalAbortError(f"svd: {e}") from e
     tol = rank_tolerance(a.shape, s[0])
     r = int(np.sum(s > tol))
     if r == 0:
         raise DegenerateInputError("svd: all singular values below tolerance")
     return Svd(u=u[:, :r].copy(), sigma=s[:r].copy(), v=vt[:r].T.copy())
+
+
+def svd(m) -> Svd:
+    """Compact SVD with rank-tolerance truncation.
+
+    Raises DegenerateInputError for the zero matrix.
+    """
+    return _svd(as_matrix(m))
 
 
 def numerical_rank(m) -> int:
@@ -120,12 +136,14 @@ def numerical_rank(m) -> int:
     return int(np.sum(s > rank_tolerance(a.shape, s[0])))
 
 
-def orthonormal_basis(y) -> np.ndarray:
+def orthonormal_basis(y: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning range(y); column count = numerical rank.
 
-    Raises DegenerateInputError for zero input.
+    ``y`` is a finite 2-D float64 array and is not re-validated (the sketch
+    pipeline passes the matrix it computed).  Raises DegenerateInputError for
+    zero input.
     """
-    return svd(y).u
+    return _svd(y).u
 
 
 def derive_stream_id(*ids: int) -> int:

@@ -37,6 +37,9 @@ class Problem:
 
     quadratic:      f(X) = 1/2 ||X - A||_F^2           (L = 1)
     factorization:  f(U) = 1/4 ||U U^T - A||_F^2 with symmetric psd A
+
+    :meth:`value` and :meth:`gradient` take a float64 array of the parameter
+    shape and do not re-validate it; the runner checks its iterate each step.
     """
 
     kind: str
@@ -45,16 +48,14 @@ class Problem:
     n: int
     smoothness: float | None
 
-    def value(self, x) -> float:
-        x = matcore.as_matrix(x)
+    def value(self, x: np.ndarray) -> float:
         if self.kind == "quadratic":
             d = x - self.a
             return 0.5 * float(np.sum(d * d))
         r = x @ x.T - self.a
         return 0.25 * float(np.sum(r * r))
 
-    def gradient(self, x) -> np.ndarray:
-        x = matcore.as_matrix(x)
+    def gradient(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "quadratic":
             return x - self.a
         return (x @ x.T - self.a) @ x
@@ -76,7 +77,7 @@ class Problem:
 
 
 def quadratic_problem(a) -> Problem:
-    a = matcore.as_matrix(a)
+    a = matcore.as_matrix(a, "quadratic target")
     return Problem(kind="quadratic", a=a, m=a.shape[0], n=a.shape[1], smoothness=1.0)
 
 
@@ -84,7 +85,7 @@ def factorization_problem(a0) -> Problem:
     """Non-convex symmetric factorization target A = A0 A0^T; the iterate is
     an m x rank factor U."""
     a0 = matcore.as_matrix(a0)
-    a = a0 @ a0.T
+    a = matcore.as_matrix(a0 @ a0.T, "factorization target")
     return Problem(
         kind="factorization", a=a, m=a0.shape[0], n=a0.shape[1], smoothness=None
     )

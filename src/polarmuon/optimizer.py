@@ -14,6 +14,7 @@ from .errors import DimensionError, PreconditionError
 __all__ = [
     "MuonState",
     "Schedule",
+    "check_momentum",
     "SgdState",
     "AdamWState",
     "muon_step",
@@ -25,6 +26,14 @@ __all__ = [
     "sgd_nesterov_step",
     "adamw_step",
 ]
+
+
+def check_momentum(kind: str, beta: float) -> None:
+    """Muon momentum is "nesterov" or "polyak" with beta in [0, 1)."""
+    if kind not in ("nesterov", "polyak"):
+        raise PreconditionError(f"unknown momentum kind: {kind!r}")
+    if not 0.0 <= beta < 1.0:
+        raise PreconditionError("beta must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -39,10 +48,7 @@ class MuonState:
     eta: float = 0.02
 
     def __post_init__(self):
-        if self.kind not in ("nesterov", "polyak"):
-            raise PreconditionError(f"unknown momentum kind: {self.kind!r}")
-        if not 0.0 <= self.beta < 1.0:
-            raise PreconditionError("beta must lie in [0, 1)")
+        check_momentum(self.kind, self.beta)
         if self.x.shape != self.c.shape:
             raise DimensionError("momentum buffer shape must match parameter shape")
 
@@ -57,9 +63,11 @@ def muon_step(state: MuonState, g, polar) -> MuonState:
     or M_k = C_k (polyak), X_{k+1} = X_k - eta * polar(M_k).
 
     ``polar`` maps a nonzero matrix to its (approximate) polar factor; a zero
-    momentum matrix produces a zero update by convention.
+    momentum matrix produces a zero update by convention.  ``g`` is not
+    checked for finite entries here: the package's polar maps validate the
+    momentum built from it.
     """
-    grad = matcore.as_matrix(g)
+    grad = np.asarray(g, dtype=np.float64)
     if grad.shape != state.x.shape:
         raise DimensionError(f"gradient shape {grad.shape} != parameter shape {state.x.shape}")
     c = state.beta * state.c + grad

@@ -90,26 +90,24 @@ class PolynomialSchedule:
         return p
 
 
+# name -> (coefficient triple repeated q times, theoretical, smallest q)
+_REPEATED = {
+    "cubic": (CUBIC_COEFFS, True, 0),
+    "quintic-theoretical": (QUINTIC_THEORETICAL_COEFFS, True, 0),
+    "quintic-empirical": (QUINTIC_EMPIRICAL_COEFFS, False, 1),
+}
+
+
 def cubic_schedule(q: int) -> PolynomialSchedule:
-    if q < 0:
-        raise PreconditionError("q must be nonnegative")
-    return PolynomialSchedule((CUBIC_COEFFS,) * q, name="cubic", theoretical=True)
+    return schedule_by_name("cubic", q)
 
 
 def quintic_theoretical_schedule(q: int) -> PolynomialSchedule:
-    if q < 0:
-        raise PreconditionError("q must be nonnegative")
-    return PolynomialSchedule(
-        (QUINTIC_THEORETICAL_COEFFS,) * q, name="quintic-theoretical", theoretical=True
-    )
+    return schedule_by_name("quintic-theoretical", q)
 
 
 def quintic_empirical_schedule(q: int) -> PolynomialSchedule:
-    if q < 1:
-        raise PreconditionError("q must be >= 1")
-    return PolynomialSchedule(
-        (QUINTIC_EMPIRICAL_COEFFS,) * q, name="quintic-empirical", theoretical=False
-    )
+    return schedule_by_name("quintic-empirical", q)
 
 
 def polar_express_schedule(variant: str) -> PolynomialSchedule:
@@ -121,18 +119,15 @@ def polar_express_schedule(variant: str) -> PolynomialSchedule:
 
 
 def schedule_by_name(name: str, q: int) -> PolynomialSchedule:
-    """Builtin schedule lookup used by the config layer."""
-    if name == "cubic":
-        return cubic_schedule(q)
-    if name == "quintic-theoretical":
-        return quintic_theoretical_schedule(q)
-    if name == "quintic-empirical":
-        return quintic_empirical_schedule(q)
-    if name == "polar-express-nanogpt":
-        return polar_express_schedule("nanogpt")
-    if name == "polar-express-cifar10":
-        return polar_express_schedule("cifar10")
-    raise PreconditionError(f"unknown schedule name: {name!r}")
+    """Builtin schedule by its config name; q is ignored by PolarExpress."""
+    if name.startswith("polar-express-"):
+        return polar_express_schedule(name.removeprefix("polar-express-"))
+    if name not in _REPEATED:
+        raise PreconditionError(f"unknown schedule name: {name!r}")
+    coeffs, theoretical, q_min = _REPEATED[name]
+    if q < q_min:
+        raise PreconditionError(f"q must be >= {q_min}")
+    return PolynomialSchedule((coeffs,) * q, name=name, theoretical=theoretical)
 
 
 @dataclass(frozen=True)
@@ -163,11 +158,13 @@ class PolarConfig:
         return self.schedule.q
 
     def resolve_delta(self, m: np.ndarray) -> float:
+        """The scale delta for ``m``, a finite 2-D float64 array that the
+        calling solver has validated (it is not re-checked here)."""
         if isinstance(self.delta_rule, (int, float)):
             return float(self.delta_rule)
         if self.delta_rule == "operator-norm":
-            return matcore.operator_norm(m)
-        return matcore.frobenius_norm(m)
+            return matcore._operator_norm(m)
+        return matcore._frobenius(m)
 
 
 def exact_polar(m) -> np.ndarray:
@@ -214,14 +211,15 @@ def inexact_polar(m, cfg: PolarConfig, return_info: bool = False):
     if cfg.solver != "polynomial":
         raise PreconditionError("inexact_polar requires a polynomial config")
     delta = cfg.resolve_delta(a)
-    info = {"delta": delta, "delta_below_operator_norm": False}
-    if isinstance(cfg.delta_rule, (int, float)) and cfg.schedule.theoretical:
-        if delta < matcore.operator_norm(a):
-            info["delta_below_operator_norm"] = True
     z = polynomial_iterate(a / delta, cfg.schedule.coeff_array())
-    if return_info:
-        return z, info
-    return z
+    if not return_info:
+        return z
+    below = (
+        isinstance(cfg.delta_rule, (int, float))
+        and cfg.schedule.theoretical
+        and delta < matcore._operator_norm(a)
+    )
+    return z, {"delta": delta, "delta_below_operator_norm": below}
 
 
 def prop1_gamma(sigma, delta: float, schedule: PolynomialSchedule) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import matcore, noise as noise_mod, optimizer as opt, polar as polar_mod
 from .config import RunConfig
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateInputError, NumericalAbortError
 from .matcore import RngStream, derive_stream_id
 from .sketch import randomized_polar
 from .verify import StepFlopsConfig, measured_step_flops
@@ -66,63 +66,38 @@ class RunReport:
         return self.seed_results[0].cum_flops if self.seed_results else 0
 
 
-def _resolve_schedule(o) -> tuple[float, float]:
-    if o.schedule == "manual":
-        return o.eta, o.beta
-    if o.schedule == "corollary1":
-        s = opt.corollary1_schedule(o.K)
-    elif o.schedule == "theorem1":
-        s = opt.theorem1_schedule(o.K, o.alpha)
-    else:
-        raise ConfigError(f"optimizer.schedule: unknown source {o.schedule!r}")
-    return s.eta, s.beta
+def _polar_kind(cfg: RunConfig) -> str:
+    if cfg.polar.solver == "exact":
+        return "exact"
+    return "polynomial" if cfg.sketch is None else "randomized"
 
 
-def _step_flops_config(
-    cfg: RunConfig, pcfg: polar_mod.PolarConfig, shape: tuple[int, int]
-) -> StepFlopsConfig:
-    """Price one step of ``cfg``; q is the built schedule's step count."""
-    o = cfg.optimizer
-    m, n = shape
-    if o.kind in ("sgd_nesterov", "adamw"):
-        return StepFlopsConfig(optimizer=o.kind, m=m, n=n)
-    if o.kind != "muon":
-        raise ConfigError(f"optimizer.kind: unknown kind {o.kind!r}")
-    if pcfg.solver == "exact":
-        return StepFlopsConfig("muon", m, n, momentum=o.momentum, polar="exact")
-    if cfg.sketch is not None:
-        return StepFlopsConfig(
-            "muon",
-            m,
-            n,
-            momentum=o.momentum,
-            polar="randomized",
-            q=pcfg.q,
-            ell=cfg.sketch.ell,
-            h=cfg.sketch.h,
-        )
-    return StepFlopsConfig("muon", m, n, momentum=o.momentum, polar="polynomial", q=pcfg.q)
+def _step_flops(cfg: RunConfig) -> int:
+    """Analytic FLOPs of one step; q is the schedule's own step count."""
+    o, sk = cfg.optimizer, cfg.sketch
+    return measured_step_flops(StepFlopsConfig(
+        o.kind, *cfg.problem.param_shape, momentum=o.momentum, polar=_polar_kind(cfg),
+        q=cfg.polar.q, ell=sk.ell if sk else 0, h=sk.h if sk else 0,
+    ))
 
 
-def _make_polar(cfg: RunConfig, pcfg: polar_mod.PolarConfig, sketch_rng: RngStream):
-    """Return polar(matrix) -> (direction, alignment_ratio, op_norm)."""
-
-    def call(m):
-        if pcfg.solver == "exact":
-            out = polar_mod.exact_polar(m)
-        elif cfg.sketch is not None:
-            out = randomized_polar(m, cfg.sketch, pcfg, sketch_rng)
-        else:
-            out = polar_mod.inexact_polar(m, pcfg)
-        return out
-
+def _make_polar(cfg: RunConfig, sketch_rng: RngStream, checks: list):
+    """Return polar(matrix) -> direction.  With ``verify``, each call also
+    appends its (alignment loss, spectral slack) to ``checks``."""
+    pcfg = cfg.polar
+    call = {
+        "exact": lambda m: polar_mod.exact_polar(m),
+        "polynomial": lambda m: polar_mod.inexact_polar(m, pcfg),
+        "randomized": lambda m: randomized_polar(m, cfg.sketch, pcfg, sketch_rng),
+    }[_polar_kind(cfg)]
     if not cfg.verify:
-        return lambda m: (call(m), None, None)
+        return call
 
     def call_verified(m):
         out = call(m)
         ratio = matcore.inner_product(m, out) / matcore.nuclear_norm(m)
-        return out, 1.0 - ratio, matcore.operator_norm(out) - 1.0
+        checks.append((1.0 - ratio, matcore.operator_norm(out) - 1.0))
+        return out
 
     return call_verified
 
@@ -135,33 +110,29 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _run_seed(cfg: RunConfig, seed: int, model, out_path: Path | None) -> SeedResult:
-    problem = cfg.problem.build()
+def _initial_point(cfg: RunConfig, seed: int) -> np.ndarray:
     shape = cfg.problem.param_shape
-    eta, beta = _resolve_schedule(cfg.optimizer)
-    o = cfg.optimizer
-
-    noise_rng = RngStream(seed, derive_stream_id(_TAG_NOISE))
-    sketch_rng = RngStream(seed, derive_stream_id(_TAG_SKETCH))
-    init_rng = RngStream(seed, derive_stream_id(_TAG_INIT))
-
     if cfg.problem.kind == "factorization":
-        x = init_rng.normal(shape)
-    else:
-        x = np.zeros(shape)
+        return RngStream(seed, derive_stream_id(_TAG_INIT)).normal(shape)
+    return np.zeros(shape)
 
+
+def _run_seed(
+    cfg: RunConfig, seed: int, problem, model, step_flops: int, out_path: Path | None
+) -> SeedResult:
+    """K steps from this seed's start, on the run's resolved inputs."""
+    o = cfg.optimizer
+    sched = o.step_schedule()
+    noise_rng = RngStream(seed, derive_stream_id(_TAG_NOISE))
+    x = _initial_point(cfg, seed)
+    checks = []
     if o.kind == "muon":
-        state = opt.MuonState.initial(x, kind=o.momentum, beta=beta, eta=eta)
+        state = opt.MuonState.initial(x, kind=o.momentum, beta=sched.beta, eta=sched.eta)
+        polar = _make_polar(cfg, RngStream(seed, derive_stream_id(_TAG_SKETCH)), checks)
     elif o.kind == "sgd_nesterov":
-        state = opt.SgdState.initial(x, lr=eta, momentum=beta)
-    elif o.kind == "adamw":
-        state = opt.AdamWState.initial(x, lr=eta)
+        state = opt.SgdState.initial(x, lr=sched.eta, momentum=sched.beta)
     else:
-        raise ConfigError(f"optimizer.kind: unknown kind {o.kind!r}")
-
-    pcfg = cfg.polar.build()
-    polar = _make_polar(cfg, pcfg, sketch_rng)
-    step_flops = measured_step_flops(_step_flops_config(cfg, pcfg, shape))
+        state = opt.AdamWState.initial(x, lr=sched.eta)
 
     rows = []
     min_grad = float("inf")
@@ -183,28 +154,23 @@ def _run_seed(cfg: RunConfig, seed: int, model, out_path: Path | None) -> SeedRe
                 aborted = True
                 break
             grad = problem.gradient(state.x)
-            gnorm = float(np.linalg.norm(grad))
-            min_grad = min(min_grad, gnorm)
-            final_f = f_val
-
-            gamma_k = nu_k = None
             g = noise_mod.gradient_oracle(grad, o.B, model, noise_rng)
-            if o.kind == "muon":
-                captured = {}
-
-                def polar_capture(m, _c=captured, _p=polar):
-                    out, gam, nu = _p(m)
-                    _c["gamma"], _c["nu"] = gam, nu
-                    return out
-
-                state = opt.muon_step(state, g, polar_capture)
-                gamma_k = captured.get("gamma")
-                nu_k = captured.get("nu")
-            else:
-                state = opt.baseline_step(o.kind, state, g)
+            try:
+                if o.kind == "muon":
+                    state = opt.muon_step(state, g, polar)
+                else:
+                    state = opt.baseline_step(o.kind, state, g)
+            except (NumericalAbortError, DegenerateInputError):
+                # the step overflowed, or underflowed to a zero matrix
+                aborted = True
+                break
+            gamma_k, nu_k = checks.pop() if checks else (None, None)
             if cfg.problem.kind == "factorization":
                 xproj, _clipped = problem.project(state.x)
                 state = replace(state, x=xproj)
+            gnorm = float(np.linalg.norm(grad))
+            min_grad = min(min_grad, gnorm)
+            final_f = f_val
             cum_flops += step_flops
 
             row = (k, f_val, gnorm, cum_flops, gamma_k, nu_k)
@@ -237,25 +203,21 @@ def _calibrated_model(cfg: RunConfig):
 
 def run_experiment(cfg: RunConfig, write_files: bool = True) -> RunReport:
     """Execute K optimizer steps per seed; write per-seed CSV traces, a
-    summary CSV, and plot-ready data.  Returns the aggregated report."""
+    summary CSV, and plot-ready data.  Returns the aggregated report.  The
+    problem, noise model and step price are built once, for every seed."""
+    problem = cfg.problem.build()
+    model = _calibrated_model(cfg)
+    step_flops = _step_flops(cfg)
     out_dir = Path(cfg.output_dir)
     if write_files:
         out_dir.mkdir(parents=True, exist_ok=True)
-    model = _calibrated_model(cfg)
-
-    problem = cfg.problem.build()
-    if cfg.problem.kind == "factorization":
-        x0 = RngStream(cfg.seeds[0], derive_stream_id(_TAG_INIT)).normal(
-            cfg.problem.param_shape
-        )
-    else:
-        x0 = np.zeros(cfg.problem.param_shape)
+    x0 = _initial_point(cfg, cfg.seeds[0])
     initial_grad = float(np.linalg.norm(problem.gradient(x0)))
 
     results = []
     for seed in cfg.seeds:
         path = out_dir / f"run_seed{seed}.csv" if write_files else None
-        results.append(_run_seed(cfg, seed, model, path))
+        results.append(_run_seed(cfg, seed, problem, model, step_flops, path))
 
     report = RunReport(config=cfg, seed_results=results, initial_grad_norm=initial_grad)
     if write_files:
@@ -310,6 +272,7 @@ def _write_plot_data(report: RunReport, out_dir: Path) -> None:
 
 
 SWEEP_AXES = ("s", "q", "K", "alpha", "B")
+_INTEGER_AXES = ("s", "q", "K", "B")
 
 
 def _apply_axis(cfg: RunConfig, axis: str, value) -> RunConfig:
@@ -318,7 +281,8 @@ def _apply_axis(cfg: RunConfig, axis: str, value) -> RunConfig:
             raise ConfigError("sweep axis 's' requires a [sketch] section")
         return replace(cfg, sketch=replace(cfg.sketch, s=int(value)))
     if axis == "q":
-        return replace(cfg, polar=replace(cfg.polar, q=int(value)))
+        schedule = polar_mod.schedule_by_name(cfg.polar.schedule.name, int(value))
+        return replace(cfg, polar=replace(cfg.polar, schedule=schedule))
     if axis == "K":
         return replace(cfg, optimizer=replace(cfg.optimizer, K=int(value)))
     if axis == "alpha":
@@ -356,18 +320,21 @@ def sweep(template: RunConfig, axis: str, values, write_files: bool = True) -> l
     Emits a long-form CSV keyed by axis value; the K axis additionally emits
     (log K, log mean-min-grad-norm) pairs for slope inspection.  A q sweep
     is rejected when q does not set the step count (exact solver, custom or
-    PolarExpress schedules): its cells would all run the same steps.
+    PolarExpress schedules): its cells would all run the same steps.  A
+    non-integer value on an integer axis (s, q, K, B) is rejected up front.
     """
     pl = template.polar
+    name = pl.schedule.name
     if axis == "q" and (
-        pl.solver == "exact"
-        or pl.schedule == "custom"
-        or pl.schedule.startswith("polar-express-")
+        pl.solver == "exact" or name == "custom" or name.startswith("polar-express-")
     ):
         raise ConfigError(
             f"sweep axis 'q': q does not set the step count of solver "
-            f"{pl.solver!r} with schedule {pl.schedule!r}"
+            f"{pl.solver!r} with schedule {name!r}"
         )
+    for value in values:
+        if axis in _INTEGER_AXES and not float(value).is_integer():
+            raise ConfigError(f"sweep axis {axis!r}: {value!r} is not an integer")
     out_dir = Path(template.output_dir)
     if write_files:
         out_dir.mkdir(parents=True, exist_ok=True)

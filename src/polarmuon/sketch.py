@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matcore
-from .errors import DegenerateInputError, PreconditionError
+from .errors import DegenerateInputError, NumericalAbortError, PreconditionError
 from .matcore import RngStream
 from .polar import PolarConfig, polynomial_iterate
 
@@ -55,6 +55,13 @@ class SketchConfig:
     @property
     def ell(self) -> int:
         return self.s + self.p
+
+    def check_shape(self, shape: tuple[int, int]) -> None:
+        """The sketch must fit the matrix: ell = s + p <= min(shape)."""
+        if self.ell > min(shape):
+            raise PreconditionError(
+                f"ell = s + p = {self.ell} exceeds min(shape) = {min(shape)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -98,11 +105,16 @@ def kaczmarz_sketch(m, ell: int, rng: RngStream) -> np.ndarray:
     Column j of the input is sampled with probability proportional to its
     squared norm; sketch column k is e_{i_k} / sqrt(ell * pi_{i_k}).
     """
-    a = matcore.as_matrix(m)
+    return _kaczmarz_sketch(matcore.as_matrix(m), ell, rng)
+
+
+def _kaczmarz_sketch(a: np.ndarray, ell: int, rng: RngStream) -> np.ndarray:
     col_energy = np.sum(a * a, axis=0)
     total = float(np.sum(col_energy))
     if total == 0.0:
         raise DegenerateInputError("kaczmarz_sketch of zero matrix")
+    if not np.isfinite(total):
+        raise NumericalAbortError("kaczmarz_sketch: column energies overflow")
     pi = col_energy / total
     n = a.shape[1]
     idx = rng.generator.choice(n, size=ell, replace=True, p=pi)
@@ -122,7 +134,7 @@ def power_iterate(m: np.ndarray, omega: np.ndarray, h: int) -> np.ndarray:
 def _draw_sketch(a: np.ndarray, scfg: SketchConfig, rng: RngStream) -> np.ndarray:
     if scfg.kind == "gaussian":
         return gaussian_sketch(a.shape[1], scfg.ell, rng)
-    return kaczmarz_sketch(a, scfg.ell, rng)
+    return _kaczmarz_sketch(a, scfg.ell, rng)
 
 
 def randomized_polar(
@@ -140,10 +152,7 @@ def randomized_polar(
         raise DegenerateInputError("randomized_polar of zero matrix")
     if pcfg.solver != "polynomial":
         raise PreconditionError("randomized_polar requires a polynomial config")
-    if scfg.ell > min(a.shape):
-        raise PreconditionError(
-            f"ell = s + p = {scfg.ell} exceeds min(shape) = {min(a.shape)}"
-        )
+    scfg.check_shape(a.shape)
     y = power_iterate(a, _draw_sketch(a, scfg, rng), scfg.h)
     if not y.any():
         y = power_iterate(a, _draw_sketch(a, scfg, rng), scfg.h)

@@ -234,20 +234,6 @@ class FlopModel:
         return max(self.m, self.n)
 
 
-def flop_counts(model: FlopModel) -> tuple[int, int, float]:
-    """(full-space count, randomized count, full/randomized ratio).
-
-    full       = q (4 d1 d0^2 + 2 d0^3)
-    randomized = (4h+6) m n ell + q (4 n ell^2 + 2 ell^3)
-    """
-    full = model.q * (4 * model.d1 * model.d0**2 + 2 * model.d0**3)
-    rand = (4 * model.h + 6) * model.m * model.n * model.ell + model.q * (
-        4 * model.n * model.ell**2 + 2 * model.ell**3
-    )
-    ratio = full / rand if rand else float("inf")
-    return full, rand, ratio
-
-
 # Per-primitive FLOP table (documented, bit-reproducible):
 #   matmul (a x b)(b x c):            2 a b c
 #   thin QR of an n x ell matrix:     4 n ell^2   (sub-leading -(4/3) ell^3 dropped)
@@ -255,6 +241,50 @@ def flop_counts(model: FlopModel) -> tuple[int, int, float]:
 #   norm + rescale of m x n:          3 m n
 #   SVD of m x n (d1 >= d0):          14 d1 d0^2 + 8 d0^3
 #   AdamW per entry:                  12  (m, v, denom, step, decay)
+
+
+def _polar_stages(polar: str, m: int, n: int, q: int, ell: int, h: int) -> dict:
+    """Analytic FLOPs of each stage of one polar call on an m x n matrix, in
+    the order the code runs them."""
+
+    def poly(rows, cols):  # q degree-5 steps: q (4 d1 d0^2 + 2 d0^3)
+        d0, d1 = min(rows, cols), max(rows, cols)
+        return q * (4 * d1 * d0**2 + 2 * d0**3)
+
+    d0, d1 = min(m, n), max(m, n)
+    if polar == "exact":
+        return {"svd": 14 * d1 * d0**2 + 8 * d0**3, "product": 2 * d1 * d0**2}
+    if polar == "polynomial":
+        return {"delta": 3 * m * n, "polynomial": poly(m, n)}
+    if polar != "randomized":
+        raise ConfigError(f"unknown polar kind: {polar!r}")
+    if ell < 1:
+        raise ConfigError("randomized polar needs ell >= 1")
+    return {
+        "power": (4 * h + 2) * m * n * ell,
+        "basis": 4 * m * ell**2,
+        "compress": 2 * m * n * ell,
+        "delta": 3 * n * ell,
+        "polynomial": poly(ell, n),
+        "lift": 2 * m * n * ell,
+    }
+
+
+def flop_counts(model: FlopModel) -> tuple[int, int, float]:
+    """(full-space count, randomized count, full/randomized ratio), analytic.
+
+    full       = q (4 d1 d0^2 + 2 d0^3)
+    randomized = (4h+6) m n ell + q (4 n ell^2 + 2 ell^3)
+
+    The paper's model: the product stages of :func:`_polar_stages` only,
+    without the basis and delta stages that :func:`measured_step_flops` adds.
+    """
+    m, n, q = model.m, model.n, model.q
+    full = _polar_stages("polynomial", m, n, q, 0, 0)["polynomial"]
+    rand = _polar_stages("randomized", m, n, q, model.ell, model.h)
+    rand = sum(rand[k] for k in ("power", "compress", "polynomial", "lift"))
+    ratio = full / rand if rand else float("inf")
+    return full, rand, ratio
 
 
 @dataclass(frozen=True)
@@ -272,8 +302,9 @@ class StepFlopsConfig:
 
 
 def measured_step_flops(cfg: StepFlopsConfig) -> int:
+    """FLOPs of one optimizer step, counted analytically from the shapes with
+    the tables above (not measured): momentum, every polar stage, update."""
     m, n = cfg.m, cfg.n
-    d0, d1 = min(m, n), max(m, n)
     axpy = 2 * m * n
     if cfg.optimizer == "sgd_nesterov":
         return 2 * axpy
@@ -281,23 +312,8 @@ def measured_step_flops(cfg: StepFlopsConfig) -> int:
         return 12 * m * n
     if cfg.optimizer != "muon":
         raise ConfigError(f"unknown optimizer: {cfg.optimizer!r}")
-    momentum_cost = axpy if cfg.momentum == "polyak" else 2 * axpy
     if cfg.momentum not in ("nesterov", "polyak"):
         raise ConfigError(f"unknown momentum kind: {cfg.momentum!r}")
-    if cfg.polar == "exact":
-        polar_cost = 14 * d1 * d0**2 + 8 * d0**3 + 2 * d1 * d0**2
-    elif cfg.polar == "polynomial":
-        polar_cost = 3 * m * n + cfg.q * (4 * d1 * d0**2 + 2 * d0**3)
-    elif cfg.polar == "randomized":
-        ell = cfg.ell
-        if ell < 1:
-            raise ConfigError("randomized polar needs ell >= 1")
-        polar_cost = (
-            (4 * cfg.h + 6) * m * n * ell
-            + 4 * m * ell**2
-            + 3 * n * ell
-            + cfg.q * (4 * n * ell**2 + 2 * ell**3)
-        )
-    else:
-        raise ConfigError(f"unknown polar kind: {cfg.polar!r}")
-    return momentum_cost + polar_cost + axpy
+    momentum_cost = axpy if cfg.momentum == "polyak" else 2 * axpy
+    stages = _polar_stages(cfg.polar, m, n, cfg.q, cfg.ell, cfg.h)
+    return momentum_cost + sum(stages.values()) + axpy

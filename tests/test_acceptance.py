@@ -8,7 +8,6 @@ import pytest
 
 from polarmuon.config import (
     OptimizerSpec,
-    PolarSpec,
     ProblemSpec,
     RunConfig,
     parse,
@@ -268,7 +267,7 @@ def _muon_config(**kw) -> RunConfig:
     base = dict(
         problem=ProblemSpec(kind="quadratic", m=16, n=16, rank=8),
         optimizer=OptimizerSpec(kind="muon", schedule="corollary1", K=500),
-        polar=PolarSpec(solver="exact"),
+        polar=PolarConfig(solver="exact"),
         noise=NoiseModel(alpha=2.0, sigma0=0.0),
         seeds=(1,),
         output_dir="out",
@@ -294,7 +293,7 @@ def test_criterion_11_desk_scale_optimization():
             _muon_config(
                 problem=problem,
                 optimizer=OptimizerSpec(kind="muon", schedule="corollary1", K=K),
-                polar=PolarSpec(solver="polynomial", schedule="quintic-theoretical", q=5),
+                polar=PolarConfig(solver="polynomial", schedule=quintic_theoretical_schedule(5)),
                 sketch=SketchConfig(s=3, p=2, h=1),
                 noise=model,
                 seeds=tuple(range(1, 21)),
@@ -308,7 +307,7 @@ def test_criterion_11_desk_scale_optimization():
     paired = dict(
         problem=ProblemSpec(kind="quadratic", m=16, n=16, rank=8, gen_seed=12),
         optimizer=OptimizerSpec(kind="muon", schedule="corollary1", K=200),
-        polar=PolarSpec(solver="polynomial", schedule="quintic-theoretical", q=5),
+        polar=PolarConfig(solver="polynomial", schedule=quintic_theoretical_schedule(5)),
     )
     rep_full = run_experiment(_muon_config(**paired), write_files=False)
     rep_rand = run_experiment(

@@ -1,10 +1,12 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from polarmuon import cli
+from polarmuon import cli, matcore, runner
 from polarmuon.config import (
     OptimizerSpec,
-    PolarSpec,
     ProblemSpec,
     RunConfig,
     load,
@@ -12,9 +14,16 @@ from polarmuon.config import (
     save,
     serialize,
 )
-from polarmuon.errors import ConfigError
+from polarmuon.errors import ConfigError, NumericalAbortError
 from polarmuon.matcore import RngStream
 from polarmuon.noise import NoiseModel, Problem, calibrate
+from polarmuon.polar import (
+    PolarConfig,
+    PolynomialSchedule,
+    polar_express_schedule,
+    quintic_theoretical_schedule,
+    schedule_by_name,
+)
 from polarmuon.runner import CSV_COLUMNS, SUMMARY_COLUMNS, run_experiment, sweep
 from polarmuon.sketch import SketchConfig
 from polarmuon.verify import StepFlopsConfig, measured_step_flops
@@ -34,7 +43,6 @@ def random_config(rng) -> RunConfig:
         if s + p <= dim:
             sketch = SketchConfig(s=s, p=p, h=int(g.integers(0, 3)),
                                   kind="gaussian" if g.uniform() < 0.5 else "kaczmarz")
-    coeffs = ()
     schedule = ["cubic", "quintic-theoretical", "quintic-empirical", "custom"][
         int(g.integers(0, 4))
     ]
@@ -42,6 +50,10 @@ def random_config(rng) -> RunConfig:
         coeffs = tuple(
             tuple(float(v) for v in g.uniform(-2, 2, 3)) for _ in range(int(g.integers(1, 4)))
         )
+        polar_schedule = PolynomialSchedule(coeffs, name="custom")
+    else:
+        q_min = 1 if schedule == "quintic-empirical" else 0
+        polar_schedule = schedule_by_name(schedule, int(g.integers(q_min, 10)))
     return RunConfig(
         problem=ProblemSpec(
             kind=kind,
@@ -62,14 +74,12 @@ def random_config(rng) -> RunConfig:
             eta=float(g.uniform(1e-4, 0.5)),
             beta=float(g.uniform(0.0, 0.999)),
         ),
-        polar=PolarSpec(
+        polar=PolarConfig(
             solver="exact" if g.uniform() < 0.2 else "polynomial",
-            schedule=schedule,
-            q=int(g.integers(0, 10)),
-            delta=["frobenius-norm", "operator-norm", f"explicit:{float(g.uniform(0.5, 20))!r}"][
+            schedule=polar_schedule,
+            delta_rule=["frobenius-norm", "operator-norm", float(g.uniform(0.5, 20))][
                 int(g.integers(0, 3))
             ],
-            coefficients=coeffs,
         ),
         sketch=sketch,
         noise=NoiseModel(
@@ -132,18 +142,18 @@ class TestConfigRoundTrip:
 
     def test_polar_spec_errors(self):
         with pytest.raises(ConfigError):
-            PolarSpec(delta="explicit:abc").delta_rule()
+            parse("[polar]\ndelta = explicit:abc\n")
         with pytest.raises(ConfigError):
-            PolarSpec(delta="spectral").delta_rule()
+            parse("[polar]\ndelta = spectral\n")
         with pytest.raises(ConfigError):
-            PolarSpec(schedule="custom").build()
+            parse("[polar]\nschedule = custom\n")
 
 
 def small_run_config(tmp_path, **kw) -> RunConfig:
     base = dict(
         problem=ProblemSpec(kind="quadratic", m=8, n=8, rank=4, gen_seed=7),
         optimizer=OptimizerSpec(kind="muon", schedule="manual", K=20, eta=0.1, beta=0.9),
-        polar=PolarSpec(schedule="quintic-theoretical", q=5),
+        polar=PolarConfig(schedule=quintic_theoretical_schedule(5)),
         noise=NoiseModel(alpha=2.0, sigma0=0.0),
         seeds=(1, 2),
         output_dir=str(tmp_path / "out"),
@@ -195,24 +205,42 @@ class TestRunner:
             assert a == b
 
     def test_gradient_evaluated_once_per_step(self, tmp_path, monkeypatch):
-        calls = []
-        exact = Problem.gradient
+        calls = Counter()
 
-        def counted(self, x):
-            calls.append(1)
-            return exact(self, x)
+        def count(owner, name):
+            exact = getattr(owner, name)
 
-        monkeypatch.setattr(Problem, "gradient", counted)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return exact(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in ((Problem, "gradient"), (ProblemSpec, "build"), (matcore, "as_matrix")):
+            count(owner, name)
         cfg = small_run_config(tmp_path, noise=NoiseModel(alpha=1.5, sigma0=0.5))
         report = run_experiment(cfg, write_files=False)
         steps = sum(r.steps for r in report.seed_results)
         assert steps == cfg.optimizer.K * len(cfg.seeds)
-        assert len(calls) == 1 + steps  # one more for the initial grad norm
+        assert calls["gradient"] == 1 + steps  # one more for the initial grad norm
+        assert calls["build"] == 1  # shared by both seeds
+        # Without verify only public entry points check their caller's input.
+        for polar, sketch in (
+            (PolarConfig(solver="exact"), None),
+            (PolarConfig(delta_rule=1000.0), None),
+            (PolarConfig(delta_rule="operator-norm"), SketchConfig(s=2, p=2, h=1)),
+            (PolarConfig(), SketchConfig(s=2, p=2, h=1, kind="kaczmarz")),
+        ):
+            calls.clear()
+            run_experiment(
+                replace(cfg, polar=polar, sketch=sketch, verify=False), write_files=False
+            )
+            assert calls["as_matrix"] <= 2 * steps
 
     def test_polar_express_priced_at_its_step_count(self, tmp_path):
         cfg = small_run_config(
             tmp_path,
-            polar=PolarSpec(schedule="polar-express-nanogpt", q=6),
+            polar=PolarConfig(schedule=polar_express_schedule("nanogpt")),
             seeds=(1,),
             verify=False,
         )
@@ -273,6 +301,37 @@ class TestCli:
         save(cfg, path)
         assert cli.main(["run", str(path)]) == cli.EXIT_NUMERICAL_ABORT
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "scale = 1e-300\n[optimizer]\n[sketch]\ns = 2\nh = 2\n",  # Y underflows to 0
+            "scale = 1e70\n[optimizer]\n[sketch]\ns = 2\nh = 2\n",  # Y overflows
+            "scale = 6.6e153\n[optimizer]\nschedule = manual\nbeta = 0.95\n"
+            "[sketch]\ns = 2\nkind = kaczmarz\n",  # column energies overflow
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_run_step_failure_is_numerical_abort(self, tmp_path, body):
+        # f(x_0) is finite, so the failure comes from inside the first step
+        path = tmp_path / "cfg.ini"
+        out = tmp_path / "out"
+        body = body.replace("[optimizer]\n", "[optimizer]\nk = 3\n")
+        path.write_text(
+            f"[problem]\nm = 8\nn = 8\nrank = 4\n{body}[run]\noutput_dir = {out}\n"
+        )
+        assert cli.main(["run", str(path)]) == cli.EXIT_NUMERICAL_ABORT
+        assert (out / "run.summary.csv").read_text().splitlines()[1].endswith(",1")
+
+    def test_numerical_abort_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def overflow(cfg):
+            raise NumericalAbortError("matrix contains non-finite entries")
+
+        monkeypatch.setattr(runner, "run_experiment", overflow)
+        path = tmp_path / "cfg.ini"
+        save(small_run_config(tmp_path), path)
+        assert cli.main(["run", str(path)]) == cli.EXIT_NUMERICAL_ABORT
+        assert "numerical abort" in capsys.readouterr().err
+
     def test_sweep_command(self, tmp_path, capsys):
         cfg = small_run_config(tmp_path, seeds=(1,))
         path = tmp_path / "cfg.ini"
@@ -290,28 +349,40 @@ class TestCli:
             "[problem]\nscale = nan\n",
             "[polar]\ndelta = explicit:inf\n",
             "[optimizer]\neta = -inf\n",
+            "[polar]\nschedule = bogus\n",
+            "[polar]\nsolver = exact\nschedule = bogus\n",
+            "[polar]\ndelta = explicit:-1\n",
+            "[optimizer]\nk = 1\n",
+            "[optimizer]\nmomentum = heavy\n",
+            "[problem]\nm = 0\n",
+            "[problem]\nm = -1\n",
+            "[problem]\nscale = 1e308\ndecay = 1.5\n",
+            "[sketch]\ns = 20\n",
         ],
     )
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_run_bad_value_is_config_error(self, tmp_path, capsys, body):
         path = tmp_path / "bad.ini"
         path.write_text(body + f"[run]\noutput_dir = {tmp_path / 'out'}\n")
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
 
-    def test_sweep_bad_values_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("axis, value", [("K", "1e1"), ("K", "2.5")])
+    def test_sweep_bad_values_is_config_error(self, tmp_path, capsys, axis, value):
         cfg = small_run_config(tmp_path, seeds=(1,))
         path = tmp_path / "cfg.ini"
         save(cfg, path)
-        rc = cli.main(["sweep", str(path), "--axis", "K", "--values", "1e1"])
+        rc = cli.main(["sweep", str(path), "--axis", axis, "--values", value])
         assert rc == cli.EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "polar",
         [
-            PolarSpec(schedule="polar-express-nanogpt"),
-            PolarSpec(schedule="custom", coefficients=((1.5, -0.5, 0.0),)),
-            PolarSpec(solver="exact"),
+            PolarConfig(schedule=polar_express_schedule("nanogpt")),
+            PolarConfig(schedule=PolynomialSchedule(((1.5, -0.5, 0.0),), name="custom")),
+            PolarConfig(solver="exact"),
         ],
     )
     def test_sweep_q_unused_is_config_error(self, tmp_path, capsys, polar):

@@ -1,0 +1,135 @@
+"""`polarmuon run` maps every config to a documented exit code.
+
+INIs are drawn from per-key pools of valid and invalid values: about half
+the examples hold only valid values (their runs must finish or abort
+cleanly) and the rest one invalid value.  Whatever is drawn,
+``cli.main(["run", ini])`` must return 0 (ran), 2 (config error) or 3
+(numerical abort) and never raise.  Shapes stay at most 8x8 and K at most 3
+so one example costs milliseconds.  ``scale0`` and ``scale1`` are always
+written, so no example runs the 20 000-draw noise calibration.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from polarmuon import cli
+
+# section -> key -> (valid values, invalid values)
+POOLS = {
+    "problem": {
+        "kind": (["quadratic", "factorization"], ["banana"]),
+        "m": (["8", "3", "1"], ["0", "-1", "2.5", "x"]),
+        "n": (["8", "4", "1"], ["0", "-2"]),
+        "rank": (["4", "2", "1"], ["0", "-1"]),
+        "decay": (["0.5", "1.0", "0", "-0.7", "1.5"], ["nan", "x"]),
+        "scale": (["1.0", "0", "-3", "1e200", "1e308"], ["inf", "nan"]),
+        "gen_seed": (["1", "-5", "18446744073709551617"], ["seed", "1.5"]),
+    },
+    "optimizer": {
+        "kind": (["muon", "sgd_nesterov", "adamw"], ["lion"]),
+        "momentum": (["nesterov", "polyak"], ["heavy"]),
+        "schedule": (["corollary1", "theorem1", "manual"], ["cosine"]),
+        "k": (["3", "2", "1"], ["0", "-1", "2.0"]),
+        "b": (["1", "2"], ["0", "-1", "x"]),
+        "alpha": (["1.5", "2.0"], ["1.0", "3", "nan"]),
+        "eta": (["0.1", "0", "-1", "1e300"], ["inf"]),
+        "beta": (["0.9", "0", "0.999"], ["1.0", "-0.5"]),
+    },
+    "polar": {
+        "solver": (["polynomial", "exact"], ["newton"]),
+        "schedule": (
+            [
+                "cubic",
+                "quintic-theoretical",
+                "quintic-empirical",
+                "polar-express-nanogpt",
+                "polar-express-cifar10",
+                "custom",
+            ],
+            ["bogus"],
+        ),
+        "q": (["0", "1", "5"], ["-1", "x"]),
+        "delta": (
+            ["frobenius-norm", "operator-norm", "explicit:2.0", "explicit:1e-300"],
+            ["explicit:-1", "explicit:inf", "explicit:abc", "spectral"],
+        ),
+        "coefficients": (
+            [
+                "1.5, -0.5, 0.0",
+                "3.4445, -4.7750, 2.0315; 1.5, -0.5, 0",
+                "1e300, 1e300, 1e300",
+            ],
+            ["1, 2", "nan, 0, 0", ""],
+        ),
+    },
+    "sketch": {
+        "s": (["1", "2", "6"], ["0", "20"]),
+        "p": (["2", "3"], ["1"]),
+        "h": (["0", "1", "2"], ["-1"]),
+        "kind": (["gaussian", "kaczmarz"], ["sparse"]),
+    },
+    "noise": {
+        "alpha": (["1.5", "2.0"], ["1.0", "3"]),
+        "sigma0": (["0", "0.5"], ["-1"]),
+        "sigma1": (["0", "0.3"], ["-1"]),
+        "tail_exponent": (["2.5"], ["1.0"]),
+        "scale0": (["0.1", "0", "-0.1"], ["nan"]),
+        "scale1": (["0.2", "0", "1e300"], ["x"]),
+        "calib_shape": (["4, 4"], ["x"]),
+        "calib_rel_tol": (["0.01"], ["nan"]),
+    },
+    "run": {
+        "verify": (["true", "false"], ["maybe"]),
+    },
+}
+KEYS = [(name, key) for name, pool in POOLS.items() for key in pool]
+# Written in every INI (the sketch's s when it has a section): the defaults
+# m = n = 16 and K = 100 are too large here, and scale0/scale1 skip
+# calibration.  Each pool lists its most common value first.
+ALWAYS = {
+    ("problem", "m"),
+    ("problem", "n"),
+    ("optimizer", "k"),
+    ("sketch", "s"),
+    ("noise", "scale0"),
+    ("noise", "scale1"),
+    ("run", "verify"),
+}
+
+
+@st.composite
+def ini_sections(draw):
+    bad = draw(st.sampled_from(KEYS)) if draw(st.booleans()) else None
+    with_sketch = (bad is not None and bad[0] == "sketch") or draw(st.booleans())
+    sections = {}
+    for name, pool in POOLS.items():
+        if name == "sketch" and not with_sketch:
+            continue
+        sec = sections[name] = {}
+        for key, (valid, invalid) in pool.items():
+            if (name, key) == bad:
+                sec[key] = draw(st.sampled_from(invalid))
+            elif (name, key) in ALWAYS or draw(st.booleans()):
+                sec[key] = draw(st.sampled_from(valid))
+    return sections
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # drawn values overflow on purpose
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(sections=ini_sections())
+def test_run_exit_code_is_documented(tmp_path, sections):
+    lines = []
+    for name, sec in sections.items():
+        lines.append(f"[{name}]")
+        lines.extend(f"{key} = {value}" for key, value in sec.items())
+    lines += ["seeds = 1", f"output_dir = {tmp_path / 'out'}"]  # [run] is last
+    path = tmp_path / "drawn.ini"
+    path.write_text("\n".join(lines) + "\n")
+    code = cli.main(["run", str(path)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR, cli.EXIT_NUMERICAL_ABORT)
