@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from . import config as config_mod, runner, suites
-from .errors import ConfigError, NumericalAbortError, PolarmuonError
+from .errors import ConfigError, NumericalAbortError, PolarmuonError, PreconditionError
 from .verify import FlopModel, flop_counts
 
 EXIT_OK = 0
@@ -82,6 +82,7 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_shape_spec(spec: str) -> FlopModel:
+    """Parse "m=..,n=..,ell=..,q=..[,h=..]"; any bad spec is a ConfigError."""
     fields = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -89,21 +90,19 @@ def _parse_shape_spec(spec: str) -> FlopModel:
             continue
         if "=" not in chunk:
             raise ConfigError(f"flops: expected key=value, got {chunk!r}")
-        key, val = chunk.split("=", 1)
+        key, val = (s.strip() for s in chunk.split("=", 1))
+        if key not in ("m", "n", "ell", "q", "h"):
+            raise ConfigError(f"flops: unknown field {key!r} (choose from m, n, ell, q, h)")
+        if key in fields:
+            raise ConfigError(f"flops: field {key!r} given twice")
         try:
-            fields[key.strip()] = int(val)
+            fields[key] = int(val)
         except ValueError as e:
             raise ConfigError(f"flops: {key}: {e}") from e
     try:
-        return FlopModel(
-            m=fields.pop("m"),
-            n=fields.pop("n"),
-            ell=fields.pop("ell"),
-            q=fields.pop("q"),
-            h=fields.pop("h", 0),
-        )
-    except KeyError as e:
-        raise ConfigError(f"flops: missing field {e}") from e
+        return FlopModel(**fields)
+    except (TypeError, PreconditionError) as e:  # TypeError: a field is missing
+        raise ConfigError(f"flops: {e}") from e
 
 
 def _cmd_flops(args) -> int:

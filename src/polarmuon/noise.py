@@ -6,10 +6,18 @@ index alpha, so the alpha-th moment is finite while the variance can be
 infinite.  Entry scales are calibrated by Monte Carlo so the empirical
 Frobenius alpha-moment sits below the budget sigma0^alpha +
 sigma1^alpha * ||grad||^alpha with deliberate slack.
+
+Draw order: each noise matrix takes, per active component (Xi0, then Xi1),
+one uniform per entry for the magnitudes, then one per entry for the signs;
+batch sums add in draw order.  So ``gradient_oracle(g, B)`` is ``g`` plus the
+mean of the next B :func:`sample_noise` draws, bit for bit.  Draws come in
+chunks of at most 2^20 uniforms (at least one sample), which bounds memory
+and leaves the stream unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,19 +135,52 @@ class NoiseModel:
         )
 
 
-def _pareto_entries(shape, tail_exponent: float, rng: RngStream) -> np.ndarray:
-    """Unit-scale symmetric Pareto draws: sign * U^(-1/a), |x| >= 1."""
-    u = rng.uniform(shape)
-    mag = u ** (-1.0 / tail_exponent)
-    sign = np.where(rng.uniform(shape) < 0.5, -1.0, 1.0)
-    return sign * mag
-
 # Slack applied to each component's moment budget.  A single active
 # component targets 0.9 of its budget; with both components active each
 # targets 0.45, so the von Bahr-Esseen combination (constant <= 2) keeps the
 # total inside the budget.
 _SLACK_SINGLE = 0.9
 _SLACK_PAIRED = 0.45
+
+# Uniforms per chunk of a draw (at least one whole sample per chunk).
+_CHUNK_UNIFORMS = 1 << 20
+
+
+def _noise_chunks(model: NoiseModel, count: int, inner: tuple, grad_norm: float,
+                  rng: RngStream, group: int = 1):
+    """Yield ``count`` noise matrices scale0 * Xi0 + scale1 * grad_norm * Xi1
+    of shape ``inner`` in chunks of shape (k, *inner), k a multiple of
+    ``group``.  Xi0 (drawn when sigma0 > 0) and Xi1 (when sigma1 > 0 and
+    grad_norm > 0) are unit-scale symmetric Pareto, sign * U^(-1/a); a chunk's
+    uniforms are laid out as (k, components, magnitude/sign, *inner)."""
+    if not model.calibrated:
+        raise PreconditionError("NoiseModel must be calibrated before sampling")
+    coefs = []
+    if model.sigma0 > 0:
+        coefs.append(model.scale0)
+    if model.sigma1 > 0 and grad_norm > 0:
+        coefs.append(model.scale1 * grad_norm)
+    per_group = 2 * max(1, len(coefs)) * math.prod(inner) * group
+    step = group * max(1, _CHUNK_UNIFORMS // per_group)
+    for start in range(0, count, step):
+        u = rng.uniform((min(step, count - start), len(coefs), 2) + inner)
+        xi = u[:, :, 0] ** (-1.0 / model.tail_exponent)
+        np.copysign(xi, u[:, :, 1] - 0.5, out=xi)  # negative iff u < 0.5
+        out = np.zeros((len(u),) + inner)  # a zero coef adds +0.0, not -0.0
+        for c, coef in enumerate(coefs):
+            out += coef * xi[:, c]
+        yield out
+
+
+def _frobenius_powers(x: np.ndarray, alpha: float) -> list:
+    """||x[i]||_F^alpha for each i, powered as Python floats (array ** rounds apart)."""
+    sq = (x * x).reshape(len(x), -1).sum(axis=1)
+    return [v ** (alpha / 2.0) for v in sq.tolist()]
+
+
+def _mean_and_se(vals: list) -> tuple[float, float]:
+    v = np.array(vals)
+    return float(np.mean(v)), float(np.std(v) / np.sqrt(len(v)))
 
 
 def calibrate(
@@ -151,31 +192,25 @@ def calibrate(
     The moment is alpha-homogeneous in the scale, so a single unit-scale
     estimate determines the fit exactly: scale = (target / m_hat)^(1/alpha).
     """
-    moments = np.empty(n_samples)
-    for i in range(n_samples):
-        xi = _pareto_entries(shape, model.tail_exponent, rng)
-        moments[i] = np.sum(xi * xi) ** (model.alpha / 2.0)
-    m_hat = float(np.mean(moments))
-    rel_tol = float(np.std(moments) / np.sqrt(n_samples) / m_hat)
+    shape = tuple(shape)
+    unit = NoiseModel(model.alpha, 1.0, tail_exponent=model.tail_exponent, scale0=1.0)
+    m_hat, se = _mean_and_se([
+        v for xi in _noise_chunks(unit, n_samples, shape, 0.0, rng)
+        for v in _frobenius_powers(xi, model.alpha)
+    ])
     slack = (
         _SLACK_PAIRED if (model.sigma0 > 0 and model.sigma1 > 0) else _SLACK_SINGLE
     )
-    scale0 = (
-        (slack * model.sigma0**model.alpha / m_hat) ** (1.0 / model.alpha)
-        if model.sigma0 > 0
-        else 0.0
-    )
-    scale1 = (
-        (slack * model.sigma1**model.alpha / m_hat) ** (1.0 / model.alpha)
-        if model.sigma1 > 0
-        else 0.0
-    )
+
+    def fit(sigma: float) -> float:
+        return (slack * sigma**model.alpha / m_hat) ** (1.0 / model.alpha) if sigma > 0 else 0.0
+
     return replace(
         model,
-        scale0=scale0,
-        scale1=scale1,
-        calib_shape=tuple(shape),
-        calib_rel_tol=rel_tol,
+        scale0=fit(model.sigma0),
+        scale1=fit(model.sigma1),
+        calib_shape=shape,
+        calib_rel_tol=se / m_hat,
     )
 
 
@@ -184,18 +219,7 @@ def sample_noise(
 ) -> np.ndarray:
     """One zero-mean noise matrix: scale0 * Xi0 + scale1 * grad_norm * Xi1
     with Xi0, Xi1 i.i.d. unit-scale symmetric Pareto."""
-    if model.sigma0 == 0.0 and model.sigma1 == 0.0:
-        return np.zeros(shape)
-    if not model.calibrated:
-        raise PreconditionError("NoiseModel must be calibrated before sampling")
-    out = np.zeros(shape)
-    if model.sigma0 > 0:
-        out += model.scale0 * _pareto_entries(shape, model.tail_exponent, rng)
-    if model.sigma1 > 0 and grad_norm > 0:
-        out += model.scale1 * grad_norm * _pareto_entries(
-            shape, model.tail_exponent, rng
-        )
-    return out
+    return next(_noise_chunks(model, 1, tuple(shape), grad_norm, rng))[0]
 
 
 def gradient_oracle(
@@ -208,10 +232,12 @@ def gradient_oracle(
     if model.sigma0 == 0.0 and model.sigma1 == 0.0:
         return grad
     gnorm = float(np.linalg.norm(grad))
-    acc = np.zeros_like(grad)
-    for _ in range(batch):
-        acc += sample_noise(model, grad.shape, gnorm, rng)
-    return grad + acc / batch
+    total = None
+    for draws in _noise_chunks(model, batch, grad.shape, gnorm, rng):
+        if total is not None:
+            draws[0] += total  # carry the running sum across chunks
+        total = np.add.accumulate(draws)[-1]  # in draw order; sum may pair up
+    return grad + total / batch
 
 
 def empirical_alpha_moment(
@@ -224,16 +250,14 @@ def empirical_alpha_moment(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E ||Xi||_F^alpha (with its standard error),
     where Xi is a batch-mean of ``batch`` independent noise draws."""
-    if n < 1000:
-        raise PreconditionError("need at least 1000 samples")
-    vals = np.empty(n)
-    for i in range(n):
-        acc = np.zeros(shape)
-        for _ in range(batch):
-            acc += sample_noise(model, shape, grad_norm, rng)
-        acc /= batch
-        vals[i] = np.sum(acc * acc) ** (model.alpha / 2.0)
-    return float(np.mean(vals)), float(np.std(vals) / np.sqrt(n))
+    if n < 1000 or batch < 1:
+        raise PreconditionError("need at least 1000 samples and batch >= 1")
+    shape = tuple(shape)
+    vals = []
+    for draws in _noise_chunks(model, n * batch, shape, grad_norm, rng, group=batch):
+        sums = np.add.accumulate(draws.reshape((-1, batch) + shape), axis=1)[:, -1]
+        vals += _frobenius_powers(sums / batch, model.alpha)
+    return _mean_and_se(vals)
 
 
 def empirical_batch_moments(
@@ -257,23 +281,10 @@ def empirical_batch_moments(
         raise PreconditionError("need at least 1000 samples")
     if any(b < 1 for b in batches):
         raise PreconditionError("batch sizes must be >= 1")
-    if not model.calibrated:
-        raise PreconditionError("NoiseModel must be calibrated before sampling")
-    b_max = max(batches)
-    vals = {b: np.empty(n) for b in batches}
-    half = model.alpha / 2.0
-    for i in range(n):
-        draws = np.zeros((b_max,) + tuple(shape))
-        if model.sigma0 > 0:
-            draws += model.scale0 * _pareto_entries(draws.shape, model.tail_exponent, rng)
-        if model.sigma1 > 0 and grad_norm > 0:
-            draws += model.scale1 * grad_norm * _pareto_entries(
-                draws.shape, model.tail_exponent, rng
-            )
-        csum = np.cumsum(draws, axis=0)
+    inner = (max(batches),) + tuple(shape)
+    vals = {b: [] for b in batches}
+    for draws in _noise_chunks(model, n, inner, grad_norm, rng):
+        csum = np.add.accumulate(draws, axis=1)
         for b in batches:
-            mean_b = csum[b - 1] / b
-            vals[b][i] = np.sum(mean_b * mean_b) ** half
-    return {
-        b: (float(np.mean(v)), float(np.std(v) / np.sqrt(n))) for b, v in vals.items()
-    }
+            vals[b] += _frobenius_powers(csum[:, b - 1] / b, model.alpha)
+    return {b: _mean_and_se(v) for b, v in vals.items()}

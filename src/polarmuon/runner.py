@@ -53,13 +53,17 @@ class RunReport:
     def aborted(self) -> bool:
         return any(r.aborted for r in self.seed_results)
 
+    def _min_grad_norms(self) -> np.ndarray:
+        # a seed that aborted before its first step has no minimum
+        return np.array([r.min_grad_norm for r in self.seed_results if r.steps > 0] or [np.nan])
+
     @property
     def mean_min_grad_norm(self) -> float:
-        return float(np.mean([r.min_grad_norm for r in self.seed_results]))
+        return float(np.mean(self._min_grad_norms()))
 
     @property
     def std_min_grad_norm(self) -> float:
-        return float(np.std([r.min_grad_norm for r in self.seed_results]))
+        return float(np.std(self._min_grad_norms()))
 
     @property
     def cum_flops(self) -> int:
@@ -192,21 +196,14 @@ def _run_seed(
     )
 
 
-def _calibrated_model(cfg: RunConfig):
-    model = cfg.noise
-    if (model.sigma0 > 0 or model.sigma1 > 0) and not model.calibrated:
-        model = noise_mod.calibrate(
-            model, cfg.problem.param_shape, RngStream(_CALIB_SEED)
-        )
-    return model
-
-
 def run_experiment(cfg: RunConfig, write_files: bool = True) -> RunReport:
     """Execute K optimizer steps per seed; write per-seed CSV traces, a
     summary CSV, and plot-ready data.  Returns the aggregated report.  The
     problem, noise model and step price are built once, for every seed."""
     problem = cfg.problem.build()
-    model = _calibrated_model(cfg)
+    model = cfg.noise
+    if not model.calibrated:
+        model = noise_mod.calibrate(model, cfg.problem.param_shape, RngStream(_CALIB_SEED))
     step_flops = _step_flops(cfg)
     out_dir = Path(cfg.output_dir)
     if write_files:
@@ -286,21 +283,10 @@ def _apply_axis(cfg: RunConfig, axis: str, value) -> RunConfig:
     if axis == "K":
         return replace(cfg, optimizer=replace(cfg.optimizer, K=int(value)))
     if axis == "alpha":
-        # Tail sweep: retunes both the noise model (forcing recalibration)
-        # and the theorem-1 schedule exponents.
-        new_noise = replace(
-            cfg.noise,
-            alpha=float(value),
-            tail_exponent=None,
-            scale0=None,
-            scale1=None,
-            calib_shape=None,
-            calib_rel_tol=None,
-        )
+        # Tail sweep: a fresh, uncalibrated noise model; theorem-1 exponents.
+        noise = noise_mod.NoiseModel(float(value), cfg.noise.sigma0, cfg.noise.sigma1)
         return replace(
-            cfg,
-            noise=new_noise,
-            optimizer=replace(cfg.optimizer, alpha=float(value)),
+            cfg, noise=noise, optimizer=replace(cfg.optimizer, alpha=float(value))
         )
     if axis == "B":
         return replace(cfg, optimizer=replace(cfg.optimizer, B=int(value)))

@@ -283,7 +283,10 @@ def flop_counts(model: FlopModel) -> tuple[int, int, float]:
     full = _polar_stages("polynomial", m, n, q, 0, 0)["polynomial"]
     rand = _polar_stages("randomized", m, n, q, model.ell, model.h)
     rand = sum(rand[k] for k in ("power", "compress", "polynomial", "lift"))
-    ratio = full / rand if rand else float("inf")
+    try:
+        ratio = full / rand if rand else float("inf")
+    except OverflowError:  # the ratio exceeds the float range
+        ratio = float("inf")
     return full, rand, ratio
 
 

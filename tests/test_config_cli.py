@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -185,6 +186,27 @@ class TestRunner:
         assert (out / "plot.gp").exists()
         assert not report.aborted
         assert report.mean_min_grad_norm < report.initial_grad_norm
+
+    def test_aggregate_skips_seeds_without_steps(self):
+        def seed_result(seed, steps, min_grad):
+            return runner.SeedResult(seed, steps, min_grad, 1.0, 0, steps == 0, [])
+
+        report = runner.RunReport(
+            RunConfig(), [seed_result(1, 3, 0.5), seed_result(2, 0, float("inf"))], 1.0
+        )
+        assert report.mean_min_grad_norm == 0.5
+        assert report.std_min_grad_norm == 0.0
+
+    def test_alpha_axis_resets_noise_model(self, tmp_path):
+        model = calibrate(
+            NoiseModel(alpha=1.5, sigma0=1.0, sigma1=0.25, tail_exponent=1.9),
+            (4, 4),
+            RngStream(84),
+        )
+        cell = runner._apply_axis(small_run_config(tmp_path, noise=model), "alpha", 1.25)
+        assert cell.noise == NoiseModel(alpha=1.25, sigma0=1.0, sigma1=0.25)
+        assert not cell.noise.calibrated
+        assert cell.optimizer.alpha == 1.25
 
     def test_deterministic_rerun_byte_identical(self, tmp_path):
         cfg1 = small_run_config(
@@ -413,3 +435,34 @@ class TestCli:
     def test_flops_bad_spec(self, capsys):
         assert cli.main(["flops", "m=4096,n=4096"]) == cli.EXIT_CONFIG_ERROR
         assert cli.main(["flops", "m=a,n=1,ell=1,q=1"]) == cli.EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "m=0,n=4,ell=1,q=1",
+            "m=8,n=8,ell=9,q=1",
+            "m=8,n=8,ell=1,q=-1",
+            "m=8,n=8,ell=1,q=1,h=-1",
+            "m=8,n=8,ell=1,q=1,foo=3",
+            "m=8,n=8,ell=1,q=1,m=4",
+        ],
+    )
+    def test_flops_bad_value_is_config_error(self, capsys, spec):
+        assert cli.main(["flops", spec]) == cli.EXIT_CONFIG_ERROR
+        assert "config error: flops" in capsys.readouterr().err
+
+    def test_run_without_steps_aggregates_nan(self, tmp_path, capsys):
+        # every seed aborts inside its first step (the sketch underflows)
+        path = tmp_path / "cfg.ini"
+        out = tmp_path / "out"
+        path.write_text(
+            "[problem]\nm = 8\nn = 8\nscale = 1e-300\n[sketch]\ns = 2\nh = 2\n"
+            f"[run]\nseeds = 1, 2\noutput_dir = {out}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(path)]) == cli.EXIT_NUMERICAL_ABORT
+        assert "mean min grad norm = nan (+/- nan)" in capsys.readouterr().out
+        lines = (out / "run.summary.csv").read_text().splitlines()
+        assert lines[1:3] == ["1,0,inf,nan,0,1", "2,0,inf,nan,0,1"]
+        assert lines[3] == "aggregate,,nan,nan,,"

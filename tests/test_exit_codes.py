@@ -1,4 +1,5 @@
-"""`polarmuon run` maps every config to a documented exit code.
+"""`polarmuon run` and `polarmuon flops` map every input to a documented
+exit code.
 
 INIs are drawn from per-key pools of valid and invalid values: about half
 the examples hold only valid values (their runs must finish or abort
@@ -7,6 +8,10 @@ cleanly) and the rest one invalid value.  Whatever is drawn,
 (numerical abort) and never raise.  Shapes stay at most 8x8 and K at most 3
 so one example costs milliseconds.  ``scale0`` and ``scale1`` are always
 written, so no example runs the 20 000-draw noise calibration.
+
+``flops`` shape specs are drawn the same way, valid (some with m, n = 1e400)
+or with one field missing, repeated, unknown, non-integer or out of range;
+``cli.main(["flops", spec])`` must return 0 or 2 and never raise.
 """
 
 import pytest
@@ -133,3 +138,35 @@ def test_run_exit_code_is_documented(tmp_path, sections):
     path.write_text("\n".join(lines) + "\n")
     code = cli.main(["run", str(path)])
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR, cli.EXIT_NUMERICAL_ABORT)
+
+
+BAD_SHAPE_FIELDS = ["m=0", "n=-2", "ell=99", "q=-1", "h=-1", "m=2.5", "q=x", "ell=",
+                    "foo=3", "m=4", "ell", "=1"]
+
+
+@st.composite
+def flops_specs(draw):
+    """About half the specs are valid (m, n up to 1e400); the rest add, drop
+    or replace one field with a bad one."""
+    m = draw(st.one_of(st.integers(1, 70), st.just(10**400)))
+    n = draw(st.one_of(st.integers(1, 70), st.just(10**400)))
+    fields = [f"m={m}", f"n={n}", f"ell={draw(st.integers(1, min(m, n, 70)))}",
+              f"q={draw(st.integers(0, 9))}"]
+    if draw(st.booleans()):
+        fields.append(f"h={draw(st.integers(0, 3))}")
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(fields) - 1))
+        bad = draw(st.sampled_from(BAD_SHAPE_FIELDS + ["drop"]))
+        if bad == "drop":
+            del fields[i]
+        elif draw(st.booleans()):
+            fields[i] = bad
+        else:
+            fields.insert(i, bad)
+    return ",".join(fields)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=flops_specs())
+def test_flops_exit_code_is_documented(spec):
+    assert cli.main(["flops", spec]) in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR)

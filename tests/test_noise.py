@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from polarmuon import noise
 from polarmuon.errors import PreconditionError
 from polarmuon.matcore import RngStream
 from polarmuon.noise import (
@@ -224,3 +227,117 @@ class TestGradientOracle:
         m = calibrate(NoiseModel(alpha=1.5, sigma0=1.0), (2, 2), RngStream(63))
         with pytest.raises(PreconditionError):
             empirical_alpha_moment(m, (2, 2), 10, RngStream(64))
+
+
+def _calibrated(components, shape=(3, 2)):
+    s0 = 1.0 if components in ("sigma0", "both") else 0.0
+    s1 = 0.5 if components in ("sigma1", "both") else 0.0
+    return calibrate(NoiseModel(alpha=1.5, sigma0=s0, sigma1=s1), shape, RngStream(80))
+
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDrawOrder:
+    """The Monte Carlo functions read their stream in one fixed order, so a
+    change of draw layout, summation order or chunking shows here."""
+
+    @pytest.mark.parametrize("components", ["sigma0", "sigma1", "both"])
+    @pytest.mark.parametrize("batch", [1, 5, 9])
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 1)])
+    def test_oracle_is_mean_of_consecutive_samples(self, components, batch, shape):
+        model = _calibrated(components, shape)
+        grad = RngStream(81).normal(shape)
+        gnorm = float(np.linalg.norm(grad))
+        rng = RngStream(82)
+        acc = np.zeros(shape)
+        for _ in range(batch):
+            acc += sample_noise(model, shape, gnorm, rng)
+        got = gradient_oracle(grad, batch, model, RngStream(82))
+        assert _bitwise_equal(got, grad + acc / batch)
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_alpha_moment_is_loop_over_samples(self, batch):
+        model = _calibrated("both")
+        rng = RngStream(90)
+        vals = []
+        for _ in range(1000):
+            acc = np.zeros((3, 2))
+            for _ in range(batch):
+                acc += sample_noise(model, (3, 2), 2.0, rng)
+            acc /= batch
+            vals.append(float(np.sum(acc * acc)) ** 0.75)
+        ref = (float(np.mean(vals)), float(np.std(vals) / np.sqrt(1000)))
+        assert empirical_alpha_moment(model, (3, 2), 1000, RngStream(90), 2.0, batch) == ref
+
+    def test_chunked_draws_match_single_draws(self, monkeypatch):
+        # 2 * 2 components * 6 entries = 24 uniforms a draw: 10 draws a chunk
+        monkeypatch.setattr(noise, "_CHUNK_UNIFORMS", 240)
+        model = _calibrated("both")
+        chunks = list(noise._noise_chunks(model, 35, (3, 2), 1.0, RngStream(83)))
+        assert [len(c) for c in chunks] == [10, 10, 10, 5]
+        rng = RngStream(83)
+        singles = [next(noise._noise_chunks(model, 1, (3, 2), 1.0, rng)) for _ in range(35)]
+        assert _bitwise_equal(np.concatenate(chunks), np.concatenate(singles))
+
+        grad = RngStream(84).normal((3, 2))
+        rng = RngStream(85)
+        acc = np.zeros((3, 2))
+        for _ in range(35):
+            acc += sample_noise(model, (3, 2), float(np.linalg.norm(grad)), rng)
+        assert _bitwise_equal(
+            gradient_oracle(grad, 35, model, RngStream(85)), grad + acc / 35
+        )
+
+    def test_chunk_size_does_not_change_estimates(self, monkeypatch):
+        def estimates():
+            return (
+                calibrate(NoiseModel(alpha=1.25, sigma0=1.0), (3, 2), RngStream(86), 1500),
+                empirical_alpha_moment(
+                    _calibrated("both"), (3, 2), 1000, RngStream(87), 2.0, batch=3
+                ),
+                empirical_batch_moments(
+                    _calibrated("both"), (3, 2), 1000, RngStream(88), (1, 2, 4), 2.0
+                ),
+            )
+
+        whole = estimates()
+        monkeypatch.setattr(noise, "_CHUNK_UNIFORMS", 100)  # a few samples a chunk
+        assert repr(estimates()) == repr(whole)
+
+    def test_calibration_pinned(self):
+        # reference values from the per-sample loop implementation
+        m = calibrate(
+            NoiseModel(alpha=1.5, sigma0=1.0, sigma1=0.5), (5, 3), RngStream(2026, 4), 3000
+        )
+        assert repr(m.scale0) == "0.03173650193498012"
+        assert repr(m.scale1) == "0.01586825096749006"
+        assert repr(m.calib_rel_tol) == "0.14941546095904024"
+        est = empirical_batch_moments(
+            m, (2, 3), 1000, RngStream(2026, 5), batches=(1, 3, 8), grad_norm=2.0
+        )
+        assert repr(est) == (
+            "{1: (0.28507910007378773, 0.0645583050247094), "
+            "3: (0.16091000360037963, 0.02266816973093592), "
+            "8: (0.07369665481861032, 0.005750440160565691)}"
+        )
+
+    def test_draw_memory_bounded(self, monkeypatch):
+        monkeypatch.setattr(noise, "_CHUNK_UNIFORMS", 1 << 12)
+        model = _calibrated("sigma0", (4, 4))
+        grad = np.ones((4, 4))
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                gradient_oracle(grad, batch, model, RngStream(89))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one chunk holds 128 draws; unchunked, 16 000 draws would take 4 MB
+        small, large = peak(1_000), peak(16_000)
+        assert large < 1.5 * small
+        assert large < 1 << 18

@@ -97,6 +97,25 @@ class TestRandomizedPolar:
         full = inexact_polar(m, pcfg)
         assert inner_product(m, out) == pytest.approx(inner_product(m, full), abs=1e-8)
 
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_full_rank_sketch_matches_inexact_polar(self, h):
+        # With ell = min(m, n) a Gaussian sketch spans the whole range of M,
+        # so lifting the compressed iteration reproduces p_q(M / delta) up to
+        # rounding.  Worst relative errors over these 60 shapes: 1.0e-12
+        # (h = 0) and 3.2e-12 (h = 1); an ill-conditioned Omega or the cubed
+        # conditioning of (M M^T) M Omega costs the digits beyond eps.
+        # Kaczmarz sketches are left out: they sample columns with
+        # replacement, so their basis rank falls below ell.
+        rng = RngStream(0xD1F)
+        pcfg = PolarConfig()
+        for i in range(60):
+            m, n = (int(v) for v in rng.generator.integers(3, 41, size=2))
+            a = rng.normal((m, n))
+            scfg = SketchConfig(s=min(m, n) - 2, p=2, h=h)
+            out = randomized_polar(a, scfg, pcfg, rng.substream(i, h))
+            ref = inexact_polar(a, pcfg)
+            assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref), (m, n)
+
     def test_operator_norm_bound_sweep(self):
         pcfg = PolarConfig(schedule=quintic_theoretical_schedule(5))
         rng = RngStream(11)
