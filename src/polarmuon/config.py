@@ -48,11 +48,11 @@ def _fmt(v) -> str:
 
 def _section(name: str, build):
     """Build one section's runtime object, reporting its precondition
-    failures (and a non-finite matrix it builds) as config errors of that
-    section."""
+    failures (and a non-finite matrix it builds, or an integer too large for
+    a float) as config errors of that section."""
     try:
         return build()
-    except (PreconditionError, NumericalAbortError) as e:
+    except (PreconditionError, NumericalAbortError, OverflowError) as e:
         raise ConfigError(f"{name}: {e}") from e
 
 

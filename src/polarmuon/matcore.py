@@ -1,9 +1,10 @@
-"""Dense matrix primitives: norms, compact SVD, orthonormal bases, RNG streams.
+"""Dense matrix primitives: norms, compact SVD, orthonormal bases, RNG streams,
+and the Monte Carlo mean and standard error.
 
 All matrices are 2-D float64 numpy arrays.  Singular values below
 ``max(rows, cols) * eps * sigma_max`` are treated as zero (standard
-numerical-rank rule), which fixes the rank tolerance used by :func:`svd`,
-:func:`orthonormal_basis`, and :func:`numerical_rank`.
+numerical-rank rule), which fixes the rank tolerance used by :func:`svd`
+and :func:`orthonormal_basis`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "inner_product",
     "svd",
     "orthonormal_basis",
-    "numerical_rank",
     "rank_tolerance",
 ]
 
@@ -102,9 +102,6 @@ class Svd:
     def rank(self) -> int:
         return len(self.sigma)
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
-
 
 def _svd(a: np.ndarray) -> Svd:
     if not a.any():
@@ -128,14 +125,6 @@ def svd(m) -> Svd:
     return _svd(as_matrix(m))
 
 
-def numerical_rank(m) -> int:
-    a = as_matrix(m)
-    if not a.any():
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > rank_tolerance(a.shape, s[0])))
-
-
 def orthonormal_basis(y: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning range(y); column count = numerical rank.
 
@@ -144,6 +133,12 @@ def orthonormal_basis(y: np.ndarray) -> np.ndarray:
     zero input.
     """
     return _svd(y).u
+
+
+def _mean_and_se(vals) -> tuple[float, float]:
+    """Sample mean of ``vals`` and its standard error std / sqrt(count)."""
+    v = np.asarray(vals)
+    return float(np.mean(v)), float(np.std(v) / np.sqrt(len(v)))
 
 
 def derive_stream_id(*ids: int) -> int:

@@ -52,9 +52,6 @@ class Problem:
 
     kind: str
     a: np.ndarray
-    m: int
-    n: int
-    smoothness: float | None
 
     def value(self, x: np.ndarray) -> float:
         if self.kind == "quadratic":
@@ -86,7 +83,7 @@ class Problem:
 
 def quadratic_problem(a) -> Problem:
     a = matcore.as_matrix(a, "quadratic target")
-    return Problem(kind="quadratic", a=a, m=a.shape[0], n=a.shape[1], smoothness=1.0)
+    return Problem(kind="quadratic", a=a)
 
 
 def factorization_problem(a0) -> Problem:
@@ -94,9 +91,7 @@ def factorization_problem(a0) -> Problem:
     an m x rank factor U."""
     a0 = matcore.as_matrix(a0)
     a = matcore.as_matrix(a0 @ a0.T, "factorization target")
-    return Problem(
-        kind="factorization", a=a, m=a0.shape[0], n=a0.shape[1], smoothness=None
-    )
+    return Problem(kind="factorization", a=a)
 
 
 @dataclass(frozen=True)
@@ -178,11 +173,6 @@ def _frobenius_powers(x: np.ndarray, alpha: float) -> list:
     return [v ** (alpha / 2.0) for v in sq.tolist()]
 
 
-def _mean_and_se(vals: list) -> tuple[float, float]:
-    v = np.array(vals)
-    return float(np.mean(v)), float(np.std(v) / np.sqrt(len(v)))
-
-
 def calibrate(
     model: NoiseModel, shape: tuple[int, int], rng: RngStream, n_samples: int = 20000
 ) -> NoiseModel:
@@ -194,7 +184,7 @@ def calibrate(
     """
     shape = tuple(shape)
     unit = NoiseModel(model.alpha, 1.0, tail_exponent=model.tail_exponent, scale0=1.0)
-    m_hat, se = _mean_and_se([
+    m_hat, se = matcore._mean_and_se([
         v for xi in _noise_chunks(unit, n_samples, shape, 0.0, rng)
         for v in _frobenius_powers(xi, model.alpha)
     ])
@@ -231,7 +221,7 @@ def gradient_oracle(
         raise PreconditionError("batch must be >= 1")
     if model.sigma0 == 0.0 and model.sigma1 == 0.0:
         return grad
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = float(np.linalg.norm(grad)) if model.sigma1 > 0 else 0.0  # read only by Xi1
     total = None
     for draws in _noise_chunks(model, batch, grad.shape, gnorm, rng):
         if total is not None:
@@ -257,7 +247,7 @@ def empirical_alpha_moment(
     for draws in _noise_chunks(model, n * batch, shape, grad_norm, rng, group=batch):
         sums = np.add.accumulate(draws.reshape((-1, batch) + shape), axis=1)[:, -1]
         vals += _frobenius_powers(sums / batch, model.alpha)
-    return _mean_and_se(vals)
+    return matcore._mean_and_se(vals)
 
 
 def empirical_batch_moments(
@@ -287,4 +277,4 @@ def empirical_batch_moments(
         csum = np.add.accumulate(draws, axis=1)
         for b in batches:
             vals[b] += _frobenius_powers(csum[:, b - 1] / b, model.alpha)
-    return {b: _mean_and_se(v) for b, v in vals.items()}
+    return {b: matcore._mean_and_se(v) for b, v in vals.items()}

@@ -25,7 +25,6 @@ __all__ = [
     "schedule_by_name",
     "exact_polar",
     "polynomial_iterate",
-    "apply_polynomial_step",
     "inexact_polar",
     "prop1_gamma",
 ]
@@ -190,20 +189,11 @@ def polynomial_iterate(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return z
 
 
-def apply_polynomial_step(z, coeffs) -> np.ndarray:
-    """One step a*Z + b*Z(Z^T Z) + c*Z(Z^T Z)^2 on the singular values of Z."""
-    a = matcore.as_matrix(z)
-    c = np.array([coeffs], dtype=np.float64)
-    return polynomial_iterate(a, c)
-
-
-def inexact_polar(m, cfg: PolarConfig, return_info: bool = False):
+def inexact_polar(m, cfg: PolarConfig) -> np.ndarray:
     """Polynomial polar approximation p_q(m / delta).
 
-    With ``return_info=True`` also returns a dict carrying the resolved delta
-    and a ``delta_below_operator_norm`` warning flag: an explicit delta below
-    the operator norm voids the <= 1 spectral guarantee of theoretical
-    schedules.
+    An explicit delta below the operator norm voids the <= 1 spectral
+    guarantee of theoretical schedules.
     """
     a = matcore.as_matrix(m)
     if not a.any():
@@ -211,15 +201,7 @@ def inexact_polar(m, cfg: PolarConfig, return_info: bool = False):
     if cfg.solver != "polynomial":
         raise PreconditionError("inexact_polar requires a polynomial config")
     delta = cfg.resolve_delta(a)
-    z = polynomial_iterate(a / delta, cfg.schedule.coeff_array())
-    if not return_info:
-        return z
-    below = (
-        isinstance(cfg.delta_rule, (int, float))
-        and cfg.schedule.theoretical
-        and delta < matcore._operator_norm(a)
-    )
-    return z, {"delta": delta, "delta_below_operator_norm": below}
+    return polynomial_iterate(a / delta, cfg.schedule.coeff_array())
 
 
 def prop1_gamma(sigma, delta: float, schedule: PolynomialSchedule) -> float:

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import matcore, noise as noise_mod, optimizer as opt, polar as polar_mod
 from .config import RunConfig
-from .errors import ConfigError, DegenerateInputError, NumericalAbortError
+from .errors import ConfigError, DegenerateInputError, NumericalAbortError, PreconditionError
 from .matcore import RngStream, derive_stream_id
 from .sketch import randomized_polar
-from .verify import StepFlopsConfig, measured_step_flops
+from .verify import StepFlopsConfig, _alignment_and_op_norm, measured_step_flops
 
 __all__ = ["SeedResult", "RunReport", "run_experiment", "sweep"]
 
@@ -87,7 +87,8 @@ def _step_flops(cfg: RunConfig) -> int:
 
 def _make_polar(cfg: RunConfig, sketch_rng: RngStream, checks: list):
     """Return polar(matrix) -> direction.  With ``verify``, each call also
-    appends its (alignment loss, spectral slack) to ``checks``."""
+    appends its (alignment loss, spectral slack) 1 - <M, T>/||M||_* and
+    ||T||_op - 1 to ``checks``."""
     pcfg = cfg.polar
     call = {
         "exact": lambda m: polar_mod.exact_polar(m),
@@ -99,8 +100,8 @@ def _make_polar(cfg: RunConfig, sketch_rng: RngStream, checks: list):
 
     def call_verified(m):
         out = call(m)
-        ratio = matcore.inner_product(m, out) / matcore.nuclear_norm(m)
-        checks.append((1.0 - ratio, matcore.operator_norm(out) - 1.0))
+        inner, op_norm = _alignment_and_op_norm(m, out)
+        checks.append((1.0 - inner / matcore.nuclear_norm(m), op_norm - 1.0))
         return out
 
     return call_verified
@@ -301,13 +302,17 @@ class SweepCell:
 
 
 def sweep(template: RunConfig, axis: str, values, write_files: bool = True) -> list:
-    """One run per axis value; failed cells are marked and the sweep continues.
+    """One run per axis value; a cell that fails while it runs is marked and
+    the sweep continues.
 
     Emits a long-form CSV keyed by axis value; the K axis additionally emits
-    (log K, log mean-min-grad-norm) pairs for slope inspection.  A q sweep
-    is rejected when q does not set the step count (exact solver, custom or
-    PolarExpress schedules): its cells would all run the same steps.  A
-    non-integer value on an integer axis (s, q, K, B) is rejected up front.
+    (log K, log mean-min-grad-norm) pairs for slope inspection.  Every cell's
+    config is built before any cell runs: a value that makes it invalid (a
+    non-integer on an integer axis s, q, K or B, or any value the config
+    rejects) raises ConfigError naming the axis and the value, and nothing is
+    written.  So does a q sweep where q does not set the step count (exact
+    solver, custom or PolarExpress schedules): its cells would all run the
+    same steps.
     """
     pl = template.polar
     name = pl.schedule.name
@@ -318,20 +323,22 @@ def sweep(template: RunConfig, axis: str, values, write_files: bool = True) -> l
             f"sweep axis 'q': q does not set the step count of solver "
             f"{pl.solver!r} with schedule {name!r}"
         )
-    for value in values:
-        if axis in _INTEGER_AXES and not float(value).is_integer():
-            raise ConfigError(f"sweep axis {axis!r}: {value!r} is not an integer")
     out_dir = Path(template.output_dir)
+    cell_cfgs = []
+    for value in values:
+        try:
+            if axis in _INTEGER_AXES and not float(value).is_integer():
+                raise ConfigError("not an integer")
+            cell_cfg = _apply_axis(template, axis, value)
+        except (ConfigError, PreconditionError, OverflowError) as e:
+            raise ConfigError(f"sweep axis {axis!r} = {value!r}: {e}") from e
+        cell_cfgs.append(replace(cell_cfg, output_dir=str(out_dir / f"{axis}_{value}")))
     if write_files:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     cells = []
-    for value in values:
+    for value, cell_cfg in zip(values, cell_cfgs):
         try:
-            cell_cfg = _apply_axis(template, axis, value)
-            cell_cfg = replace(
-                cell_cfg, output_dir=str(out_dir / f"{axis}_{value}")
-            )
             cells.append(SweepCell(value=value, report=run_experiment(cell_cfg, write_files)))
         except Exception as e:  # cell failures must not kill the sweep
             cells.append(SweepCell(value=value, report=None, error=str(e)))

@@ -138,8 +138,8 @@ def _draw_sketch(a: np.ndarray, scfg: SketchConfig, rng: RngStream) -> np.ndarra
 
 
 def randomized_polar(
-    m, scfg: SketchConfig, pcfg: PolarConfig, rng: RngStream, return_info: bool = False
-):
+    m, scfg: SketchConfig, pcfg: PolarConfig, rng: RngStream
+) -> np.ndarray:
     """Project down, iterate, project up; returns Q @ Z_q.
 
     delta is resolved from ``pcfg.delta_rule`` on the *original* matrix, so
@@ -162,10 +162,7 @@ def randomized_polar(
     b = q_basis.T @ a
     delta = pcfg.resolve_delta(a)
     z = polynomial_iterate(b / delta, pcfg.schedule.coeff_array())
-    out = q_basis @ z
-    if return_info:
-        return out, {"delta": delta, "basis_rank": q_basis.shape[1]}
-    return out
+    return q_basis @ z
 
 
 def prop2_lower_bound(

@@ -117,31 +117,28 @@ def _scope_prop2() -> list[CheckResult]:
     ]
 
 
+def _gram_moments(draw, n: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise mean of Omega Omega^T over ``trials`` draws and its standard
+    error, from running sums of G and G * G."""
+    acc = np.zeros((n, n))
+    sq = np.zeros((n, n))
+    for _ in range(trials):
+        om = draw()
+        g = om @ om.T
+        acc += g
+        sq += g * g
+    mean = acc / trials
+    return mean, np.sqrt(np.maximum(sq / trials - mean**2, 0.0) / trials)
+
+
 def _scope_sketch_moments() -> list[CheckResult]:
     rng = RngStream(_SUITE_SEED, 30)
     n, ell, trials = 6, 3, 5000
-    acc = np.zeros((n, n))
-    sq = np.zeros((n, n))
-    for _ in range(trials):
-        om = gaussian_sketch(n, ell, rng)
-        g = om @ om.T
-        acc += g
-        sq += g * g
-    mean = acc / trials
-    se = np.sqrt(np.maximum(sq / trials - mean**2, 0.0) / trials)
-    target = ell * np.eye(n)
-    g_pass = bool(np.all(np.abs(mean - target) <= 3.0 * se + 1e-12))
+    mean, se = _gram_moments(lambda: gaussian_sketch(n, ell, rng), n, trials)
+    g_pass = bool(np.all(np.abs(mean - ell * np.eye(n)) <= 3.0 * se + 1e-12))
 
     base = rng.normal((5, n)) * np.array([3.0, 1.0, 1.0, 0.5, 2.0, 1.0])
-    acc = np.zeros((n, n))
-    sq = np.zeros((n, n))
-    for _ in range(trials):
-        om = kaczmarz_sketch(base, ell, rng)
-        g = om @ om.T
-        acc += g
-        sq += g * g
-    mean = acc / trials
-    se = np.sqrt(np.maximum(sq / trials - mean**2, 0.0) / trials)
+    mean, se = _gram_moments(lambda: kaczmarz_sketch(base, ell, rng), n, trials)
     k_pass = bool(np.all(np.abs(mean - np.eye(n)) <= 3.0 * se + 1e-12))
     return [
         CheckResult("sketch-moments", "Gaussian E[Omega Omega^T] = ell I", g_pass, f"n={n} ell={ell} trials={trials}"),

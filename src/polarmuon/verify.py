@@ -3,7 +3,10 @@
 Estimates the inexact-polar constants (gamma_hat, nu_hat) by Monte Carlo,
 checks the expected-alignment bound and the scalar-polynomial properties,
 and evaluates the FLOP cost models.  Expectation bounds are accepted at a
-3-standard-error criterion.
+3-standard-error criterion.  Every polar output T of A is measured once, as
+(<A, T>, ||T||_op), by the one measurement that the trial loop behind
+:func:`estimate_gamma_nu` and :func:`check_prop2` and the runner's verify
+mode share.
 """
 
 from __future__ import annotations
@@ -50,6 +53,25 @@ class AssumptionEstimate:
     degenerate_trials: int = 0
 
 
+def _alignment_and_op_norm(a: np.ndarray, out) -> tuple[float, float]:
+    """(<A, T>, ||T||_op) of one polar output T of A.  An all-zero T measures
+    (0.0, 0.0), and only an all-zero T has ||T||_op = 0."""
+    return matcore.inner_product(a, out), matcore.operator_norm(out)
+
+
+def _polar_trials(
+    a: np.ndarray, polar, trials: int, rng: RngStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays of <A, T_t> and ||T_t||_op for T_t = polar(a, rng.substream(t)),
+    t < trials."""
+    if trials < 1:
+        raise PreconditionError("trials must be >= 1")
+    inners, op_norms = np.empty(trials), np.empty(trials)
+    for t in range(trials):
+        inners[t], op_norms[t] = _alignment_and_op_norm(a, polar(a, rng.substream(t)))
+    return inners, op_norms
+
+
 def estimate_gamma_nu(m, polar, trials: int, rng: RngStream) -> AssumptionEstimate:
     """Estimate (gamma, nu) for a polar map ``polar(matrix, rng) -> matrix``.
 
@@ -58,37 +80,24 @@ def estimate_gamma_nu(m, polar, trials: int, rng: RngStream) -> AssumptionEstima
     averages and counted as degenerate.
     """
     a = matcore.as_matrix(m)
-    if trials < 1:
-        raise PreconditionError("trials must be >= 1")
-    nuclear = matcore.nuclear_norm(a)
-    ratios, op_norms = [], []
-    degenerate = 0
-    for t in range(trials):
-        out = polar(a, rng.substream(t))
-        if not np.asarray(out).any():
-            degenerate += 1
-            continue
-        ratios.append(matcore.inner_product(a, out) / nuclear)
-        op_norms.append(matcore.operator_norm(out))
-    if not ratios:
+    inners, op_norms = _polar_trials(a, polar, trials, rng)
+    kept = op_norms > 0.0
+    if not kept.any():
         raise PreconditionError("all trials produced degenerate polar outputs")
-    ratios = np.array(ratios)
-    op_norms = np.array(op_norms)
-    n_eff = len(ratios)
-    op_sq = op_norms**2
-    mean_sq = float(np.mean(op_sq))
-    gamma_se = float(np.std(ratios) / np.sqrt(n_eff))
-    # Delta method for sqrt(mean op^2).
-    nu_se = float(np.std(op_sq) / np.sqrt(n_eff) / (2.0 * np.sqrt(mean_sq)))
+    ratios = inners[kept] / matcore.nuclear_norm(a)
+    op_norms = op_norms[kept]
+    mean_ratio, gamma_se = matcore._mean_and_se(ratios)
+    mean_sq, mean_sq_se = matcore._mean_and_se(op_norms**2)
     return AssumptionEstimate(
-        gamma_hat=float(1.0 - np.mean(ratios)),
+        gamma_hat=1.0 - mean_ratio,
         nu_hat=float(np.sqrt(mean_sq) - 1.0),
         trials=trials,
         gamma_se=gamma_se,
-        nu_se=nu_se,
+        # Delta method for sqrt(mean op^2).
+        nu_se=float(mean_sq_se / (2.0 * np.sqrt(mean_sq))),
         ratios=ratios,
         op_norms=op_norms,
-        degenerate_trials=degenerate,
+        degenerate_trials=trials - int(kept.sum()),
     )
 
 
@@ -122,14 +131,11 @@ def check_prop2(
     delta = pcfg.resolve_delta(a)
     spec = SpectrumSummary.from_sigma(sigma, scfg.s)
     bound = prop2_lower_bound(spec, scfg.s, scfg.p, scfg.h, delta)
-    alignments = np.empty(trials)
-    max_op = 0.0
-    for t in range(trials):
-        out = randomized_polar(a, scfg, pcfg, rng.substream(t))
-        alignments[t] = matcore.inner_product(a, out)
-        max_op = max(max_op, matcore.operator_norm(out))
-    mean = float(np.mean(alignments))
-    se = float(np.std(alignments) / np.sqrt(trials))
+    inners, op_norms = _polar_trials(
+        a, lambda x, r: randomized_polar(x, scfg, pcfg, r), trials, rng
+    )
+    mean, se = matcore._mean_and_se(inners)
+    max_op = float(np.max(op_norms))
     return Prop2Report(
         mean_alignment=mean,
         alignment_se=se,
@@ -221,7 +227,7 @@ class FlopModel:
 
     def __post_init__(self):
         if min(self.m, self.n, self.ell) < 1 or self.q < 0 or self.h < 0:
-            raise PreconditionError("FlopModel parameters must be positive")
+            raise PreconditionError("m, n and ell must be >= 1 and q and h must be >= 0")
         if self.ell > min(self.m, self.n):
             raise PreconditionError("ell must not exceed min(m, n)")
 

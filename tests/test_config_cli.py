@@ -290,9 +290,12 @@ class TestRunner:
 
     def test_sweep_bad_cell_continues(self, tmp_path):
         cfg = small_run_config(tmp_path, seeds=(1,))
-        cells = sweep(cfg, "K", [0, 8])  # K=0 is invalid
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "K_4").write_text("")  # the cell cannot make its directory
+        cells = sweep(cfg, "K", [4, 8])
         assert cells[0].report is None and cells[0].error
         assert cells[1].report is not None
+        assert (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1] == "K,4,,,,,1"
 
 
 class TestCli:
@@ -380,6 +383,7 @@ class TestCli:
             "[problem]\nm = -1\n",
             "[problem]\nscale = 1e308\ndecay = 1.5\n",
             "[sketch]\ns = 20\n",
+            pytest.param(f"[optimizer]\nk = {10**400}\n", id="k-1e400"),
         ],
     )
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -397,6 +401,23 @@ class TestCli:
         rc = cli.main(["sweep", str(path), "--axis", axis, "--values", value])
         assert rc == cli.EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("K", "1"), ("s", "20"), ("alpha", "3"), ("B", "0"), ("q", "-1"), ("K", "4,1")],
+    )
+    def test_sweep_invalid_cell_is_config_error(self, tmp_path, capsys, axis, values):
+        # every cell's config is built before any cell runs: K=4 never runs
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[problem]\nm = 8\nn = 8\n[optimizer]\nschedule = corollary1\nk = 4\n"
+            f"[sketch]\ns = 2\np = 2\n[run]\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        rc = cli.main(["sweep", str(path), "--axis", axis, "--values", values])
+        assert rc == cli.EXIT_CONFIG_ERROR
+        bad = values.split(",")[-1]
+        assert f"config error: sweep axis {axis!r} = {int(bad)!r}:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -435,6 +456,9 @@ class TestCli:
     def test_flops_bad_spec(self, capsys):
         assert cli.main(["flops", "m=4096,n=4096"]) == cli.EXIT_CONFIG_ERROR
         assert cli.main(["flops", "m=a,n=1,ell=1,q=1"]) == cli.EXIT_CONFIG_ERROR
+        capsys.readouterr()
+        assert cli.main(["flops", "m=8,n=8,ell=1,q=-1"]) == cli.EXIT_CONFIG_ERROR
+        assert "m, n and ell must be >= 1 and q and h must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "spec",

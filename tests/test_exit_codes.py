@@ -9,6 +9,10 @@ cleanly) and the rest one invalid value.  Whatever is drawn,
 so one example costs milliseconds.  ``scale0`` and ``scale1`` are always
 written, so no example runs the 20 000-draw noise calibration.
 
+``sweep`` draws an axis and one to three values, each valid or not, over
+one small valid template; ``cli.main(["sweep", ...])`` must return 0, 2 or 3
+and never raise.
+
 ``flops`` shape specs are drawn the same way, valid (some with m, n = 1e400)
 or with one field missing, repeated, unknown, non-integer or out of range;
 ``cli.main(["flops", spec])`` must return 0 or 2 and never raise.
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polarmuon import cli
+from polarmuon.runner import SWEEP_AXES
 
 # section -> key -> (valid values, invalid values)
 POOLS = {
@@ -137,6 +142,45 @@ def test_run_exit_code_is_documented(tmp_path, sections):
     path = tmp_path / "drawn.ini"
     path.write_text("\n".join(lines) + "\n")
     code = cli.main(["run", str(path)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR, cli.EXIT_NUMERICAL_ABORT)
+
+
+# axis -> (valid values, invalid values) for the template below
+SWEEP_POOLS = {
+    "s": (["2", "1", "4"], ["0", "7", "1.5", "x"]),
+    "q": (["3", "0", "1"], ["-1", "2.5"]),
+    "K": (["2", "3"], ["1", "0", "-1", "2.5", "1e1", str(10**400)]),
+    "alpha": (["2.0", "1.5", "2"], ["1.0", "3", "nan", "1.0e400", str(10**400)]),
+    "B": (["1", "2"], ["0", "-1"]),
+}
+SWEEP_TEMPLATE = (
+    "[problem]\nm = 8\nn = 8\nrank = 4\n"
+    "[optimizer]\nschedule = corollary1\nk = 2\n"
+    "[sketch]\ns = 2\np = 2\n"
+)
+
+
+@st.composite
+def sweep_argv(draw):
+    axis = draw(st.sampled_from(SWEEP_AXES))
+    valid, invalid = SWEEP_POOLS[axis]
+    values = draw(st.lists(st.sampled_from(valid + invalid), min_size=1, max_size=3))
+    # "--values=" keeps argparse from reading "-1,2" as an option
+    return ["--axis", axis, "--values=" + ",".join(values)]
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(args=sweep_argv())
+def test_sweep_exit_code_is_documented(tmp_path, args):
+    path = tmp_path / "template.ini"
+    path.write_text(SWEEP_TEMPLATE + f"[run]\nseeds = 1\noutput_dir = {tmp_path / 'out'}\n")
+    code = cli.main(["sweep", str(path), *args])
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR, cli.EXIT_NUMERICAL_ABORT)
 
 

@@ -217,6 +217,16 @@ class TestGradientOracle:
                 NoiseModel(alpha=1.5, sigma0=1.0), (2, 2), 2000, RngStream(70)
             )
 
+    @pytest.mark.parametrize("sigma1, norms", [(0.0, 0), (0.5, 1)])
+    def test_gradient_norm_taken_only_for_sigma1(self, monkeypatch, sigma1, norms):
+        # ||G||_F scales Xi1 only; a sigma0-only oracle does not take it
+        model = calibrate(NoiseModel(alpha=1.5, sigma0=1.0, sigma1=sigma1), (3, 2), RngStream(71))
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(a) or norm(*a, **k))
+        gradient_oracle(np.ones((3, 2)), 2, model, RngStream(72))
+        assert len(calls) == norms
+
     def test_batch_precondition(self):
         p = quadratic_problem(np.eye(2))
         m = NoiseModel(alpha=1.5, sigma0=0.0)

@@ -6,11 +6,11 @@ from polarmuon.matcore import RngStream, inner_product, nuclear_norm, operator_n
 from polarmuon.polar import (
     QUINTIC_EMPIRICAL_COEFFS,
     PolarConfig,
-    apply_polynomial_step,
     cubic_schedule,
     exact_polar,
     inexact_polar,
     polar_express_schedule,
+    polynomial_iterate,
     prop1_gamma,
     quintic_empirical_schedule,
     quintic_theoretical_schedule,
@@ -46,25 +46,25 @@ class TestExactPolar:
 
 class TestPolynomialStep:
     def test_cubic_on_diag(self):
-        out = apply_polynomial_step(np.diag([1.0, 0.5]), (1.5, -0.5, 0.0))
+        out = polynomial_iterate(np.diag([1.0, 0.5]), np.array([(1.5, -0.5, 0.0)]))
         np.testing.assert_allclose(out, np.diag([1.0, 0.6875]), atol=1e-14)
 
     def test_fixed_point(self):
         q, _ = np.linalg.qr(RngStream(23).normal((4, 4)))
-        out = apply_polynomial_step(q, (0.25, 0.5, 0.25))  # a+b+c = 1
+        out = polynomial_iterate(q, np.array([(0.25, 0.5, 0.25)]))  # a+b+c = 1
         np.testing.assert_allclose(out, q, atol=1e-12)
 
     def test_zero(self):
-        out = apply_polynomial_step(np.zeros((3, 2)), (1.5, -0.5, 0.0))
+        out = polynomial_iterate(np.zeros((3, 2)), np.array([(1.5, -0.5, 0.0)]))
         np.testing.assert_allclose(out, 0.0)
 
     def test_gram_side_equivalence(self):
         # tall and wide inputs take different Gram sides but agree with the
         # singular-value map
         m = RngStream(24).normal((7, 3))
-        coeffs = (1.5, -0.5, 0.0)
-        out_tall = apply_polynomial_step(m / 10.0, coeffs)
-        out_wide = apply_polynomial_step(m.T / 10.0, coeffs)
+        coeffs = np.array([(1.5, -0.5, 0.0)])
+        out_tall = polynomial_iterate(m / 10.0, coeffs)
+        out_wide = polynomial_iterate(m.T / 10.0, coeffs)
         np.testing.assert_allclose(out_tall, out_wide.T, atol=1e-12)
 
 
@@ -92,12 +92,6 @@ class TestInexactPolar:
                 m = rng.normal((6, 9))
                 out = inexact_polar(m, PolarConfig(schedule=sched, delta_rule=rule))
                 assert operator_norm(out) <= 1.0 + 1e-10
-
-    def test_explicit_delta_warning(self):
-        m = np.diag([2.0, 1.0])
-        cfg = PolarConfig(schedule=cubic_schedule(2), delta_rule=1.0)  # below op norm
-        _, info = inexact_polar(m, cfg, return_info=True)
-        assert info["delta_below_operator_norm"]
 
     def test_zero(self):
         with pytest.raises(DegenerateInputError):
@@ -160,7 +154,7 @@ class TestSchedules:
         assert all(s == QUINTIC_EMPIRICAL_COEFFS for s in sched.steps)
         # a + b + c = 0.7010, so an isometry shrinks by that factor per step;
         # the above-1 overshoot of this schedule happens inside (0, 1)
-        out = apply_polynomial_step(np.eye(3), QUINTIC_EMPIRICAL_COEFFS)
+        out = polynomial_iterate(np.eye(3), np.array([QUINTIC_EMPIRICAL_COEFFS]))
         np.testing.assert_allclose(out, 0.7010 * np.eye(3), atol=1e-12)
         grid = np.linspace(0.0, 1.0, 10_001)
         a, b, c = QUINTIC_EMPIRICAL_COEFFS

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polarmuon.errors import ConfigError, PreconditionError
-from polarmuon.matcore import RngStream, svd
+from polarmuon.matcore import RngStream, nuclear_norm, svd
 from polarmuon.polar import (
     PolarConfig,
     cubic_schedule,
@@ -12,7 +12,7 @@ from polarmuon.polar import (
     quintic_empirical_schedule,
     quintic_theoretical_schedule,
 )
-from polarmuon.sketch import SketchConfig
+from polarmuon.sketch import SketchConfig, randomized_polar
 from polarmuon.verify import (
     FlopModel,
     StepFlopsConfig,
@@ -100,6 +100,21 @@ class TestCheckProp2:
             rng=RngStream(78),
         )
         assert rep.op_norm_pass  # not claimed for non-theoretical schedules
+
+    def test_same_trials_as_estimate_gamma_nu(self):
+        # both estimators measure the outputs of one trial loop
+        m = RngStream(80).normal((9, 7))
+        scfg = SketchConfig(s=3, p=2, h=1)
+        pcfg = PolarConfig(schedule=quintic_theoretical_schedule(5), delta_rule="operator-norm")
+        rep = check_prop2(m, scfg, pcfg, trials=40, rng=RngStream(81))
+        est = estimate_gamma_nu(
+            m, lambda a, r: randomized_polar(a, scfg, pcfg, r), 40, RngStream(81)
+        )
+        assert est.degenerate_trials == 0
+        assert np.max(est.op_norms) == rep.max_op_norm
+        assert np.mean(est.ratios) * nuclear_norm(m) == pytest.approx(
+            rep.mean_alignment, rel=1e-12
+        )
 
     def test_kaczmarz_rejected(self):
         with pytest.raises(PreconditionError):
