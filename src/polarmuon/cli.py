@@ -32,12 +32,29 @@ def _cmd_run(args) -> int:
         f"run: {len(cfg.seeds)} seed(s), K={cfg.optimizer.K}, "
         f"mean min grad norm = {report.mean_min_grad_norm:.6g} "
         f"(+/- {report.std_min_grad_norm:.3g}), "
-        f"cumulative FLOPs per seed = {report.cum_flops}"
+        f"cumulative FLOPs over all seeds = {report.cum_flops}"
     )
     if report.aborted:
         print("run aborted on a non-finite or zero step; partial CSV retained", file=sys.stderr)
         return EXIT_NUMERICAL_ABORT
     return EXIT_OK
+
+
+def _join_sweep_values(argv: list[str]) -> list[str]:
+    """``sweep ... --values -1,3 5`` as ``--values=-1,3,5``.
+
+    argparse reads a token such as ``-1,3`` as an option, so the tokens after
+    ``--values``, up to the next ``--`` option, are passed as one value list.
+    """
+    if not argv or argv[0] != "sweep" or "--values" not in argv:
+        return argv
+    i = argv.index("--values")
+    j = i + 1
+    while j < len(argv) and not argv[j].startswith("--"):
+        j += 1
+    if j == i + 1:
+        return argv  # no values: argparse reports it
+    return argv[:i] + ["--values=" + ",".join(argv[i + 1 : j])] + argv[j:]
 
 
 def _parse_values(raw: list[str]):
@@ -141,7 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(_join_sweep_values(argv))
+    except SystemExit as e:  # argparse printed its usage error (2) or the help (0)
+        return EXIT_OK if not e.code else EXIT_CONFIG_ERROR
     try:
         return args.func(args)
     except ConfigError as e:

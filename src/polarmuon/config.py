@@ -291,8 +291,12 @@ def parse(text: str) -> RunConfig:
 
 
 def load(path) -> RunConfig:
-    with open(path, encoding="utf-8") as f:
-        return parse(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config {str(path)!r}: {e}") from e
+    return parse(text)
 
 
 def save(cfg: RunConfig, path) -> None:

@@ -4,7 +4,12 @@ and the Monte Carlo mean and standard error.
 All matrices are 2-D float64 numpy arrays.  Singular values below
 ``max(rows, cols) * eps * sigma_max`` are treated as zero (standard
 numerical-rank rule), which fixes the rank tolerance used by :func:`svd`
-and :func:`orthonormal_basis`.
+and :func:`orthonormal_basis`.  The basis is CholeskyQR2 (two passes of
+Gram, Cholesky and apply) with a fallback to the truncating SVD, taken for
+small Y, when a Cholesky fails, when the result is not orthonormal, and
+whenever a bound on cond(Y) cannot rule out a rank below the column count;
+so the basis always has numerical-rank columns.  Frobenius norms are BLAS
+dot products (``np.linalg.norm``).
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def _frobenius(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(a * a)))
+    return float(np.linalg.norm(a))
 
 
 def frobenius_norm(m) -> float:
@@ -125,13 +130,52 @@ def svd(m) -> Svd:
     return _svd(as_matrix(m))
 
 
+#: Largest ||Q^T Q - I||_F that a CholeskyQR2 basis may keep.
+ORTHOGONALITY_TOL = 1e-12
+#: Smallest rows * cols^2 of Y for which the basis tries CholeskyQR2.  Below
+#: it the SVD's one LAPACK call costs less than CholeskyQR2's nine numpy
+#: calls (16 x 5: 22 us against 46 us; 128 x 16: 100 us against 69 us).
+CHOLESKY_QR_MIN_WORK = 2**15
+
+
+def _cholesky_qr2(y: np.ndarray) -> np.ndarray | None:
+    """Q = Y (L1 L2)^-T from two passes of Gram, Cholesky and apply, or None.
+
+    None when a Cholesky fails, when Q is not orthonormal to
+    ``ORTHOGONALITY_TOL``, or when Y may fall short of full numerical rank:
+    cond(Y) = cond(L1 L2) <= prod ||L_i||_F ||L_i^-1||_F must stay below
+    1 / (max(shape) eps), the rank rule's threshold.  Non-finite values from
+    an overflow fail these tests, so the caller silences numpy's warnings.
+    """
+    q, cond_bound = y, 1.0
+    for _ in range(2):
+        try:
+            chol = np.linalg.cholesky(q.T @ q)
+            chol_inv = np.linalg.inv(chol)
+        except np.linalg.LinAlgError:
+            return None
+        cond_bound *= np.linalg.norm(chol) * np.linalg.norm(chol_inv)
+        q = q @ chol_inv.T
+    ortho_err = np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
+    if ortho_err <= ORTHOGONALITY_TOL and cond_bound * rank_tolerance(y.shape, 1.0) < 1.0:
+        return q
+    return None
+
+
 def orthonormal_basis(y: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning range(y); column count = numerical rank.
 
-    ``y`` is a finite 2-D float64 array and is not re-validated (the sketch
-    pipeline passes the matrix it computed).  Raises DegenerateInputError for
-    zero input.
+    CholeskyQR2 (Fukaya et al. 2014) when Y is large enough
+    (``CHOLESKY_QR_MIN_WORK``) and well conditioned; else the truncating SVD,
+    which also serves rank-deficient Y.  ``y`` is a finite 2-D float64 array
+    and is not re-validated (the sketch pipeline passes the matrix it
+    computed).  Raises DegenerateInputError for zero input.
     """
+    if y.shape[0] * y.shape[1] ** 2 >= CHOLESKY_QR_MIN_WORK:
+        with np.errstate(all="ignore"):
+            q = _cholesky_qr2(y)
+        if q is not None:
+            return q
     return _svd(y).u
 
 

@@ -46,24 +46,28 @@ class Problem:
     quadratic:      f(X) = 1/2 ||X - A||_F^2           (L = 1)
     factorization:  f(U) = 1/4 ||U U^T - A||_F^2 with symmetric psd A
 
-    :meth:`value` and :meth:`gradient` take a float64 array of the parameter
-    shape and do not re-validate it; the runner checks its iterate each step.
+    :meth:`value_and_gradient` forms the residual, X - A or U U^T - A, once
+    and returns f = 1/2 <d, d> or 1/4 <R, R> (dot products) with grad f = d
+    or R U; :meth:`value` and :meth:`gradient` read their half of it.  The
+    methods take a float64 array of the parameter shape and do not
+    re-validate it; the runner checks its iterate each step.
     """
 
     kind: str
     a: np.ndarray
 
-    def value(self, x: np.ndarray) -> float:
+    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         if self.kind == "quadratic":
             d = x - self.a
-            return 0.5 * float(np.sum(d * d))
+            return 0.5 * float(np.vdot(d, d)), d
         r = x @ x.T - self.a
-        return 0.25 * float(np.sum(r * r))
+        return 0.25 * float(np.vdot(r, r)), r @ x
+
+    def value(self, x: np.ndarray) -> float:
+        return self.value_and_gradient(x)[0]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "quadratic":
-            return x - self.a
-        return (x @ x.T - self.a) @ x
+        return self.value_and_gradient(x)[1]
 
     def radius(self) -> float:
         """Iterate-ball radius used to keep the non-convex problem in a

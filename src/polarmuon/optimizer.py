@@ -65,18 +65,26 @@ def muon_step(state: MuonState, g, polar) -> MuonState:
     ``polar`` maps a nonzero matrix to its (approximate) polar factor; a zero
     momentum matrix produces a zero update by convention.  ``g`` is not
     checked for finite entries here: the package's polar maps validate the
-    momentum built from it.
+    momentum built from it.  Each of C_k, M_k and X_{k+1} is built in one
+    fresh array, with the same roundings as the formulas above; the arrays
+    of ``state``, ``g`` and the polar output are never written.
     """
     grad = np.asarray(g, dtype=np.float64)
     if grad.shape != state.x.shape:
         raise DimensionError(f"gradient shape {grad.shape} != parameter shape {state.x.shape}")
-    c = state.beta * state.c + grad
-    m = state.beta * c + grad if state.kind == "nesterov" else c
+    c = state.c * state.beta
+    c += grad
+    if state.kind == "nesterov":
+        m = c * state.beta
+        m += grad
+    else:
+        m = c
     if m.any():
         direction = polar(m)
         if direction.shape != state.x.shape:
             raise DimensionError("polar output shape mismatch")
-        x = state.x - state.eta * direction
+        x = direction * -state.eta
+        x += state.x
     else:
         x = state.x.copy()
     return replace(state, x=x, c=c, k=state.k + 1)

@@ -67,7 +67,8 @@ class RunReport:
 
     @property
     def cum_flops(self) -> int:
-        return self.seed_results[0].cum_flops if self.seed_results else 0
+        """Analytic FLOPs of every step run, summed over the seeds."""
+        return sum(r.cum_flops for r in self.seed_results)
 
 
 def _polar_kind(cfg: RunConfig) -> str:
@@ -78,10 +79,11 @@ def _polar_kind(cfg: RunConfig) -> str:
 
 def _step_flops(cfg: RunConfig) -> int:
     """Analytic FLOPs of one step; q is the schedule's own step count."""
-    o, sk = cfg.optimizer, cfg.sketch
+    o, sk, rule = cfg.optimizer, cfg.sketch, cfg.polar.delta_rule
     return measured_step_flops(StepFlopsConfig(
         o.kind, *cfg.problem.param_shape, momentum=o.momentum, polar=_polar_kind(cfg),
         q=cfg.polar.q, ell=sk.ell if sk else 0, h=sk.h if sk else 0,
+        delta=rule if isinstance(rule, str) else "explicit",
     ))
 
 
@@ -154,11 +156,10 @@ def _run_seed(
             if not np.all(np.isfinite(state.x)):
                 aborted = True
                 break
-            f_val = problem.value(state.x)
+            f_val, grad = problem.value_and_gradient(state.x)
             if not np.isfinite(f_val):
                 aborted = True
                 break
-            grad = problem.gradient(state.x)
             g = noise_mod.gradient_oracle(grad, o.B, model, noise_rng)
             try:
                 if o.kind == "muon":
@@ -210,7 +211,7 @@ def run_experiment(cfg: RunConfig, write_files: bool = True) -> RunReport:
     if write_files:
         out_dir.mkdir(parents=True, exist_ok=True)
     x0 = _initial_point(cfg, cfg.seeds[0])
-    initial_grad = float(np.linalg.norm(problem.gradient(x0)))
+    initial_grad = float(np.linalg.norm(problem.value_and_gradient(x0)[1]))
 
     results = []
     for seed in cfg.seeds:

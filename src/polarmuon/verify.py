@@ -242,35 +242,64 @@ class FlopModel:
 
 # Per-primitive FLOP table (documented, bit-reproducible):
 #   matmul (a x b)(b x c):            2 a b c
-#   thin QR of an n x ell matrix:     4 n ell^2   (sub-leading -(4/3) ell^3 dropped)
+#   Cholesky of ell x ell:            ell^3 // 3
+#   inverse of ell x ell (LU):        2 ell^3
 #   axpy / scaled add on m x n:       2 m n
-#   norm + rescale of m x n:          3 m n
+#   Frobenius norm of m x n (dot):    2 m n
+#   rescale of m x n:                 m n
 #   SVD of m x n (d1 >= d0):          14 d1 d0^2 + 8 d0^3
 #   AdamW per entry:                  12  (m, v, denom, step, decay)
+# Terms of order ell^2 (small norms, the identity subtraction) are dropped.
 
 
-def _polar_stages(polar: str, m: int, n: int, q: int, ell: int, h: int) -> dict:
+def _svd_flops(m: int, n: int) -> int:
+    d0, d1 = min(m, n), max(m, n)
+    return 14 * d1 * d0**2 + 8 * d0**3
+
+
+def _delta_flops(rule: str, m: int, n: int) -> int:
+    """The scale delta of an m x n matrix by its rule (the rescale is apart)."""
+    if rule == "frobenius-norm":
+        return 2 * m * n
+    if rule == "operator-norm":
+        return _svd_flops(m, n)
+    if rule == "explicit":
+        return 0
+    raise ConfigError(f"unknown delta rule: {rule!r}")
+
+
+def _polar_stages(
+    polar: str, m: int, n: int, q: int, ell: int, h: int, delta: str = "frobenius-norm"
+) -> dict:
     """Analytic FLOPs of each stage of one polar call on an m x n matrix, in
-    the order the code runs them."""
+    the order the code runs them.  The basis of the m x ell sketch is priced
+    as :func:`matcore.orthonormal_basis` takes it: CholeskyQR2 (two passes of
+    Gram, Cholesky, inverse and apply, then the Gram of the orthogonality
+    check), or the SVD for small Y.  delta is taken on the full m x n matrix
+    by its rule in both polynomial solvers; the randomized one rescales the
+    ell x n compression."""
 
     def poly(rows, cols):  # q degree-5 steps: q (4 d1 d0^2 + 2 d0^3)
         d0, d1 = min(rows, cols), max(rows, cols)
         return q * (4 * d1 * d0**2 + 2 * d0**3)
 
-    d0, d1 = min(m, n), max(m, n)
     if polar == "exact":
-        return {"svd": 14 * d1 * d0**2 + 8 * d0**3, "product": 2 * d1 * d0**2}
+        return {"svd": _svd_flops(m, n), "product": 2 * max(m, n) * min(m, n) ** 2}
     if polar == "polynomial":
-        return {"delta": 3 * m * n, "polynomial": poly(m, n)}
+        return {"delta": _delta_flops(delta, m, n) + m * n, "polynomial": poly(m, n)}
     if polar != "randomized":
         raise ConfigError(f"unknown polar kind: {polar!r}")
     if ell < 1:
         raise ConfigError("randomized polar needs ell >= 1")
+    if m * ell**2 >= matcore.CHOLESKY_QR_MIN_WORK:
+        basis = 2 * (4 * m * ell**2 + ell**3 // 3 + 2 * ell**3) + 2 * m * ell**2
+    else:  # small Y takes the SVD
+        basis = _svd_flops(m, ell)
     return {
         "power": (4 * h + 2) * m * n * ell,
-        "basis": 4 * m * ell**2,
+        "basis": basis,
         "compress": 2 * m * n * ell,
-        "delta": 3 * n * ell,
+        "delta": _delta_flops(delta, m, n) + n * ell,
         "polynomial": poly(ell, n),
         "lift": 2 * m * n * ell,
     }
@@ -308,6 +337,7 @@ class StepFlopsConfig:
     q: int = 0
     ell: int = 0
     h: int = 0
+    delta: str = "frobenius-norm"  # "frobenius-norm" | "operator-norm" | "explicit"
 
 
 def measured_step_flops(cfg: StepFlopsConfig) -> int:
@@ -324,5 +354,5 @@ def measured_step_flops(cfg: StepFlopsConfig) -> int:
     if cfg.momentum not in ("nesterov", "polyak"):
         raise ConfigError(f"unknown momentum kind: {cfg.momentum!r}")
     momentum_cost = axpy if cfg.momentum == "polyak" else 2 * axpy
-    stages = _polar_stages(cfg.polar, m, n, cfg.q, cfg.ell, cfg.h)
+    stages = _polar_stages(cfg.polar, m, n, cfg.q, cfg.ell, cfg.h, cfg.delta)
     return momentum_cost + sum(stages.values()) + axpy

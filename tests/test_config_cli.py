@@ -238,13 +238,21 @@ class TestRunner:
 
             monkeypatch.setattr(owner, name, counted)
 
-        for owner, name in ((Problem, "gradient"), (ProblemSpec, "build"), (matcore, "as_matrix")):
+        for owner, name in (
+            (Problem, "value_and_gradient"),
+            (Problem, "value"),
+            (Problem, "gradient"),
+            (ProblemSpec, "build"),
+            (matcore, "as_matrix"),
+        ):
             count(owner, name)
         cfg = small_run_config(tmp_path, noise=NoiseModel(alpha=1.5, sigma0=0.5))
         report = run_experiment(cfg, write_files=False)
         steps = sum(r.steps for r in report.seed_results)
         assert steps == cfg.optimizer.K * len(cfg.seeds)
-        assert calls["gradient"] == 1 + steps  # one more for the initial grad norm
+        # one residual per step, plus one for the initial grad norm
+        assert calls["value_and_gradient"] == 1 + steps
+        assert calls["value"] == calls["gradient"] == 0
         assert calls["build"] == 1  # shared by both seeds
         # Without verify only public entry points check their caller's input.
         for polar, sketch in (
@@ -259,6 +267,30 @@ class TestRunner:
             )
             assert calls["as_matrix"] <= 2 * steps
 
+    def test_cum_flops_totals_seeds_when_one_aborts(self, tmp_path, monkeypatch, capsys):
+        # seed 2's objective turns non-finite at its step 3: it stops after
+        # three steps while seed 1 runs all K; cum_flops is the sum
+        cfg = small_run_config(tmp_path, verify=False)
+        K = cfg.optimizer.K
+        exact = Problem.value_and_gradient
+        calls = Counter()
+
+        def failing(self, x):
+            calls["n"] += 1
+            f, g = exact(self, x)
+            return (np.inf if calls["n"] == 1 + K + 4 else f), g
+
+        monkeypatch.setattr(Problem, "value_and_gradient", failing)
+        report = run_experiment(cfg, write_files=False)
+        assert [(r.steps, r.aborted) for r in report.seed_results] == [(K, False), (3, True)]
+        step = measured_step_flops(StepFlopsConfig("muon", 8, 8, polar="polynomial", q=5))
+        assert report.cum_flops == (K + 3) * step
+        path = tmp_path / "cfg.ini"
+        save(cfg, path)
+        calls.clear()
+        assert cli.main(["run", str(path)]) == cli.EXIT_NUMERICAL_ABORT
+        assert f"cumulative FLOPs over all seeds = {(K + 3) * step}" in capsys.readouterr().out
+
     def test_polar_express_priced_at_its_step_count(self, tmp_path):
         cfg = small_run_config(
             tmp_path,
@@ -268,6 +300,26 @@ class TestRunner:
         )
         report = run_experiment(cfg, write_files=False)
         step = measured_step_flops(StepFlopsConfig("muon", 8, 8, polar="polynomial", q=9))
+        rows = report.seed_results[0].rows
+        assert [r[3] for r in rows] == [step * (k + 1) for k in range(len(rows))]
+
+    @pytest.mark.parametrize(
+        "rule, priced", [("operator-norm", "operator-norm"), (1000.0, "explicit")]
+    )
+    @pytest.mark.parametrize("sketch", [None, SketchConfig(s=2, p=2, h=1)])
+    def test_step_priced_with_its_delta_rule(self, tmp_path, rule, priced, sketch):
+        cfg = small_run_config(
+            tmp_path,
+            polar=PolarConfig(schedule=quintic_theoretical_schedule(5), delta_rule=rule),
+            sketch=sketch,
+            seeds=(1,),
+            verify=False,
+        )
+        report = run_experiment(cfg, write_files=False)
+        step = measured_step_flops(StepFlopsConfig(
+            "muon", 8, 8, polar="randomized" if sketch else "polynomial", q=5,
+            ell=sketch.ell if sketch else 0, h=1 if sketch else 0, delta=priced,
+        ))
         rows = report.seed_results[0].rows
         assert [r[3] for r in rows] == [step * (k + 1) for k in range(len(rows))]
 
@@ -305,6 +357,10 @@ class TestCli:
         save(cfg, path)
         assert cli.main(["run", str(path)]) == cli.EXIT_OK
         assert "mean min grad norm" in capsys.readouterr().out
+
+    def test_run_missing_config_is_config_error(self, tmp_path, capsys):
+        assert cli.main(["run", str(tmp_path / "missing.ini")]) == cli.EXIT_CONFIG_ERROR
+        assert "config error: cannot read config" in capsys.readouterr().err
 
     def test_run_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

@@ -13,6 +13,12 @@ written, so no example runs the 20 000-draw noise calibration.
 one small valid template; ``cli.main(["sweep", ...])`` must return 0, 2 or 3
 and never raise.
 
+Raw argv lists are drawn token by token, for every subcommand and for none:
+options, axis names, negative and comma-joined values (``-1,3`` once
+stopped in argparse's usage error), verify scopes, shape specs and paths.
+``cli.main(argv)`` must return 0, 2 or 3 and never raise, and ``verify`` on
+drawn scope lists (the fast scopes and invalid names) likewise.
+
 ``flops`` shape specs are drawn the same way, valid (some with m, n = 1e400)
 or with one field missing, repeated, unknown, non-integer or out of range;
 ``cli.main(["flops", spec])`` must return 0 or 2 and never raise.
@@ -214,3 +220,67 @@ def flops_specs(draw):
 @given(spec=flops_specs())
 def test_flops_exit_code_is_documented(spec):
     assert cli.main(["flops", spec]) in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR)
+
+
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        (["--axis", "q", "--values", "-1,3"], "'q' = -1"),
+        (["--axis", "q", "--values", "-1", "3"], "'q' = -1"),
+        (["--axis", "K", "--values", "-2.5,3"], "'K' = -2.5"),
+        (["--values", "3,-1", "--axis", "q"], "'q' = -1"),
+    ],
+)
+def test_sweep_negative_values_reach_config_check(tmp_path, capsys, args, bad):
+    path = tmp_path / "template.ini"
+    path.write_text(SWEEP_TEMPLATE + f"[run]\nseeds = 1\noutput_dir = {tmp_path / 'out'}\n")
+    assert cli.main(["sweep", str(path), *args]) == cli.EXIT_CONFIG_ERROR
+    assert f"config error: sweep axis {bad}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+FAST_SCOPES = ["polynomials", "flops", "lemma1"]  # milliseconds each
+ARGV_TOKENS = [
+    "run", "sweep", "verify", "flops", "--axis", "q", "K", "alpha", "--values",
+    "-1,3", "-1", "3", "2", "-2.5", "1e1", "--values=-1", "-x", "--bogus", "-h",
+    "--output-dir", "<out>", "<ini>", "missing.ini", *FAST_SCOPES, "prop9",
+    "m=8,n=8,ell=2,q=1", "m=-8", "",
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(tokens=st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
+def test_raw_argv_exit_code_is_documented(tmp_path, tokens):
+    path = tmp_path / "template.ini"
+    path.write_text(SWEEP_TEMPLATE + f"[run]\nseeds = 1\noutput_dir = {tmp_path / 'out'}\n")
+    paths = {"<ini>": str(path), "<out>": str(tmp_path / "verify")}
+    argv = [paths.get(t, t) for t in tokens]
+    assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR, cli.EXIT_NUMERICAL_ABORT)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    scopes=st.lists(st.sampled_from(FAST_SCOPES + ["prop9", "-1", ""]), max_size=3),
+    out=st.sampled_from([None, "dir", "missing"]),
+)
+def test_verify_exit_code_is_documented(tmp_path, scopes, out):
+    argv = ["verify", *scopes]
+    if out is not None:
+        argv += ["--output-dir"] + ([str(tmp_path / "v")] if out == "dir" else [])
+    code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR, cli.EXIT_NUMERICAL_ABORT)
+    valid = bool(scopes) and set(scopes) <= set(FAST_SCOPES) and out != "missing"
+    assert (code == cli.EXIT_OK) == valid

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from polarmuon import matcore
 from polarmuon.errors import DegenerateInputError, DimensionError
 from polarmuon.matcore import (
     RngStream,
@@ -146,6 +149,76 @@ class TestOrthonormalBasis:
     def test_zero_input(self):
         with pytest.raises(DegenerateInputError):
             orthonormal_basis(np.zeros((3, 2)))
+
+
+def _svd_calls(monkeypatch) -> list:
+    calls = []
+    exact = matcore._svd
+    monkeypatch.setattr(matcore, "_svd", lambda a: (calls.append(a.shape), exact(a))[1])
+    return calls
+
+
+def _spectrum_matrix(sigma, m, seed):
+    rng = RngStream(seed, 1)
+    u, _ = np.linalg.qr(rng.normal((m, len(sigma))))
+    v, _ = np.linalg.qr(rng.normal((len(sigma), len(sigma))))
+    return (u * np.asarray(sigma)) @ v.T
+
+
+class TestCholeskyQR2Basis:
+    SHAPE = (256, 32)  # rows * cols^2 above CHOLESKY_QR_MIN_WORK
+
+    def test_well_conditioned_takes_cholesky(self, monkeypatch):
+        calls = _svd_calls(monkeypatch)
+        for t in range(5):
+            y = _spectrum_matrix(np.logspace(0, -2, 32), self.SHAPE[0], seed=t)
+            q = orthonormal_basis(y)
+            assert q.shape == self.SHAPE
+            assert np.linalg.norm(q.T @ q - np.eye(32)) <= 1e-12
+            u = matcore.svd(y).u
+            assert np.linalg.norm(q @ q.T - u @ u.T) <= 1e-12
+        assert len(calls) == 5  # only the reference SVDs above
+
+    @pytest.mark.parametrize(
+        "case, rank",
+        [
+            ("rank-deficient", 20),  # a Cholesky fails
+            ("tiny-column", 31),  # CholeskyQR2 succeeds; the cond(Y) bound rejects it
+            ("cond-1e10", 32),
+            ("overflowing-gram", 32),
+        ],
+    )
+    def test_falls_back_to_svd_without_warning(self, monkeypatch, case, rank):
+        if case == "rank-deficient":
+            rng = RngStream(8)
+            y = rng.normal((256, 20)) @ rng.normal((20, 32))
+        elif case == "tiny-column":  # sigma_min / sigma_max ~ 1e-15 < 256 eps
+            y = RngStream(3).normal(self.SHAPE)
+            y[:, -1] *= 1e-15
+        elif case == "cond-1e10":
+            y = _spectrum_matrix(np.logspace(0, -10, 32), 256, seed=9)
+        else:  # Y^T Y overflows
+            y = 1e160 * RngStream(10).normal(self.SHAPE)
+        calls = _svd_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = orthonormal_basis(y)
+        assert calls == [self.SHAPE]
+        assert q.shape == (256, rank) == (256, matcore._svd(y).rank)
+        assert np.linalg.norm(q.T @ q - np.eye(rank)) <= 1e-12
+
+    def test_orthogonality_check_gates_the_result(self, monkeypatch):
+        # with a zero tolerance no CholeskyQR2 result passes the check
+        monkeypatch.setattr(matcore, "ORTHOGONALITY_TOL", 0.0)
+        calls = _svd_calls(monkeypatch)
+        orthonormal_basis(RngStream(12).normal(self.SHAPE))
+        assert calls == [self.SHAPE]
+
+    def test_small_input_takes_svd(self, monkeypatch):
+        assert 16 * 5**2 < matcore.CHOLESKY_QR_MIN_WORK
+        calls = _svd_calls(monkeypatch)
+        orthonormal_basis(RngStream(11).normal((16, 5)))
+        assert calls == [(16, 5)]
 
 
 @settings(max_examples=100, deadline=None)

@@ -55,6 +55,26 @@ class TestProblems:
             fd = (p.value(x + e) - p.value(x - e)) / (2 * eps)
             assert g[idx] == pytest.approx(fd, abs=1e-4)
 
+    @pytest.mark.parametrize("kind", ["quadratic", "factorization"])
+    def test_value_and_gradient_from_one_residual(self, kind):
+        # grad f bitwise equal to the formula; f within 4 ulp of the summed
+        # squares that value() took before it became a dot product
+        worst_ulp = 0.0
+        for t in range(50):
+            rng = RngStream(43, t)
+            if kind == "quadratic":
+                p, x = quadratic_problem(rng.normal((12, 7))), rng.normal((12, 7))
+                r, w, grad = x - p.a, 0.5, x - p.a
+            else:
+                p, x = factorization_problem(rng.normal((10, 4))), rng.normal((10, 4))
+                r, w, grad = x @ x.T - p.a, 0.25, (x @ x.T - p.a) @ x
+            f, g = p.value_and_gradient(x)
+            assert np.array_equal(g, grad) and np.array_equal(p.gradient(x), grad)
+            assert p.value(x) == f
+            summed = w * float(np.sum(r * r))
+            worst_ulp = max(worst_ulp, abs(f - summed) / np.spacing(summed))
+        assert worst_ulp <= 4.0
+
     def test_projection(self):
         p = factorization_problem(np.eye(3))
         r = p.radius()

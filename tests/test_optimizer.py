@@ -70,6 +70,32 @@ class TestMuonStep:
             st = muon_step(st, st.x - a, exact_polar)
         assert np.linalg.norm(st.x - a) <= 0.25
 
+    @pytest.mark.parametrize("kind", ["nesterov", "polyak"])
+    def test_step_bitwise_equal_to_formula_and_inputs_untouched(self, kind):
+        rng = RngStream(33)
+        calls = []  # (momentum seen, polar output, copy of that output)
+
+        def polar(m):
+            out = exact_polar(m)
+            calls.append((m.copy(), out, out.copy()))
+            return out
+
+        st = MuonState.initial(rng.normal((6, 4)), kind=kind, beta=0.9, eta=0.03)
+        for _ in range(5):
+            g = rng.normal((6, 4))
+            before = [a.copy() for a in (st.x, st.c, g)]
+            out = muon_step(st, g, polar)
+            for a, b in zip((st.x, st.c, g), before):
+                assert np.array_equal(a, b)
+            seen, direction, direction_copy = calls[-1]
+            assert np.array_equal(direction, direction_copy)
+            c = st.beta * st.c + g
+            m = st.beta * c + g if kind == "nesterov" else c
+            assert np.array_equal(out.c, c)
+            assert np.array_equal(seen, m)
+            assert np.array_equal(out.x, st.x - st.eta * direction)
+            st = out
+
     def test_shape_mismatch(self):
         st = MuonState.initial(np.zeros((2, 2)))
         with pytest.raises(DimensionError):

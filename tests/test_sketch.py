@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polarmuon import matcore
 from polarmuon.errors import DegenerateInputError, PreconditionError
 from polarmuon.matcore import RngStream, inner_product, operator_norm, orthonormal_basis
 from polarmuon.polar import PolarConfig, inexact_polar, quintic_theoretical_schedule
@@ -115,6 +116,24 @@ class TestRandomizedPolar:
             out = randomized_polar(a, scfg, pcfg, rng.substream(i, h))
             ref = inexact_polar(a, pcfg)
             assert np.linalg.norm(out - ref) <= 1e-11 * np.linalg.norm(ref), (m, n)
+
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_cholesky_basis_matches_svd_basis(self, monkeypatch, h):
+        # Q p(Q^T M / delta) depends on range(Q) only, so the CholeskyQR2
+        # basis reproduces the output of the SVD basis up to rounding.
+        pcfg = PolarConfig(schedule=quintic_theoretical_schedule(5))
+        scfg = SketchConfig(s=38, p=2, h=h)  # 300 * 40^2 takes CholeskyQR2
+        svd_calls = []
+        exact_svd = matcore._svd
+        monkeypatch.setattr(matcore, "_svd", lambda a: (svd_calls.append(a), exact_svd(a))[1])
+        for t in range(5):
+            a = RngStream(15, t).normal((300, 200))
+            out = randomized_polar(a, scfg, pcfg, RngStream(16, t))
+            with monkeypatch.context() as mp:
+                mp.setattr(matcore, "orthonormal_basis", lambda y: exact_svd(y).u)
+                ref = randomized_polar(a, scfg, pcfg, RngStream(16, t))
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert svd_calls == []
 
     def test_operator_norm_bound_sweep(self):
         pcfg = PolarConfig(schedule=quintic_theoretical_schedule(5))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polarmuon import matcore
 from polarmuon.errors import ConfigError, PreconditionError
 from polarmuon.matcore import RngStream, nuclear_norm, svd
 from polarmuon.polar import (
@@ -16,6 +17,7 @@ from polarmuon.sketch import SketchConfig, randomized_polar
 from polarmuon.verify import (
     FlopModel,
     StepFlopsConfig,
+    _polar_stages,
     check_polynomial_lemmas,
     check_prop2,
     estimate_gamma_nu,
@@ -193,6 +195,32 @@ class TestFlopModels:
         f0 = measured_step_flops(StepFlopsConfig("muon", h=0, **base))
         f1 = measured_step_flops(StepFlopsConfig("muon", h=1, **base))
         assert f1 - f0 == 4 * 64 * 64 * 8
+
+    @pytest.mark.parametrize("polar, ell", [("polynomial", 0), ("randomized", 8)])
+    def test_delta_priced_on_full_matrix_by_rule(self, polar, ell):
+        # the rule runs on the m x n momentum; only the rescale sees ell
+        m, n = 64, 32
+        base = dict(m=m, n=n, momentum="polyak", polar=polar, q=3, ell=ell, h=1)
+        cost = {
+            rule: measured_step_flops(StepFlopsConfig("muon", delta=rule, **base))
+            for rule in ("frobenius-norm", "operator-norm", "explicit")
+        }
+        assert cost["frobenius-norm"] - cost["explicit"] == 2 * m * n
+        assert cost["operator-norm"] - cost["explicit"] == 14 * m * n**2 + 8 * n**3
+        with pytest.raises(ConfigError):
+            measured_step_flops(StepFlopsConfig("muon", delta="max-entry", **base))
+
+    def test_basis_priced_as_it_runs(self):
+        def basis(m, ell):
+            return _polar_stages("randomized", m, m, 1, ell, 0)["basis"]
+
+        # CholeskyQR2: 2 x (Gram, Cholesky, inverse, apply) + the check's Gram
+        m, ell = 256, 32
+        assert m * ell**2 >= matcore.CHOLESKY_QR_MIN_WORK
+        assert basis(m, ell) == 2 * (4 * m * ell**2 + ell**3 // 3 + 2 * ell**3) + 2 * m * ell**2
+        m, ell = 16, 5  # small Y takes the SVD
+        assert m * ell**2 < matcore.CHOLESKY_QR_MIN_WORK
+        assert basis(m, ell) == 14 * m * ell**2 + 8 * ell**3
 
     def test_config_errors(self):
         with pytest.raises(ConfigError):
