@@ -14,8 +14,8 @@ one small valid template; ``cli.main(["sweep", ...])`` must return 0, 2 or 3
 and never raise.
 
 Raw argv lists are drawn token by token, for every subcommand and for none:
-options, axis names, negative and comma-joined values (``-1,3`` once
-stopped in argparse's usage error), verify scopes, shape specs and paths.
+options, axis names, negative and comma-joined values (argparse alone reads
+``-1,3`` as an option), verify scopes, shape specs and paths.
 ``cli.main(argv)`` must return 0, 2 or 3 and never raise, and ``verify`` on
 drawn scope lists (the fast scopes and invalid names) likewise.
 

@@ -1,13 +1,14 @@
 """Paired same-session benchmark of two source checkouts, as one BENCH file.
 
     python3 tools/bench_pairs.py --parent <parent checkout> --change . \\
-        --pairs wide-sketch=10,desk-heavytail=3,certify=3 --seconds 30 \\
+        --pairs wide-sketch=10,desk-heavytail=3,certify=3 \\
         --out BENCH_<n>.json
 
 Pair i of a workload runs ``perfbench/run.py --trace 0 --seed <seed + i>``
 once in each checkout, back to back; the parent goes first in even pairs and
 the change in odd ones, so neither side always meets the host's slow phases.
 Then each side runs one ``--trace 1`` wide-sketch op set (seed ``--seed``).
+Every run lasts ``--seconds``, by default ``run_seconds`` of BENCHMARK.json.
 The file keeps every run's metrics, per workload and end-to-end metric the
 medians, the parent's interquartile range and the pairs the change wins, and
 from the traced runs every per-layer metric, ``spans_missing``, the traced
@@ -24,13 +25,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-BETTER = {  # end-to-end metrics of BENCHMARK.json
-    "setup_s": "lower",
-    "steps_per_s": "higher",
-    "op_ms_p50": "lower",
-    "op_ms_p90": "lower",
-    "grad_ratio": "lower",
-}
+BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 
 
 def git_id(checkout: Path, rev: str) -> str | None:
@@ -86,7 +82,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, default=Path("."))
     ap.add_argument("--pairs", default="wide-sketch=10,desk-heavytail=3,certify=3")
-    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
