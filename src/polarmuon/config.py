@@ -15,6 +15,7 @@ import configparser
 import io
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -297,6 +298,16 @@ def load(path) -> RunConfig:
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {str(path)!r}: {e}") from e
     return parse(text)
+
+
+def make_output_dir(path) -> Path:
+    """Create the directory ``path`` and its parents; a path that cannot be
+    made (it is, or lies under, a file) is a ConfigError naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {str(path)!r}: {e.strerror}") from e
+    return Path(path)
 
 
 def save(cfg: RunConfig, path) -> None:

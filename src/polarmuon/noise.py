@@ -9,10 +9,10 @@ sigma1^alpha * ||grad||^alpha with deliberate slack.
 
 Draw order: each noise matrix takes, per active component (Xi0, then Xi1),
 one uniform per entry for the magnitudes, then one per entry for the signs;
-batch sums add in draw order.  So ``gradient_oracle(g, B)`` is ``g`` plus the
-mean of the next B :func:`sample_noise` draws, bit for bit.  Draws come in
-chunks of at most 2^20 uniforms (at least one sample), which bounds memory
-and leaves the stream unchanged.
+batch sums add in draw order.  So ``gradient_oracle(g, ||g||_F, B)`` is ``g``
+plus the mean of the next B :func:`sample_noise` draws, bit for bit.  Draws
+come in chunks of at most 2^20 uniforms (at least one sample), which bounds
+memory and leaves the stream unchanged.
 """
 
 from __future__ import annotations
@@ -217,17 +217,17 @@ def sample_noise(
 
 
 def gradient_oracle(
-    grad: np.ndarray, batch: int, model: NoiseModel, rng: RngStream
+    grad: np.ndarray, grad_norm: float, batch: int, model: NoiseModel, rng: RngStream
 ) -> np.ndarray:
     """Unbiased stochastic gradient: the exact gradient ``grad`` plus the
-    mean of ``batch`` independent noise draws."""
+    mean of ``batch`` independent noise draws; ``grad_norm`` = ||grad||_F
+    scales Xi1 as in :func:`sample_noise`."""
     if batch < 1:
         raise PreconditionError("batch must be >= 1")
     if model.sigma0 == 0.0 and model.sigma1 == 0.0:
         return grad
-    gnorm = float(np.linalg.norm(grad)) if model.sigma1 > 0 else 0.0  # read only by Xi1
     total = None
-    for draws in _noise_chunks(model, batch, grad.shape, gnorm, rng):
+    for draws in _noise_chunks(model, batch, grad.shape, grad_norm, rng):
         if total is not None:
             draws[0] += total  # carry the running sum across chunks
         total = np.add.accumulate(draws)[-1]  # in draw order; sum may pair up

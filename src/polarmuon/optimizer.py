@@ -1,10 +1,11 @@
 """Muon update rule with Nesterov/Polyak momentum, parameter schedules, and
-baseline optimizers (SGD-Nesterov, AdamW)."""
+baseline optimizers (SGD-Nesterov, AdamW).  A step rebinds its state's fields
+to fresh arrays and returns None; it writes into no array it was given."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +23,6 @@ __all__ = [
     "theorem1_schedule",
     "corollary1_schedule",
     "min_batch_size",
-    "baseline_step",
     "sgd_nesterov_step",
     "adamw_step",
 ]
@@ -36,13 +36,12 @@ def check_momentum(kind: str, beta: float) -> None:
         raise PreconditionError("beta must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass
 class MuonState:
-    """Per-matrix optimizer state: parameter x, momentum buffer c, step index k."""
+    """Per-matrix optimizer state: parameter x and momentum buffer c."""
 
     x: np.ndarray
     c: np.ndarray
-    k: int = 0
     kind: str = "nesterov"  # "nesterov" | "polyak"
     beta: float = 0.95
     eta: float = 0.02
@@ -55,19 +54,19 @@ class MuonState:
     @classmethod
     def initial(cls, x0, kind="nesterov", beta=0.95, eta=0.02) -> "MuonState":
         a = matcore.as_matrix(x0)
-        return cls(x=a, c=np.zeros_like(a), k=0, kind=kind, beta=beta, eta=eta)
+        return cls(x=a, c=np.zeros_like(a), kind=kind, beta=beta, eta=eta)
 
 
-def muon_step(state: MuonState, g, polar) -> MuonState:
-    """One update: C_k = beta C_{k-1} + G_k, M_k = beta C_k + G_k (nesterov)
-    or M_k = C_k (polyak), X_{k+1} = X_k - eta * polar(M_k).
+def muon_step(state: MuonState, g, polar) -> None:
+    """One update of ``state``: C_k = beta C_{k-1} + G_k, M_k = beta C_k + G_k
+    (nesterov) or M_k = C_k (polyak), X_{k+1} = X_k - eta * polar(M_k).
 
     ``polar`` maps a nonzero matrix to its (approximate) polar factor; a zero
-    momentum matrix produces a zero update by convention.  ``g`` is not
-    checked for finite entries here: the package's polar maps validate the
-    momentum built from it.  Each of C_k, M_k and X_{k+1} is built in one
-    fresh array, with the same roundings as the formulas above; the arrays
-    of ``state``, ``g`` and the polar output are never written.
+    momentum matrix leaves x as it is, by convention.  ``g`` is not checked
+    for finite entries here: the package's polar maps validate the momentum
+    built from it.  C_k, M_k and X_{k+1} are each built in one fresh array,
+    with the roundings of the formulas above; ``g``, M_k, the polar output
+    and the state's old arrays are never written.
     """
     grad = np.asarray(g, dtype=np.float64)
     if grad.shape != state.x.shape:
@@ -85,9 +84,8 @@ def muon_step(state: MuonState, g, polar) -> MuonState:
             raise DimensionError("polar output shape mismatch")
         x = direction * -state.eta
         x += state.x
-    else:
-        x = state.x.copy()
-    return replace(state, x=x, c=c, k=state.k + 1)
+        state.x = x
+    state.c = c
 
 
 def scaled_momentum(state: MuonState, g_current, g_previous, m_tilde_previous) -> np.ndarray:
@@ -109,13 +107,10 @@ def scaled_momentum(state: MuonState, g_current, g_previous, m_tilde_previous) -
 
 @dataclass(frozen=True)
 class Schedule:
-    """(eta, beta) pair together with its source rule."""
+    """Step size eta and momentum beta of a run."""
 
     eta: float
     beta: float
-    source: str = "manual"
-    K: int | None = None
-    alpha: float | None = None
 
 
 def theorem1_schedule(K: int, alpha: float) -> Schedule:
@@ -126,14 +121,14 @@ def theorem1_schedule(K: int, alpha: float) -> Schedule:
         raise PreconditionError("alpha must lie in (1, 2]")
     eta = K ** (-(2.0 * alpha - 1.0) / (3.0 * alpha - 2.0))
     beta = 1.0 - K ** (-alpha / (3.0 * alpha - 2.0))
-    return Schedule(eta=eta, beta=beta, source="theorem1", K=K, alpha=alpha)
+    return Schedule(eta=eta, beta=beta)
 
 
 def corollary1_schedule(K: int) -> Schedule:
     """Tail-agnostic schedule eta = K^-(3/4), beta = 1 - K^-(1/2)."""
     if K < 2:
         raise PreconditionError("K must be >= 2")
-    return Schedule(eta=K**-0.75, beta=1.0 - K**-0.5, source="corollary1", K=K)
+    return Schedule(eta=K**-0.75, beta=1.0 - K**-0.5)
 
 
 #: von Bahr-Esseen constant upper bound used in the batch-size threshold.
@@ -166,7 +161,7 @@ def min_batch_size(
     return int(math.floor(threshold)) + 1
 
 
-@dataclass(frozen=True)
+@dataclass
 class SgdState:
     x: np.ndarray
     buf: np.ndarray
@@ -179,16 +174,17 @@ class SgdState:
         return cls(x=a, buf=np.zeros_like(a), lr=lr, momentum=momentum)
 
 
-def sgd_nesterov_step(state: SgdState, g) -> SgdState:
+def sgd_nesterov_step(state: SgdState, g) -> None:
+    """buf = mu buf + G, x -= lr (G + mu buf); plain SGD when mu = 0."""
     grad = matcore.as_matrix(g)
     if grad.shape != state.x.shape:
         raise DimensionError("gradient shape mismatch")
     buf = state.momentum * state.buf + grad
     d = grad + state.momentum * buf if state.momentum > 0 else grad
-    return replace(state, x=state.x - state.lr * d, buf=buf)
+    state.x, state.buf = state.x - state.lr * d, buf
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamWState:
     x: np.ndarray
     m: np.ndarray
@@ -206,7 +202,8 @@ class AdamWState:
         return cls(x=a, m=np.zeros_like(a), v=np.zeros_like(a), **kw)
 
 
-def adamw_step(state: AdamWState, g) -> AdamWState:
+def adamw_step(state: AdamWState, g) -> None:
+    """Bias-corrected Adam moments with decoupled weight decay; k counts steps."""
     grad = matcore.as_matrix(g)
     if grad.shape != state.x.shape:
         raise DimensionError("gradient shape mismatch")
@@ -217,12 +214,4 @@ def adamw_step(state: AdamWState, g) -> AdamWState:
     v_hat = v / (1.0 - state.beta2**k)
     x = state.x * (1.0 - state.lr * state.weight_decay)
     x = x - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return replace(state, x=x, m=m, v=v, k=k)
-
-
-def baseline_step(kind: str, state, g):
-    if kind == "sgd_nesterov":
-        return sgd_nesterov_step(state, g)
-    if kind == "adamw":
-        return adamw_step(state, g)
-    raise PreconditionError(f"unknown baseline kind: {kind!r}")
+    state.x, state.m, state.v, state.k = x, m, v, k

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matcore, noise as noise_mod, optimizer as opt, polar as polar_mod
-from .config import RunConfig
+from .config import RunConfig, make_output_dir
 from .errors import ConfigError, DegenerateInputError, NumericalAbortError, PreconditionError
 from .matcore import RngStream, derive_stream_id
 from .sketch import randomized_polar
@@ -127,7 +127,8 @@ def _initial_point(cfg: RunConfig, seed: int) -> np.ndarray:
 def _run_seed(
     cfg: RunConfig, seed: int, problem, model, step_flops: int, out_path: Path | None
 ) -> SeedResult:
-    """K steps from this seed's start, on the run's resolved inputs."""
+    """K steps from this seed's start, on the run's resolved inputs: one
+    step(g) that updates the state, one ||grad f||_F per step."""
     o = cfg.optimizer
     sched = o.step_schedule()
     noise_rng = RngStream(seed, derive_stream_id(_TAG_NOISE))
@@ -136,10 +137,13 @@ def _run_seed(
     if o.kind == "muon":
         state = opt.MuonState.initial(x, kind=o.momentum, beta=sched.beta, eta=sched.eta)
         polar = _make_polar(cfg, RngStream(seed, derive_stream_id(_TAG_SKETCH)), checks)
+        step = lambda g: opt.muon_step(state, g, polar)
     elif o.kind == "sgd_nesterov":
         state = opt.SgdState.initial(x, lr=sched.eta, momentum=sched.beta)
+        step = lambda g: opt.sgd_nesterov_step(state, g)
     else:
         state = opt.AdamWState.initial(x, lr=sched.eta)
+        step = lambda g: opt.adamw_step(state, g)
 
     rows = []
     min_grad = float("inf")
@@ -160,21 +164,16 @@ def _run_seed(
             if not np.isfinite(f_val):
                 aborted = True
                 break
-            g = noise_mod.gradient_oracle(grad, o.B, model, noise_rng)
+            gnorm = float(np.linalg.norm(grad))
+            g = noise_mod.gradient_oracle(grad, gnorm, o.B, model, noise_rng)
             try:
-                if o.kind == "muon":
-                    state = opt.muon_step(state, g, polar)
-                else:
-                    state = opt.baseline_step(o.kind, state, g)
+                step(g)
             except (NumericalAbortError, DegenerateInputError):
                 # the step overflowed, or underflowed to a zero matrix
                 aborted = True
                 break
             gamma_k, nu_k = checks.pop() if checks else (None, None)
-            if cfg.problem.kind == "factorization":
-                xproj, _clipped = problem.project(state.x)
-                state = replace(state, x=xproj)
-            gnorm = float(np.linalg.norm(grad))
+            state.x, _clipped = problem.project(state.x)
             min_grad = min(min_grad, gnorm)
             final_f = f_val
             cum_flops += step_flops
@@ -207,9 +206,7 @@ def run_experiment(cfg: RunConfig, write_files: bool = True) -> RunReport:
     if not model.calibrated:
         model = noise_mod.calibrate(model, cfg.problem.param_shape, RngStream(_CALIB_SEED))
     step_flops = _step_flops(cfg)
-    out_dir = Path(cfg.output_dir)
-    if write_files:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_output_dir(cfg.output_dir) if write_files else Path(cfg.output_dir)
     x0 = _initial_point(cfg, cfg.seeds[0])
     initial_grad = float(np.linalg.norm(problem.value_and_gradient(x0)[1]))
 
@@ -335,7 +332,7 @@ def sweep(template: RunConfig, axis: str, values, write_files: bool = True) -> l
             raise ConfigError(f"sweep axis {axis!r} = {value!r}: {e}") from e
         cell_cfgs.append(replace(cell_cfg, output_dir=str(out_dir / f"{axis}_{value}")))
     if write_files:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        make_output_dir(out_dir)
 
     cells = []
     for value, cell_cfg in zip(values, cell_cfgs):

@@ -7,11 +7,11 @@ exit status 0 means every pass flag held.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import matcore, noise as noise_mod, optimizer as opt, polar as polar_mod
+from .config import make_output_dir
 from .errors import ConfigError
 from .matcore import RngStream
 from .polar import (
@@ -243,14 +243,14 @@ def run_scope(scope: str) -> list[CheckResult]:
 
 def verify_suite(scopes, output_dir: str | None = None) -> tuple[int, list[CheckResult]]:
     """Run the named scopes; returns (exit_status, results) and optionally
-    writes a CSV + text report."""
+    writes a CSV + text report.  The output directory is made before any
+    scope runs."""
+    out = None if output_dir is None else make_output_dir(output_dir)
     results: list[CheckResult] = []
     for scope in scopes:
         results.extend(run_scope(scope))
     status = 0 if all(r.passed for r in results) else 1
-    if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         with open(out / "verify.csv", "w", encoding="utf-8", newline="\n") as f:
             f.write("scope,check,passed,detail\n")
             for r in results:

@@ -1,0 +1,46 @@
+"""The benchmark's traced-run contract holds on every workload.
+
+``perfbench/`` traces the package through the wrap points of its
+``tracer.py`` and reads argument shapes in the hooks of its ``probes.py``
+(for example ``a, b = m.shape`` and ``np.linalg.norm(out, 2)``); a hook that
+raises fails the op.  This test runs op 0 of each workload in
+``perfbench/workloads.py`` under ``Tracer(hooks=Probe().hooks())``, as a
+traced benchmark run does, and checks that no wrap point is missing, the op
+exits 0, its outputs pass the workload's own check and the probe gates hold.
+It imports the three modules and changes nothing in them.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import probes
+import workloads
+from tracer import Tracer
+
+from polarmuon import cli
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_op_keeps_the_contract(tmp_path, capsys, name):
+    wl = workloads.WORKLOADS[name](1)
+    wl.setup()
+    out_dir = tmp_path / "op0"
+    argv = wl.argv(0, out_dir)
+    probe = probes.Probe()
+    tracer = Tracer(hooks=probe.hooks())
+    with tracer:
+        tracer.op = 0
+        code = cli.main(argv)
+        tracer.op = -1
+    assert code == 0, capsys.readouterr()
+    assert tracer.missing == []
+    assert wl.inspect(0, out_dir).error is None
+    assert probe.op_norm_failures() == []
+    if name == "wide-sketch":
+        assert tracer.calls("sketch.orthonormal_basis") > 0
+        assert not probe.rank_short_ops

@@ -267,6 +267,27 @@ class TestRunner:
             )
             assert calls["as_matrix"] <= 2 * steps
 
+    def test_gradient_norm_taken_once_per_step(self, tmp_path, monkeypatch):
+        # sigma1 > 0: the oracle reads the runner's ||grad f||_F, the norm the
+        # CSV row reports, and takes none of its own
+        model = calibrate(NoiseModel(alpha=1.5, sigma0=0.5, sigma1=0.3), (8, 8), RngStream(5))
+        cfg = small_run_config(
+            tmp_path, noise=model, polar=PolarConfig(solver="exact"), verify=False
+        )
+        norms, oracle_norms = [], []
+        norm, oracle = np.linalg.norm, runner.noise_mod.gradient_oracle
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(a) or norm(*a, **k))
+        monkeypatch.setattr(
+            runner.noise_mod,
+            "gradient_oracle",
+            lambda g, gn, *a: oracle_norms.append(gn) or oracle(g, gn, *a),
+        )
+        report = run_experiment(cfg, write_files=False)
+        steps = sum(r.steps for r in report.seed_results)
+        assert steps == cfg.optimizer.K * len(cfg.seeds)
+        assert len(norms) == 1 + steps  # one per step, plus the initial grad norm
+        assert oracle_norms == [row[2] for r in report.seed_results for row in r.rows]
+
     def test_cum_flops_totals_seeds_when_one_aborts(self, tmp_path, monkeypatch, capsys):
         # seed 2's objective turns non-finite at its step 3: it stops after
         # three steps while seed 1 runs all K; cum_flops is the sum

@@ -15,7 +15,8 @@ and never raise.
 
 Raw argv lists are drawn token by token, for every subcommand and for none:
 options, axis names, negative and comma-joined values (argparse alone reads
-``-1,3`` as an option), verify scopes, shape specs and paths.
+``-1,3`` as an option), verify scopes, shape specs and paths, among them
+output directories that are, or lie under, a file.
 ``cli.main(argv)`` must return 0, 2 or 3 and never raise, and ``verify`` on
 drawn scope lists (the fast scopes and invalid names) likewise.
 
@@ -27,7 +28,7 @@ or with one field missing, repeated, unknown, non-integer or out of range;
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polarmuon import cli
+from polarmuon import cli, suites
 from polarmuon.runner import SWEEP_AXES
 
 # section -> key -> (valid values, invalid values)
@@ -244,8 +245,21 @@ ARGV_TOKENS = [
     "run", "sweep", "verify", "flops", "--axis", "q", "K", "alpha", "--values",
     "-1,3", "-1", "3", "2", "-2.5", "1e1", "--values=-1", "-x", "--bogus", "-h",
     "--output-dir", "<out>", "<ini>", "missing.ini", *FAST_SCOPES, "prop9",
-    "m=8,n=8,ell=2,q=1", "m=-8", "",
+    "m=8,n=8,ell=2,q=1", "m=-8", "", "<file>", "<under-file>", "<blocked-ini>",
 ]
+
+
+def _blocked_paths(tmp_path):
+    """A plain file and a path under it: neither can become a directory."""
+    file = tmp_path / "file"
+    file.write_text("")
+    return file, file / "sub"
+
+
+def _template(tmp_path, out):
+    path = tmp_path / f"template-{out.name}.ini"
+    path.write_text(SWEEP_TEMPLATE + f"[run]\nseeds = 1\noutput_dir = {out}\n")
+    return path
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -258,9 +272,14 @@ ARGV_TOKENS = [
 )
 @given(tokens=st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
 def test_raw_argv_exit_code_is_documented(tmp_path, tokens):
-    path = tmp_path / "template.ini"
-    path.write_text(SWEEP_TEMPLATE + f"[run]\nseeds = 1\noutput_dir = {tmp_path / 'out'}\n")
-    paths = {"<ini>": str(path), "<out>": str(tmp_path / "verify")}
+    file, under_file = _blocked_paths(tmp_path)
+    paths = {
+        "<ini>": str(_template(tmp_path, tmp_path / "out")),
+        "<out>": str(tmp_path / "verify"),
+        "<file>": str(file),
+        "<under-file>": str(under_file),
+        "<blocked-ini>": str(_template(tmp_path, under_file)),
+    }
     argv = [paths.get(t, t) for t in tokens]
     assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR, cli.EXIT_NUMERICAL_ABORT)
 
@@ -284,3 +303,23 @@ def test_verify_exit_code_is_documented(tmp_path, scopes, out):
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR, cli.EXIT_NUMERICAL_ABORT)
     valid = bool(scopes) and set(scopes) <= set(FAST_SCOPES) and out != "missing"
     assert (code == cli.EXIT_OK) == valid
+
+
+BLOCKED_ARGV = {
+    "run": lambda ini, out: ["run", ini],
+    "sweep": lambda ini, out: ["sweep", ini, "--axis", "K", "--values", "2,3"],
+    "verify": lambda ini, out: ["verify", "lemma1", "--output-dir", out],
+}
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", sorted(BLOCKED_ARGV))
+def test_blocked_output_dir_is_config_error(tmp_path, capsys, monkeypatch, command, under_file):
+    out = _blocked_paths(tmp_path)[under_file]
+    ran = []
+    monkeypatch.setitem(suites.SCOPES, "lemma1", lambda: ran.append(1) or [])
+    argv = BLOCKED_ARGV[command](str(_template(tmp_path, out)), str(out))
+    assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {str(out)!r}")
+    assert not ran  # verify fails before it runs a scope

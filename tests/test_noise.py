@@ -185,10 +185,8 @@ class TestGradientOracle:
     def test_noiseless_exact(self):
         p = quadratic_problem(np.eye(2))
         m = NoiseModel(alpha=1.5, sigma0=0.0)
-        x = np.zeros((2, 2))
-        np.testing.assert_allclose(
-            gradient_oracle(p.gradient(x), 1, m, RngStream(57)), p.gradient(x)
-        )
+        g = p.gradient(np.zeros((2, 2)))
+        assert gradient_oracle(g, float(np.linalg.norm(g)), 1, m, RngStream(57)) is g
 
     def test_unbiased(self):
         p = quadratic_problem(np.diag([2.0, 1.0]))
@@ -197,8 +195,9 @@ class TestGradientOracle:
         rng = RngStream(59)
         acc = np.zeros((2, 2))
         n = 40000
+        g = p.gradient(x)
         for _ in range(n):
-            acc += gradient_oracle(p.gradient(x), 1, m, rng)
+            acc += gradient_oracle(g, float(np.linalg.norm(g)), 1, m, rng)
         np.testing.assert_allclose(acc / n, p.gradient(x), atol=0.03)
 
     def test_batch_reduces_moment(self):
@@ -237,21 +236,24 @@ class TestGradientOracle:
                 NoiseModel(alpha=1.5, sigma0=1.0), (2, 2), 2000, RngStream(70)
             )
 
-    @pytest.mark.parametrize("sigma1, norms", [(0.0, 0), (0.5, 1)])
-    def test_gradient_norm_taken_only_for_sigma1(self, monkeypatch, sigma1, norms):
-        # ||G||_F scales Xi1 only; a sigma0-only oracle does not take it
+    @pytest.mark.parametrize("sigma1, reads", [(0.0, 0), (0.5, 1)])
+    def test_gradient_norm_taken_only_for_sigma1(self, monkeypatch, sigma1, reads):
+        # The caller's ||G||_F scales Xi1 only, so a sigma0-only oracle does
+        # not read it; the oracle takes no norm of its own.
         model = calibrate(NoiseModel(alpha=1.5, sigma0=1.0, sigma1=sigma1), (3, 2), RngStream(71))
         calls = []
         norm = np.linalg.norm
         monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(a) or norm(*a, **k))
-        gradient_oracle(np.ones((3, 2)), 2, model, RngStream(72))
-        assert len(calls) == norms
+        g = np.ones((3, 2))
+        draws = [gradient_oracle(g, gn, 2, model, RngStream(72)) for gn in (1.0, 3.0)]
+        assert not calls
+        assert (not _bitwise_equal(*draws)) == bool(reads)
 
     def test_batch_precondition(self):
         p = quadratic_problem(np.eye(2))
         m = NoiseModel(alpha=1.5, sigma0=0.0)
         with pytest.raises(PreconditionError):
-            gradient_oracle(p.gradient(np.zeros((2, 2))), 0, m, RngStream(62))
+            gradient_oracle(p.gradient(np.zeros((2, 2))), 1.0, 0, m, RngStream(62))
 
     def test_moment_precondition(self):
         m = calibrate(NoiseModel(alpha=1.5, sigma0=1.0), (2, 2), RngStream(63))
@@ -285,7 +287,7 @@ class TestDrawOrder:
         acc = np.zeros(shape)
         for _ in range(batch):
             acc += sample_noise(model, shape, gnorm, rng)
-        got = gradient_oracle(grad, batch, model, RngStream(82))
+        got = gradient_oracle(grad, gnorm, batch, model, RngStream(82))
         assert _bitwise_equal(got, grad + acc / batch)
 
     @pytest.mark.parametrize("batch", [1, 3])
@@ -313,12 +315,13 @@ class TestDrawOrder:
         assert _bitwise_equal(np.concatenate(chunks), np.concatenate(singles))
 
         grad = RngStream(84).normal((3, 2))
+        gnorm = float(np.linalg.norm(grad))
         rng = RngStream(85)
         acc = np.zeros((3, 2))
         for _ in range(35):
-            acc += sample_noise(model, (3, 2), float(np.linalg.norm(grad)), rng)
+            acc += sample_noise(model, (3, 2), gnorm, rng)
         assert _bitwise_equal(
-            gradient_oracle(grad, 35, model, RngStream(85)), grad + acc / 35
+            gradient_oracle(grad, gnorm, 35, model, RngStream(85)), grad + acc / 35
         )
 
     def test_chunk_size_does_not_change_estimates(self, monkeypatch):
@@ -362,7 +365,7 @@ class TestDrawOrder:
         def peak(batch):
             tracemalloc.start()
             try:
-                gradient_oracle(grad, batch, model, RngStream(89))
+                gradient_oracle(grad, 4.0, batch, model, RngStream(89))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -8,7 +8,6 @@ from polarmuon.optimizer import (
     MuonState,
     SgdState,
     adamw_step,
-    baseline_step,
     corollary1_schedule,
     min_batch_size,
     muon_step,
@@ -28,37 +27,36 @@ class TestMuonStep:
         record = lambda m: (seen.append(m.copy()), m)[1]
         st = MuonState.initial(np.zeros((1, 1)), beta=beta, eta=eta)
         g1 = np.array([[1.0]])
-        st = muon_step(st, g1, record)
+        assert muon_step(st, g1, record) is None  # the state is updated in place
         np.testing.assert_allclose(seen[0], [[1.5]])  # C=1, M=1.5
         np.testing.assert_allclose(st.x, [[-1.5]])
         g2 = np.array([[2.0]])
-        st = muon_step(st, g2, record)
+        muon_step(st, g2, record)
         np.testing.assert_allclose(seen[1], [[3.25]])  # C=2.5, M=3.25
         np.testing.assert_allclose(st.x, [[-4.75]])
-        assert st.k == 2
 
     def test_momentum_recursion_polyak(self):
         seen = []
         record = lambda m: (seen.append(m.copy()), m)[1]
         st = MuonState.initial(np.zeros((1, 1)), kind="polyak", beta=0.5, eta=1.0)
-        st = muon_step(st, np.array([[1.0]]), record)
-        st = muon_step(st, np.array([[2.0]]), record)
+        muon_step(st, np.array([[1.0]]), record)
+        muon_step(st, np.array([[2.0]]), record)
         np.testing.assert_allclose(seen[0], [[1.0]])
         np.testing.assert_allclose(seen[1], [[2.5]])
 
     def test_zero_momentum_zero_update(self):
         st = MuonState.initial(np.ones((2, 2)))
         boom = lambda m: (_ for _ in ()).throw(AssertionError("polar called"))
-        out = muon_step(st, np.zeros((2, 2)), boom)
-        np.testing.assert_allclose(out.x, st.x)
-        assert out.k == 1
+        muon_step(st, np.zeros((2, 2)), boom)
+        np.testing.assert_array_equal(st.x, np.ones((2, 2)))
 
     def test_update_is_unit_spectral_step(self):
         rng = RngStream(31)
         st = MuonState.initial(rng.normal((4, 6)), beta=0.0, eta=0.1)
         g = rng.normal((4, 6))
-        out = muon_step(st, g, exact_polar)
-        step = (st.x - out.x) / st.eta
+        x0 = st.x
+        muon_step(st, g, exact_polar)
+        step = (x0 - st.x) / st.eta
         s = np.linalg.svd(step, compute_uv=False)
         np.testing.assert_allclose(s, np.ones(4), atol=1e-10)
 
@@ -67,34 +65,38 @@ class TestMuonStep:
         a = RngStream(32).normal((5, 5))
         st = MuonState.initial(np.zeros((5, 5)), beta=0.9, eta=0.05)
         for _ in range(400):
-            st = muon_step(st, st.x - a, exact_polar)
+            muon_step(st, st.x - a, exact_polar)
         assert np.linalg.norm(st.x - a) <= 0.25
 
     @pytest.mark.parametrize("kind", ["nesterov", "polyak"])
     def test_step_bitwise_equal_to_formula_and_inputs_untouched(self, kind):
         rng = RngStream(33)
-        calls = []  # (momentum seen, polar output, copy of that output)
+        calls = []  # (momentum passed, its copy, polar output, its copy)
 
         def polar(m):
             out = exact_polar(m)
-            calls.append((m.copy(), out, out.copy()))
+            calls.append((m, m.copy(), out, out.copy()))
             return out
 
-        st = MuonState.initial(rng.normal((6, 4)), kind=kind, beta=0.9, eta=0.03)
+        x0 = rng.normal((6, 4))
+        x0_copy = x0.copy()
+        st = MuonState.initial(x0, kind=kind, beta=0.9, eta=0.03)
         for _ in range(5):
             g = rng.normal((6, 4))
-            before = [a.copy() for a in (st.x, st.c, g)]
-            out = muon_step(st, g, polar)
-            for a, b in zip((st.x, st.c, g), before):
+            old = (st.x, st.c, g)
+            before = [a.copy() for a in old]
+            muon_step(st, g, polar)
+            for a, b in zip(old, before):
                 assert np.array_equal(a, b)
-            seen, direction, direction_copy = calls[-1]
+            m, m_copy, direction, direction_copy = calls[-1]
+            assert np.array_equal(m, m_copy)  # polar's input is not written after the call
             assert np.array_equal(direction, direction_copy)
-            c = st.beta * st.c + g
-            m = st.beta * c + g if kind == "nesterov" else c
-            assert np.array_equal(out.c, c)
-            assert np.array_equal(seen, m)
-            assert np.array_equal(out.x, st.x - st.eta * direction)
-            st = out
+            c = st.beta * before[1] + g
+            assert np.array_equal(st.c, c)
+            assert np.array_equal(m, st.beta * c + g if kind == "nesterov" else c)
+            assert np.array_equal(st.x, before[0] - st.eta * direction)
+            assert st.x is not direction and st.x is not old[0]
+        assert np.array_equal(x0, x0_copy)
 
     def test_shape_mismatch(self):
         st = MuonState.initial(np.zeros((2, 2)))
@@ -208,43 +210,78 @@ class TestBaselines:
     def test_sgd_plain_gradient_descent(self):
         st = SgdState.initial(np.zeros((2, 2)), lr=0.5, momentum=0.0)
         g = np.ones((2, 2))
-        st = sgd_nesterov_step(st, g)
+        sgd_nesterov_step(st, g)
         np.testing.assert_allclose(st.x, -0.5 * np.ones((2, 2)))
 
     def test_sgd_nesterov_hand_value(self):
         st = SgdState.initial(np.zeros((1, 1)), lr=1.0, momentum=0.5)
-        st = sgd_nesterov_step(st, np.array([[1.0]]))
+        sgd_nesterov_step(st, np.array([[1.0]]))
         # buf = 1, d = g + mu*buf = 1.5
         np.testing.assert_allclose(st.x, [[-1.5]])
-        st = sgd_nesterov_step(st, np.array([[1.0]]))
+        sgd_nesterov_step(st, np.array([[1.0]]))
         # buf = 1.5, d = 1 + 0.75 = 1.75
         np.testing.assert_allclose(st.x, [[-3.25]])
 
     def test_adamw_first_step_sign(self):
         st = AdamWState.initial(np.zeros((2, 3)), lr=1e-3, weight_decay=0.0)
         g = RngStream(34).normal((2, 3))
-        out = adamw_step(st, g)
+        adamw_step(st, g)
         # after bias correction the first step is -lr * g/(|g| + eps)
-        np.testing.assert_allclose(out.x, -1e-3 * np.sign(g), atol=1e-5)
+        np.testing.assert_allclose(st.x, -1e-3 * np.sign(g), atol=1e-5)
 
     def test_adamw_weight_decay(self):
         st = AdamWState.initial(np.ones((2, 2)), lr=0.1, weight_decay=0.5)
-        out = adamw_step(st, np.zeros((2, 2)))
-        np.testing.assert_allclose(out.x, 0.95 * np.ones((2, 2)))
+        adamw_step(st, np.zeros((2, 2)))
+        np.testing.assert_allclose(st.x, 0.95 * np.ones((2, 2)))
 
-    def test_baseline_dispatch(self):
-        st = SgdState.initial(np.zeros((2, 2)))
-        assert isinstance(baseline_step("sgd_nesterov", st, np.ones((2, 2))), SgdState)
-        with pytest.raises(PreconditionError):
-            baseline_step("newton", st, np.ones((2, 2)))
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_sgd_step_bitwise_equal_to_formula_and_inputs_untouched(self, momentum):
+        rng = RngStream(36)
+        x0 = rng.normal((5, 3))
+        x0_copy = x0.copy()
+        st = SgdState.initial(x0, lr=0.05, momentum=momentum)
+        for _ in range(4):
+            g = rng.normal((5, 3))
+            old = (st.x, st.buf, g)
+            before = [a.copy() for a in old]
+            assert sgd_nesterov_step(st, g) is None
+            for a, b in zip(old, before):
+                assert np.array_equal(a, b)
+            buf = momentum * before[1] + g
+            d = g + momentum * buf if momentum > 0 else g
+            assert np.array_equal(st.buf, buf)
+            assert np.array_equal(st.x, before[0] - 0.05 * d)
+        assert np.array_equal(x0, x0_copy)
+
+    def test_adamw_step_bitwise_equal_to_formula_and_inputs_untouched(self):
+        rng = RngStream(37)
+        x0 = rng.normal((5, 3))
+        x0_copy = x0.copy()
+        lr, b1, b2, eps, wd = 1e-2, 0.9, 0.999, 1e-8, 0.01
+        st = AdamWState.initial(x0, lr=lr, weight_decay=wd)
+        for k in range(1, 5):
+            g = rng.normal((5, 3))
+            old = (st.x, st.m, st.v, g)
+            before = [a.copy() for a in old]
+            assert adamw_step(st, g) is None
+            for a, b in zip(old, before):
+                assert np.array_equal(a, b)
+            m = b1 * before[1] + (1.0 - b1) * g
+            v = b2 * before[2] + (1.0 - b2) * g * g
+            x = before[0] * (1.0 - lr * wd)
+            x = x - lr * (m / (1.0 - b1**k)) / (np.sqrt(v / (1.0 - b2**k)) + eps)
+            assert st.k == k
+            assert np.array_equal(st.m, m) and np.array_equal(st.v, v)
+            assert np.array_equal(st.x, x)
+        assert np.array_equal(x0, x0_copy)
 
     def test_baselines_converge_on_quadratic(self):
         a = RngStream(35).normal((4, 4))
         sgd = SgdState.initial(np.zeros((4, 4)), lr=0.05, momentum=0.9)
         for _ in range(300):
-            sgd = sgd_nesterov_step(sgd, sgd.x - a)
+            sgd_nesterov_step(sgd, sgd.x - a)
         assert np.linalg.norm(sgd.x - a) <= 1e-6
         adam = AdamWState.initial(np.zeros((4, 4)), lr=0.1, weight_decay=0.0)
         for _ in range(800):
-            adam = adamw_step(adam, adam.x - a)
+            adamw_step(adam, adam.x - a)
         assert np.linalg.norm(adam.x - a) <= 1e-2
