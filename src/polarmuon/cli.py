@@ -94,7 +94,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     status, results = suites.verify_suite(args.scopes, args.output_dir)
     for r in results:
-        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.scope}: {r.name} -- {r.detail}")
+        print(r)
     return EXIT_OK if status == 0 else EXIT_CHECK_FAILURE
 
 

@@ -6,12 +6,14 @@ so re-parsing reproduces the same binary values, including the calibrated
 noise scales and custom schedule coefficients.
 
 :func:`parse` and :class:`RunConfig` check a run's inputs once: every value
-the runtime would reject raises :class:`ConfigError` naming its section.
+the runtime would reject, and every section or key that :func:`parse` does
+not read, raises :class:`ConfigError` naming its section.
 """
 
 from __future__ import annotations
 
 import configparser
+import csv
 import io
 import math
 from dataclasses import MISSING, dataclass, field, fields
@@ -34,6 +36,7 @@ __all__ = [
     "serialize",
     "load",
     "save",
+    "write_csv",
 ]
 
 
@@ -265,12 +268,35 @@ def _polar(cp) -> PolarConfig:
     )
 
 
+def _keys(cls) -> frozenset:
+    return frozenset(f.name.lower() for f in fields(cls))
+
+
+# section -> the keys parse reads, lowercased as configparser stores them
+_KNOWN_KEYS = {
+    "problem": _keys(ProblemSpec),
+    "optimizer": _keys(OptimizerSpec),
+    "polar": frozenset(("solver", "schedule", "q", "delta", "coefficients")),
+    "sketch": _keys(SketchConfig),
+    "noise": _keys(NoiseModel),
+    "run": frozenset(("seeds", "output_dir", "verify")),
+}
+
+
 def parse(text: str) -> RunConfig:
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
     except configparser.Error as e:
         raise ConfigError(f"config syntax: {e}") from e
+    if cp.defaults():
+        raise ConfigError(f"{cp.default_section}: unknown section")
+    for section in cp.sections():
+        if section not in _KNOWN_KEYS:
+            raise ConfigError(f"{section}: unknown section")
+        for key in cp.options(section):
+            if key not in _KNOWN_KEYS[section]:
+                raise ConfigError(f"{section}.{key}: unknown key")
 
     problem = ProblemSpec(**_read(cp, "problem", ProblemSpec))
     optimizer = OptimizerSpec(**_read(cp, "optimizer", OptimizerSpec))
@@ -308,6 +334,16 @@ def make_output_dir(path) -> Path:
     except OSError as e:
         raise ConfigError(f"cannot create output directory {str(path)!r}: {e.strerror}") from e
     return Path(path)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` to ``path`` as CSV with LF line ends: a
+    float prints as its ``repr``, None as an empty field, and a field that
+    holds a comma is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save(cfg: RunConfig, path) -> None:

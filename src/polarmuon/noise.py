@@ -74,15 +74,15 @@ class Problem:
         region of bounded curvature."""
         return 10.0 * float(np.linalg.norm(self.a)) ** 0.5
 
-    def project(self, x) -> tuple[np.ndarray, bool]:
+    def project(self, x) -> np.ndarray:
         """Clip the iterate back to the Frobenius ball (factorization only)."""
         if self.kind != "factorization":
-            return x, False
+            return x
         r = self.radius()
         nrm = float(np.linalg.norm(x))
         if nrm <= r:
-            return x, False
-        return x * (r / nrm), True
+            return x
+        return x * (r / nrm)
 
 
 def quadratic_problem(a) -> Problem:

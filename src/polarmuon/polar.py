@@ -204,13 +204,17 @@ def inexact_polar(m, cfg: PolarConfig) -> np.ndarray:
     return polynomial_iterate(a / delta, cfg.schedule.coeff_array())
 
 
+# Relative slack of the bounds' hypothesis delta >= sigma_1: delta and sigma
+# often come from independent SVD calls, whose sigma_1 may differ in the last ulp.
+SIGMA1_REL_SLACK = 1e-12
+
+
 def prop1_gamma(sigma, delta: float, schedule: PolynomialSchedule) -> float:
     """Alignment loss 1 - sum(sigma_i * p_q(sigma_i/delta)) / sum(sigma_i)."""
     s = np.asarray(sigma, dtype=np.float64)
     if s.size == 0 or np.any(s <= 0):
         raise PreconditionError("sigma must be nonempty and positive")
-    # ulp-scale slack: delta and sigma often come from independent SVD calls
-    if delta < np.max(s) * (1.0 - 1e-12):
+    if delta < np.max(s) * (1.0 - SIGMA1_REL_SLACK):
         raise PreconditionError("delta must be >= max(sigma)")
     p = schedule.scalar_map(s / delta)
     return float(1.0 - np.sum(s * p) / np.sum(s))

@@ -2,8 +2,8 @@
 
 Determinism contract: identical config + seeds produce byte-identical CSV
 output.  All randomness flows through Philox streams derived from the run
-seeds by the documented hash in :mod:`polarmuon.matcore`; float columns are
-written with ``repr`` (shortest exact decimal).
+seeds by the documented hash in :mod:`polarmuon.matcore`; ``csv`` writes
+float columns as their ``repr`` (shortest exact decimal).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matcore, noise as noise_mod, optimizer as opt, polar as polar_mod
-from .config import RunConfig, make_output_dir
+from .config import RunConfig, make_output_dir, write_csv
 from .errors import ConfigError, DegenerateInputError, NumericalAbortError, PreconditionError
 from .matcore import RngStream, derive_stream_id
 from .sketch import randomized_polar
@@ -30,24 +30,46 @@ _CALIB_SEED = 0xCA11B
 
 CSV_COLUMNS = ("k", "f", "grad_norm", "cum_flops", "gamma_hat", "nu_hat")
 SUMMARY_COLUMNS = ("seed", "steps", "min_grad_norm", "final_f", "cum_flops", "aborted")
+SWEEP_COLUMNS = ("axis", "value", "seed", "min_grad_norm", "final_f", "cum_flops", "failed")
 
 
 @dataclass
 class SeedResult:
+    """One seed's CSV rows (``CSV_COLUMNS``) and whether it aborted; the
+    figures read the rows, and a seed without rows reads inf, nan and 0."""
+
     seed: int
-    steps: int
-    min_grad_norm: float
-    final_f: float
-    cum_flops: int
-    aborted: bool
     rows: list
+    aborted: bool
+
+    @property
+    def steps(self) -> int:
+        return len(self.rows)
+
+    @property
+    def min_grad_norm(self) -> float:
+        return min([float("inf")] + [row[2] for row in self.rows])
+
+    @property
+    def final_f(self) -> float:
+        return self.rows[-1][1] if self.rows else float("nan")
+
+    @property
+    def cum_flops(self) -> int:
+        return self.rows[-1][3] if self.rows else 0
 
 
 @dataclass
 class RunReport:
     config: RunConfig
     seed_results: list
-    initial_grad_norm: float
+
+    @property
+    def initial_grad_norm(self) -> float:
+        """||grad f||_F at the first seed's start: its first row's, or nan
+        when that seed recorded no step."""
+        rows = self.seed_results[0].rows
+        return rows[0][2] if rows else float("nan")
 
     @property
     def aborted(self) -> bool:
@@ -109,14 +131,6 @@ def _make_polar(cfg: RunConfig, sketch_rng: RngStream, checks: list):
     return call_verified
 
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _initial_point(cfg: RunConfig, seed: int) -> np.ndarray:
     shape = cfg.problem.param_shape
     if cfg.problem.kind == "factorization":
@@ -124,9 +138,7 @@ def _initial_point(cfg: RunConfig, seed: int) -> np.ndarray:
     return np.zeros(shape)
 
 
-def _run_seed(
-    cfg: RunConfig, seed: int, problem, model, step_flops: int, out_path: Path | None
-) -> SeedResult:
+def _run_seed(cfg: RunConfig, seed: int, problem, model, step_flops: int) -> SeedResult:
     """K steps from this seed's start, on the run's resolved inputs: one
     step(g) that updates the state, one ||grad f||_F per step."""
     o = cfg.optimizer
@@ -146,104 +158,55 @@ def _run_seed(
         step = lambda g: opt.adamw_step(state, g)
 
     rows = []
-    min_grad = float("inf")
-    cum_flops = 0
-    final_f = float("nan")
-    aborted = False
-
-    fh = None
-    if out_path is not None:
-        fh = open(out_path, "w", encoding="utf-8", newline="\n")
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-    try:
-        for k in range(o.K):
-            if not np.all(np.isfinite(state.x)):
-                aborted = True
-                break
-            f_val, grad = problem.value_and_gradient(state.x)
-            if not np.isfinite(f_val):
-                aborted = True
-                break
-            gnorm = float(np.linalg.norm(grad))
-            g = noise_mod.gradient_oracle(grad, gnorm, o.B, model, noise_rng)
-            try:
-                step(g)
-            except (NumericalAbortError, DegenerateInputError):
-                # the step overflowed, or underflowed to a zero matrix
-                aborted = True
-                break
-            gamma_k, nu_k = checks.pop() if checks else (None, None)
-            state.x, _clipped = problem.project(state.x)
-            min_grad = min(min_grad, gnorm)
-            final_f = f_val
-            cum_flops += step_flops
-
-            row = (k, f_val, gnorm, cum_flops, gamma_k, nu_k)
-            rows.append(row)
-            if fh is not None:
-                fh.write(",".join(_csv_cell(v) for v in row) + "\n")
-    finally:
-        if fh is not None:
-            fh.close()
-
-    return SeedResult(
-        seed=seed,
-        steps=len(rows),
-        min_grad_norm=min_grad,
-        final_f=final_f,
-        cum_flops=cum_flops,
-        aborted=aborted,
-        rows=rows,
-    )
+    for k in range(o.K):
+        if not np.all(np.isfinite(state.x)):
+            return SeedResult(seed, rows, aborted=True)
+        f_val, grad = problem.value_and_gradient(state.x)
+        if not np.isfinite(f_val):
+            return SeedResult(seed, rows, aborted=True)
+        gnorm = float(np.linalg.norm(grad))
+        g = noise_mod.gradient_oracle(grad, gnorm, o.B, model, noise_rng)
+        try:
+            step(g)
+        except (NumericalAbortError, DegenerateInputError):
+            # the step overflowed, or underflowed to a zero matrix
+            return SeedResult(seed, rows, aborted=True)
+        gamma_k, nu_k = checks.pop() if checks else (None, None)
+        state.x = problem.project(state.x)
+        rows.append((k, f_val, gnorm, step_flops * (k + 1), gamma_k, nu_k))
+    return SeedResult(seed, rows, aborted=False)
 
 
 def run_experiment(cfg: RunConfig, write_files: bool = True) -> RunReport:
-    """Execute K optimizer steps per seed; write per-seed CSV traces, a
-    summary CSV, and plot-ready data.  Returns the aggregated report.  The
-    problem, noise model and step price are built once, for every seed."""
+    """Execute K optimizer steps per seed; write each seed's CSV trace when it
+    ends, a summary CSV, and plot-ready data.  Returns the aggregated report.
+    The problem, noise model and step price are built once, for every seed."""
     problem = cfg.problem.build()
     model = cfg.noise
     if not model.calibrated:
         model = noise_mod.calibrate(model, cfg.problem.param_shape, RngStream(_CALIB_SEED))
     step_flops = _step_flops(cfg)
-    out_dir = make_output_dir(cfg.output_dir) if write_files else Path(cfg.output_dir)
-    x0 = _initial_point(cfg, cfg.seeds[0])
-    initial_grad = float(np.linalg.norm(problem.value_and_gradient(x0)[1]))
+    out_dir = make_output_dir(cfg.output_dir) if write_files else None
 
     results = []
     for seed in cfg.seeds:
-        path = out_dir / f"run_seed{seed}.csv" if write_files else None
-        results.append(_run_seed(cfg, seed, problem, model, step_flops, path))
+        result = _run_seed(cfg, seed, problem, model, step_flops)
+        if write_files:
+            write_csv(out_dir / f"run_seed{seed}.csv", CSV_COLUMNS, result.rows)
+        results.append(result)
 
-    report = RunReport(config=cfg, seed_results=results, initial_grad_norm=initial_grad)
+    report = RunReport(config=cfg, seed_results=results)
     if write_files:
-        _write_summary(report, out_dir)
+        write_csv(
+            out_dir / "run.summary.csv",
+            SUMMARY_COLUMNS,
+            [(r.seed, r.steps, r.min_grad_norm, r.final_f, r.cum_flops, int(r.aborted))
+             for r in results]
+            + [("aggregate", None, report.mean_min_grad_norm, report.std_min_grad_norm,
+                None, None)],
+        )
         _write_plot_data(report, out_dir)
     return report
-
-
-def _write_summary(report: RunReport, out_dir: Path) -> None:
-    with open(out_dir / "run.summary.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for r in report.seed_results:
-            f.write(
-                ",".join(
-                    _csv_cell(v)
-                    for v in (
-                        r.seed,
-                        r.steps,
-                        r.min_grad_norm,
-                        r.final_f,
-                        r.cum_flops,
-                        int(r.aborted),
-                    )
-                )
-                + "\n"
-            )
-        f.write(
-            f"aggregate,,{_csv_cell(report.mean_min_grad_norm)},"
-            f"{_csv_cell(report.std_min_grad_norm)},,\n"
-        )
 
 
 def _write_plot_data(report: RunReport, out_dir: Path) -> None:
@@ -342,17 +305,14 @@ def sweep(template: RunConfig, axis: str, values, write_files: bool = True) -> l
             cells.append(SweepCell(value=value, report=None, error=str(e)))
 
     if write_files:
-        with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="\n") as f:
-            f.write("axis,value,seed,min_grad_norm,final_f,cum_flops,failed\n")
-            for cell in cells:
-                if cell.report is None:
-                    f.write(f"{axis},{cell.value},,,,,1\n")
-                    continue
-                for r in cell.report.seed_results:
-                    f.write(
-                        f"{axis},{cell.value},{r.seed},{_csv_cell(r.min_grad_norm)},"
-                        f"{_csv_cell(r.final_f)},{r.cum_flops},{int(r.aborted)}\n"
-                    )
+        rows = []
+        for cell in cells:
+            if cell.report is None:
+                rows.append((axis, cell.value, None, None, None, None, 1))
+                continue
+            rows += [(axis, cell.value, r.seed, r.min_grad_norm, r.final_f, r.cum_flops,
+                      int(r.aborted)) for r in cell.report.seed_results]
+        write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
         if axis == "K":
             with open(out_dir / "sweep_loglog.dat", "w", encoding="utf-8", newline="\n") as f:
                 for cell in cells:

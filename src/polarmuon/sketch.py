@@ -16,7 +16,7 @@ import numpy as np
 from . import matcore
 from .errors import DegenerateInputError, NumericalAbortError, PreconditionError
 from .matcore import RngStream
-from .polar import PolarConfig, polynomial_iterate
+from .polar import SIGMA1_REL_SLACK, PolarConfig, polynomial_iterate
 
 __all__ = [
     "SketchConfig",
@@ -144,8 +144,9 @@ def randomized_polar(
 
     delta is resolved from ``pcfg.delta_rule`` on the *original* matrix, so
     theoretical schedules keep the almost-sure operator-norm <= 1 guarantee
-    whenever delta >= ||m||_op.  A degenerate sketch (zero Y) is redrawn once
-    before erroring.
+    whenever delta >= ||m||_op.  A sketch whose Y is zero (it underflowed,
+    and a redraw of the same scale would underflow again) raises
+    DegenerateInputError.
     """
     a = matcore.as_matrix(m)
     if not a.any():
@@ -155,9 +156,7 @@ def randomized_polar(
     scfg.check_shape(a.shape)
     y = power_iterate(a, _draw_sketch(a, scfg, rng), scfg.h)
     if not y.any():
-        y = power_iterate(a, _draw_sketch(a, scfg, rng), scfg.h)
-        if not y.any():
-            raise DegenerateInputError("sketch produced zero Y twice")
+        raise DegenerateInputError("sketch produced zero Y")
     q_basis = matcore.orthonormal_basis(y)
     b = q_basis.T @ a
     delta = pcfg.resolve_delta(a)
@@ -173,7 +172,7 @@ def prop2_lower_bound(
         raise PreconditionError("oversampling p must be >= 2")
     if s != spec.s:
         spec = SpectrumSummary.from_sigma(spec.sigma, s)
-    if delta < spec.sigma[0]:
+    if delta < spec.sigma[0] * (1.0 - SIGMA1_REL_SLACK):
         raise PreconditionError("delta must be >= sigma_1")
     a = spec.head_energy - (s / (p - 1)) * spec.gap_ratio ** (4 * h) * spec.tail_energy
     return max(0.0, a) / delta

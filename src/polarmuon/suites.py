@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, noise as noise_mod, optimizer as opt, polar as polar_mod
-from .config import make_output_dir
+from .config import make_output_dir, write_csv
 from .errors import ConfigError
 from .matcore import RngStream
 from .polar import (
@@ -39,6 +39,9 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+    def __str__(self) -> str:
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.scope}: {self.name} -- {self.detail}"
 
 
 def _scope_polynomials() -> list[CheckResult]:
@@ -243,20 +246,19 @@ def run_scope(scope: str) -> list[CheckResult]:
 
 def verify_suite(scopes, output_dir: str | None = None) -> tuple[int, list[CheckResult]]:
     """Run the named scopes; returns (exit_status, results) and optionally
-    writes a CSV + text report.  The output directory is made before any
-    scope runs."""
+    writes them as ``verify.csv`` and as ``verify.txt``, one result line
+    each.  The output directory is made before any scope runs."""
     out = None if output_dir is None else make_output_dir(output_dir)
     results: list[CheckResult] = []
     for scope in scopes:
         results.extend(run_scope(scope))
     status = 0 if all(r.passed for r in results) else 1
     if out is not None:
-        with open(out / "verify.csv", "w", encoding="utf-8", newline="\n") as f:
-            f.write("scope,check,passed,detail\n")
-            for r in results:
-                detail = r.detail.replace(",", ";")
-                f.write(f"{r.scope},{r.name},{int(r.passed)},{detail}\n")
+        write_csv(
+            out / "verify.csv",
+            ("scope", "check", "passed", "detail"),
+            [(r.scope, r.name, int(r.passed), r.detail) for r in results],
+        )
         with open(out / "verify.txt", "w", encoding="utf-8", newline="\n") as f:
-            for r in results:
-                f.write(f"[{'PASS' if r.passed else 'FAIL'}] {r.scope}: {r.name} -- {r.detail}\n")
+            f.writelines(f"{r}\n" for r in results)
     return status, results

@@ -231,14 +231,6 @@ class FlopModel:
         if self.ell > min(self.m, self.n):
             raise PreconditionError("ell must not exceed min(m, n)")
 
-    @property
-    def d0(self) -> int:
-        return min(self.m, self.n)
-
-    @property
-    def d1(self) -> int:
-        return max(self.m, self.n)
-
 
 # Per-primitive FLOP table (documented, bit-reproducible):
 #   matmul (a x b)(b x c):            2 a b c

@@ -1,3 +1,4 @@
+import csv
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polarmuon import cli, matcore, runner
+from polarmuon import cli, matcore, runner, suites
 from polarmuon.config import (
     OptimizerSpec,
     ProblemSpec,
@@ -141,6 +142,28 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             RunConfig(optimizer=OptimizerSpec(K=0))
 
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            ("[optimizer]\nkk = 99\n", "optimizer.kk: unknown key"),
+            ("[polar]\nbogus = 1\n", "polar.bogus: unknown key"),
+            ("[sketch]\ns = 38\nell = 40\n", "sketch.ell: unknown key"),
+            ("[run]\nseed = 3\n", "run.seed: unknown key"),
+            ("[bogus_section]\nk = 1\n", "bogus_section: unknown section"),
+            ("[Problem]\nm = 4\n", "Problem: unknown section"),
+            ("[DEFAULT]\nm = 4\n", "DEFAULT: unknown section"),
+        ],
+    )
+    def test_unknown_section_or_key_is_config_error(self, tmp_path, capsys, body, named):
+        # configparser lowercases keys: the fields K and B are keys k and b
+        parse("[optimizer]\nK = 3\nB = 2\n")
+        with pytest.raises(ConfigError, match=named):
+            parse(body)
+        path = tmp_path / "typo.ini"
+        path.write_text(body)
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert named in capsys.readouterr().err
+
     def test_polar_spec_errors(self):
         with pytest.raises(ConfigError):
             parse("[polar]\ndelta = explicit:abc\n")
@@ -188,14 +211,16 @@ class TestRunner:
         assert report.mean_min_grad_norm < report.initial_grad_norm
 
     def test_aggregate_skips_seeds_without_steps(self):
-        def seed_result(seed, steps, min_grad):
-            return runner.SeedResult(seed, steps, min_grad, 1.0, 0, steps == 0, [])
-
-        report = runner.RunReport(
-            RunConfig(), [seed_result(1, 3, 0.5), seed_result(2, 0, float("inf"))], 1.0
-        )
+        rows = [(k, 1.0, g, 10 * (k + 1), None, None) for k, g in enumerate((0.9, 0.5, 0.7))]
+        seeds = [runner.SeedResult(1, rows, False), runner.SeedResult(2, [], True)]
+        report = runner.RunReport(RunConfig(), seeds)
+        assert (seeds[0].steps, seeds[0].min_grad_norm, seeds[0].cum_flops) == (3, 0.5, 30)
+        assert (seeds[1].steps, seeds[1].min_grad_norm, seeds[1].cum_flops) == (0, float("inf"), 0)
+        assert np.isnan(seeds[1].final_f)
         assert report.mean_min_grad_norm == 0.5
         assert report.std_min_grad_norm == 0.0
+        assert report.initial_grad_norm == 0.9
+        assert np.isnan(runner.RunReport(RunConfig(), seeds[::-1]).initial_grad_norm)
 
     def test_alpha_axis_resets_noise_model(self, tmp_path):
         model = calibrate(
@@ -250,8 +275,8 @@ class TestRunner:
         report = run_experiment(cfg, write_files=False)
         steps = sum(r.steps for r in report.seed_results)
         assert steps == cfg.optimizer.K * len(cfg.seeds)
-        # one residual per step, plus one for the initial grad norm
-        assert calls["value_and_gradient"] == 1 + steps
+        # one residual per step; the initial grad norm is the first row's
+        assert calls["value_and_gradient"] == steps
         assert calls["value"] == calls["gradient"] == 0
         assert calls["build"] == 1  # shared by both seeds
         # Without verify only public entry points check their caller's input.
@@ -285,7 +310,7 @@ class TestRunner:
         report = run_experiment(cfg, write_files=False)
         steps = sum(r.steps for r in report.seed_results)
         assert steps == cfg.optimizer.K * len(cfg.seeds)
-        assert len(norms) == 1 + steps  # one per step, plus the initial grad norm
+        assert len(norms) == steps  # one per step; the initial grad norm is the first row's
         assert oracle_norms == [row[2] for r in report.seed_results for row in r.rows]
 
     def test_cum_flops_totals_seeds_when_one_aborts(self, tmp_path, monkeypatch, capsys):
@@ -299,7 +324,7 @@ class TestRunner:
         def failing(self, x):
             calls["n"] += 1
             f, g = exact(self, x)
-            return (np.inf if calls["n"] == 1 + K + 4 else f), g
+            return (np.inf if calls["n"] == K + 4 else f), g
 
         monkeypatch.setattr(Problem, "value_and_gradient", failing)
         report = run_experiment(cfg, write_files=False)
@@ -522,6 +547,22 @@ class TestCli:
         assert "[PASS]" in out
         report = (tmp_path / "verify.csv").read_text()
         assert report.startswith("scope,check,passed,detail")
+
+    def test_verify_csv_rows_match_verify_txt(self, tmp_path, capsys):
+        # check names such as "... B in (1,4,16,64)" hold commas
+        argv = ["verify", *sorted(suites.SCOPES), "--output-dir", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_OK
+        lines = (tmp_path / "verify.txt").read_text(encoding="utf-8").splitlines()
+        assert capsys.readouterr().out.splitlines() == lines
+        with open(tmp_path / "verify.csv", newline="", encoding="utf-8") as f:
+            header, *rows = csv.reader(f)
+        assert header == ["scope", "check", "passed", "detail"]
+        assert any("," in name for _, name, _, _ in rows)
+        assert len(rows) == len(lines)
+        for row, line in zip(rows, lines):
+            assert len(row) == 4
+            scope, name, passed, detail = row
+            assert line == f"[{'PASS' if passed == '1' else 'FAIL'}] {scope}: {name} -- {detail}"
 
     def test_flops_command(self, capsys):
         rc = cli.main(["flops", "m=4096,n=4096,ell=256,q=5,h=1"])

@@ -16,7 +16,8 @@ and never raise.
 Raw argv lists are drawn token by token, for every subcommand and for none:
 options, axis names, negative and comma-joined values (argparse alone reads
 ``-1,3`` as an option), verify scopes, shape specs and paths, among them
-output directories that are, or lie under, a file.
+output directories that are, or lie under, a file, and an INI with an
+unknown key; explicit examples make sure each of these paths is drawn.
 ``cli.main(argv)`` must return 0, 2 or 3 and never raise, and ``verify`` on
 drawn scope lists (the fast scopes and invalid names) likewise.
 
@@ -26,7 +27,7 @@ or with one field missing, repeated, unknown, non-integer or out of range;
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from polarmuon import cli, suites
 from polarmuon.runner import SWEEP_AXES
@@ -246,6 +247,7 @@ ARGV_TOKENS = [
     "-1,3", "-1", "3", "2", "-2.5", "1e1", "--values=-1", "-x", "--bogus", "-h",
     "--output-dir", "<out>", "<ini>", "missing.ini", *FAST_SCOPES, "prop9",
     "m=8,n=8,ell=2,q=1", "m=-8", "", "<file>", "<under-file>", "<blocked-ini>",
+    "<unknown-key-ini>",
 ]
 
 
@@ -256,9 +258,9 @@ def _blocked_paths(tmp_path):
     return file, file / "sub"
 
 
-def _template(tmp_path, out):
+def _template(tmp_path, out, run_extra=""):
     path = tmp_path / f"template-{out.name}.ini"
-    path.write_text(SWEEP_TEMPLATE + f"[run]\nseeds = 1\noutput_dir = {out}\n")
+    path.write_text(SWEEP_TEMPLATE + f"[run]\nseeds = 1\noutput_dir = {out}\n{run_extra}")
     return path
 
 
@@ -271,6 +273,11 @@ def _template(tmp_path, out):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(tokens=st.lists(st.sampled_from(ARGV_TOKENS), max_size=6))
+@example(tokens=["run", "<blocked-ini>"])
+@example(tokens=["sweep", "<blocked-ini>", "--axis", "K", "--values", "2"])
+@example(tokens=["verify", "lemma1", "--output-dir", "<file>"])
+@example(tokens=["verify", "flops", "--output-dir", "<under-file>"])
+@example(tokens=["run", "<unknown-key-ini>"])
 def test_raw_argv_exit_code_is_documented(tmp_path, tokens):
     file, under_file = _blocked_paths(tmp_path)
     paths = {
@@ -279,6 +286,7 @@ def test_raw_argv_exit_code_is_documented(tmp_path, tokens):
         "<file>": str(file),
         "<under-file>": str(under_file),
         "<blocked-ini>": str(_template(tmp_path, under_file)),
+        "<unknown-key-ini>": str(_template(tmp_path, tmp_path / "unknown", "kk = 99\n")),
     }
     argv = [paths.get(t, t) for t in tokens]
     assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR, cli.EXIT_NUMERICAL_ABORT)

@@ -118,6 +118,19 @@ class TestCheckProp2:
             rep.mean_alignment, rel=1e-12
         )
 
+    def test_operator_norm_delta_on_random_matrices(self):
+        # delta and the spectrum come from two SVDs whose sigma_1 may differ
+        # in the last ulp; delta = sigma_1 must still meet the bound's
+        # hypothesis delta >= sigma_1
+        rng = RngStream(90)
+        scfg = SketchConfig(s=3, p=2, h=0)
+        pcfg = PolarConfig(schedule=quintic_theoretical_schedule(3), delta_rule="operator-norm")
+        for i in range(60):
+            rows, cols = (int(v) for v in rng.generator.integers(8, 40, size=2))
+            m = rng.normal((rows, cols))
+            rep = check_prop2(m, scfg, pcfg, trials=20, rng=rng.substream(i))
+            assert rep.passed, (i, rows, cols)
+
     def test_kaczmarz_rejected(self):
         with pytest.raises(PreconditionError):
             check_prop2(
