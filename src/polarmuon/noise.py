@@ -50,7 +50,8 @@ class Problem:
     and returns f = 1/2 <d, d> or 1/4 <R, R> (dot products) with grad f = d
     or R U; :meth:`value` and :meth:`gradient` read their half of it.  The
     methods take a float64 array of the parameter shape and do not
-    re-validate it; the runner checks its iterate each step.
+    re-validate it; a non-finite entry makes f non-finite, which is how the
+    runner detects a diverged iterate.
     """
 
     kind: str

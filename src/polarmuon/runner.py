@@ -140,7 +140,9 @@ def _initial_point(cfg: RunConfig, seed: int) -> np.ndarray:
 
 def _run_seed(cfg: RunConfig, seed: int, problem, model, step_flops: int) -> SeedResult:
     """K steps from this seed's start, on the run's resolved inputs: one
-    step(g) that updates the state, one ||grad f||_F per step."""
+    step(g) that updates the state, one ||grad f||_F per step.  A non-finite
+    f aborts the seed; a non-finite entry of the iterate makes f non-finite,
+    so the iterate is not checked apart."""
     o = cfg.optimizer
     sched = o.step_schedule()
     noise_rng = RngStream(seed, derive_stream_id(_TAG_NOISE))
@@ -159,8 +161,6 @@ def _run_seed(cfg: RunConfig, seed: int, problem, model, step_flops: int) -> See
 
     rows = []
     for k in range(o.K):
-        if not np.all(np.isfinite(state.x)):
-            return SeedResult(seed, rows, aborted=True)
         f_val, grad = problem.value_and_gradient(state.x)
         if not np.isfinite(f_val):
             return SeedResult(seed, rows, aborted=True)

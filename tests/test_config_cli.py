@@ -337,6 +337,33 @@ class TestRunner:
         assert cli.main(["run", str(path)]) == cli.EXIT_NUMERICAL_ABORT
         assert f"cumulative FLOPs over all seeds = {(K + 3) * step}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["sgd_nesterov", "adamw"])
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowed_iterate_aborts_at_next_step(self, tmp_path, monkeypatch, kind):
+        # eta = 1e308 overflows the iterate in the first step; f of the
+        # non-finite iterate is non-finite, so the seed aborts at step 1
+        # with only step 0's row, the row an unaborted one-step run writes
+        cfg = small_run_config(
+            tmp_path,
+            optimizer=OptimizerSpec(kind=kind, schedule="manual", K=5, eta=1e308, beta=0.9),
+            verify=False,
+        )
+        exact = Problem.value_and_gradient
+        finite = []
+        monkeypatch.setattr(
+            Problem,
+            "value_and_gradient",
+            lambda self, x: finite.append(bool(np.isfinite(x).all())) or exact(self, x),
+        )
+        report = run_experiment(cfg, write_files=False)
+        assert finite == [True, False] * len(cfg.seeds)
+        one_step = run_experiment(
+            replace(cfg, optimizer=replace(cfg.optimizer, K=1)), write_files=False
+        )
+        for r, ref in zip(report.seed_results, one_step.seed_results):
+            assert (r.steps, r.aborted) == (1, True)
+            assert r.rows == ref.rows
+
     def test_polar_express_priced_at_its_step_count(self, tmp_path):
         cfg = small_run_config(
             tmp_path,

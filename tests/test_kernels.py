@@ -37,3 +37,18 @@ def test_power_iterate_zero_h_is_plain_product():
     m = rng.normal((6, 4))
     omega = rng.normal((4, 2))
     np.testing.assert_array_equal(power_iterate(m, omega, 0), m @ omega)
+
+
+def test_power_step_matches_transposed_product_form():
+    # each step forms M^T Y as (Y^T M)^T; the old form m @ (m.T @ y) is the
+    # reference, on tall, wide and square m
+    rng = RngStream(94)
+    for shape in ((40, 12), (12, 40), (24, 24)):
+        m = rng.normal(shape)
+        omega = rng.normal((shape[1], 6))
+        for h in (0, 1, 2, 3):
+            ref = m @ omega
+            for _ in range(h):
+                ref = m @ (m.T @ ref)
+            out = power_iterate(m, omega, h)
+            assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)

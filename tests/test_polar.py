@@ -68,6 +68,94 @@ class TestPolynomialStep:
         np.testing.assert_allclose(out_tall, out_wide.T, atol=1e-12)
 
 
+def _direct_loop(z, coeffs):
+    """The direct form, one step at a time on the smaller Gram side."""
+    for a, b, c in coeffs.tolist():
+        if z.shape[0] <= z.shape[1]:
+            g = z @ z.T
+            z = a * z + (b * g + c * (g @ g)) @ z
+        else:
+            g = z.T @ z
+            z = a * z + z @ (b * g + c * (g @ g))
+    return z
+
+
+def _gram_recursion(z, coeffs):
+    """The Gram form: R(G) B with B the wide orientation and G = BB^T."""
+    wide = z if z.shape[0] <= z.shape[1] else z.T
+    s = wide @ wide.T
+    eye = np.eye(s.shape[0])
+    r = None
+    steps = coeffs.tolist()
+    for t, (a, b, c) in enumerate(steps):
+        p = a * eye + b * s + c * (s @ s)
+        r = p if r is None else p @ r
+        if t < len(steps) - 1:
+            s = p @ (p @ s)
+    out = r @ wide
+    return out if z.shape[0] <= z.shape[1] else out.T
+
+
+def _ill_conditioned(rng, ell, n):
+    """ell x n with singular values spaced log-evenly from 1 down to 1e-14."""
+    u, _ = np.linalg.qr(rng.normal((ell, ell)))
+    v, _ = np.linalg.qr(rng.normal((n, ell)))
+    return (u * np.logspace(0.0, -14.0, ell)) @ v.T
+
+
+class TestGramForm:
+    """One side at least twice the other: the schedule runs on the short-side
+    Gram matrix.  Forming it squares the singular values, so the schedules
+    that overshoot 1 (quintic-empirical, PolarExpress) lose digits on the
+    smallest ones; the theoretical schedules keep near-ulp accuracy."""
+
+    @pytest.mark.parametrize(
+        "name, rel_tol, op_tol",
+        [
+            ("cubic", 1e-13, 1e-14),
+            ("quintic-theoretical", 1e-13, 1e-14),
+            ("quintic-empirical", 1e-8, None),
+            ("polar-express-nanogpt", 1e-8, None),
+        ],
+    )
+    def test_matches_exact_spectral_map(self, name, rel_tol, op_tol):
+        sched = schedule_by_name(name, 5)
+        coeffs = sched.coeff_array()
+        rng = RngStream(28)
+        for trial in range(12):
+            ell = int(rng.generator.integers(4, 65))
+            n = int(rng.generator.integers(2 * ell, 8 * ell + 1))
+            b = _ill_conditioned(rng, ell, n)
+            if trial % 2:
+                b = b.T
+            u, sigma, vt = np.linalg.svd(b, full_matrices=False)
+            ref = (u * sched.scalar_map(sigma)) @ vt
+            out = polynomial_iterate(b, coeffs)
+            assert out.shape == b.shape
+            assert np.linalg.norm(out - ref) <= rel_tol * np.linalg.norm(ref)
+            if op_tol is not None:
+                assert np.linalg.norm(out, 2) <= 1.0 + op_tol
+
+    @pytest.mark.parametrize("ell", [3, 8, 16])
+    def test_two_to_one_rule(self, ell):
+        rng = RngStream(29)
+        coeffs = quintic_theoretical_schedule(5).coeff_array()
+        near = rng.normal((ell, 2 * ell - 1)) / (2 * ell)
+        wide = rng.normal((ell, 2 * ell)) / (2 * ell)
+        for z in (near, near.T):
+            np.testing.assert_array_equal(polynomial_iterate(z, coeffs), _direct_loop(z, coeffs))
+        for z in (wide, wide.T):
+            np.testing.assert_array_equal(
+                polynomial_iterate(z, coeffs), _gram_recursion(z, coeffs)
+            )
+            assert not np.array_equal(_gram_recursion(z, coeffs), _direct_loop(z, coeffs))
+
+    @pytest.mark.parametrize("shape", [(4, 12), (12, 4), (5, 5)])
+    def test_q_zero_returns_input(self, shape):
+        z = RngStream(30).normal(shape)
+        assert polynomial_iterate(z, np.empty((0, 3))) is z
+
+
 class TestInexactPolar:
     def test_cubic_one_step(self):
         cfg = PolarConfig(schedule=cubic_schedule(1), delta_rule="operator-norm")

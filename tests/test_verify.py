@@ -193,15 +193,36 @@ class TestFlopModels:
         assert nest - poly == 2 * 16 * 8
 
     def test_polynomial_matches_flop_model(self):
-        # the polynomial-iteration part of the muon step equals the
-        # full-space model count
-        m, n, q = 32, 16, 4
+        # on a near-square matrix the polynomial-iteration part of the muon
+        # step equals the full-space model count
+        m, n, q = 24, 16, 4
         step = measured_step_flops(
             StepFlopsConfig("muon", m=m, n=n, momentum="polyak", polar="polynomial", q=q)
         )
         full, _, _ = flop_counts(FlopModel(m=m, n=n, ell=1, q=q))
         overhead = 2 * m * n + 3 * m * n + 2 * m * n  # momentum + rescale + update
         assert step == full + overhead
+
+    @pytest.mark.parametrize("m, n", [(32, 16), (16, 32), (31, 16)])
+    @pytest.mark.parametrize("q", [0, 1, 5])
+    def test_polynomial_priced_in_the_form_it_runs(self, m, n, q):
+        # Gram form from d1 >= 2 d0 on (and q >= 1), the direct form below
+        d0, d1 = min(m, n), max(m, n)
+        direct = q * (4 * d1 * d0**2 + 2 * d0**3)
+        gram = 4 * d1 * d0**2 + (8 * q - 6) * d0**3
+        want = gram if q and d1 >= 2 * d0 else direct
+        assert _polar_stages("polynomial", m, n, q, 0, 0)["polynomial"] == want
+        assert flop_counts(FlopModel(m=m, n=n, ell=1, q=q))[0] == direct
+
+    def test_wide_sketch_polynomial_price(self):
+        # 1024^2, ell = 64, q = 5: the ell x n compression takes the Gram form,
+        # while the paper's model keeps q (4 n ell^2 + 2 ell^3)
+        stages = _polar_stages("randomized", 1024, 1024, 5, 64, 1)
+        assert stages["polynomial"] == 4 * 1024 * 64**2 + 34 * 64**3
+        _, rand, _ = flop_counts(FlopModel(m=1024, n=1024, ell=64, q=5, h=1))
+        model_poly = 5 * (4 * 1024 * 64**2 + 2 * 64**3)
+        assert model_poly - stages["polynomial"] == 60_817_408
+        assert rand == 10 * 1024 * 1024 * 64 + model_poly
 
     def test_randomized_scales_with_h(self):
         base = dict(m=64, n=64, momentum="polyak", polar="randomized", q=3, ell=8)
