@@ -23,13 +23,21 @@ def test_polynomial_iterate_matches_numpy_reference():
 
 
 def test_power_iterate_matches_numpy_reference():
+    # on tall, wide and square m: against the matrix power, and to 1e-13
+    # relative against the plain loop m @ (m.T @ y) that each step replaces
+    # with m @ (y.T @ m).T
     rng = RngStream(92)
-    m = rng.normal((10, 7))
-    omega = rng.normal((7, 3))
-    for h in (0, 1, 3):
-        ref = np.linalg.matrix_power(m @ m.T, h) @ m @ omega
-        tol = 10 * (2 * h + 1) * max(m.shape) * EPS * np.abs(ref).max()
-        np.testing.assert_allclose(power_iterate(m, omega, h), ref, rtol=0, atol=tol)
+    for shape in ((40, 12), (12, 40), (24, 24)):
+        m = rng.normal(shape)
+        omega = rng.normal((shape[1], 6))
+        loop = m @ omega
+        for h in (0, 1, 2, 3):
+            out = power_iterate(m, omega, h)
+            ref = np.linalg.matrix_power(m @ m.T, h) @ m @ omega
+            tol = 10 * (2 * h + 1) * max(m.shape) * EPS * np.abs(ref).max()
+            np.testing.assert_allclose(out, ref, rtol=0, atol=tol)
+            assert np.linalg.norm(out - loop) <= 1e-13 * np.linalg.norm(loop)
+            loop = m @ (m.T @ loop)
 
 
 def test_power_iterate_zero_h_is_plain_product():
@@ -37,18 +45,3 @@ def test_power_iterate_zero_h_is_plain_product():
     m = rng.normal((6, 4))
     omega = rng.normal((4, 2))
     np.testing.assert_array_equal(power_iterate(m, omega, 0), m @ omega)
-
-
-def test_power_step_matches_transposed_product_form():
-    # each step forms M^T Y as (Y^T M)^T; the old form m @ (m.T @ y) is the
-    # reference, on tall, wide and square m
-    rng = RngStream(94)
-    for shape in ((40, 12), (12, 40), (24, 24)):
-        m = rng.normal(shape)
-        omega = rng.normal((shape[1], 6))
-        for h in (0, 1, 2, 3):
-            ref = m @ omega
-            for _ in range(h):
-                ref = m @ (m.T @ ref)
-            out = power_iterate(m, omega, h)
-            assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
