@@ -142,7 +142,8 @@ def _run_seed(cfg: RunConfig, seed: int, problem, model, step_flops: int) -> See
     """K steps from this seed's start, on the run's resolved inputs: one
     step(g) that updates the state, one ||grad f||_F per step.  A non-finite
     f aborts the seed; a non-finite entry of the iterate makes f non-finite,
-    so the iterate is not checked apart."""
+    so the iterate is not checked apart.  A step that raises, or whose
+    projection finds an overflowing norm, aborts the seed without its row."""
     o = cfg.optimizer
     sched = o.step_schedule()
     noise_rng = RngStream(seed, derive_stream_id(_TAG_NOISE))
@@ -168,11 +169,12 @@ def _run_seed(cfg: RunConfig, seed: int, problem, model, step_flops: int) -> See
         g = noise_mod.gradient_oracle(grad, gnorm, o.B, model, noise_rng)
         try:
             step(g)
+            state.x = problem.project(state.x)
         except (NumericalAbortError, DegenerateInputError):
-            # the step overflowed, or underflowed to a zero matrix
+            # the step or its projection overflowed, or the step
+            # underflowed to a zero matrix
             return SeedResult(seed, rows, aborted=True)
         gamma_k, nu_k = checks.pop() if checks else (None, None)
-        state.x = problem.project(state.x)
         rows.append((k, f_val, gnorm, step_flops * (k + 1), gamma_k, nu_k))
     return SeedResult(seed, rows, aborted=False)
 

@@ -97,21 +97,27 @@ class SpectrumSummary:
         )
 
 
-def gaussian_sketch(n: int, ell: int, rng: RngStream) -> np.ndarray:
-    """n x ell matrix of i.i.d. standard normal entries."""
-    return rng.normal((n, ell))
+def gaussian_sketch(n: int, ell: int, rng: RngStream, stack: int | None = None) -> np.ndarray:
+    """n x ell matrix of i.i.d. standard normal entries.
+
+    With ``stack`` it returns a (stack, n, ell) array: bit for bit the
+    matrices of ``stack`` successive 2-D calls, with the stream left where
+    they would leave it.
+    """
+    return rng.normal((n, ell) if stack is None else (stack, n, ell))
 
 
-def kaczmarz_sketch(m, ell: int, rng: RngStream) -> np.ndarray:
+def kaczmarz_sketch(m, ell: int, rng: RngStream, stack: int | None = None) -> np.ndarray:
     """Sparse sketch of rescaled canonical basis columns.
 
     Column j of the input is sampled with probability proportional to its
-    squared norm; sketch column k is e_{i_k} / sqrt(ell * pi_{i_k}).
+    squared norm; sketch column k is e_{i_k} / sqrt(ell * pi_{i_k}).  With
+    ``stack`` it returns a (stack, n, ell) array, as :func:`gaussian_sketch`.
     """
-    return _kaczmarz_sketch(matcore.as_matrix(m), ell, rng)
+    return _kaczmarz_sketch(matcore.as_matrix(m), ell, rng, stack)
 
 
-def _kaczmarz_sketch(a: np.ndarray, ell: int, rng: RngStream) -> np.ndarray:
+def _kaczmarz_sketch(a: np.ndarray, ell: int, rng: RngStream, stack: int | None = None) -> np.ndarray:
     col_energy = np.sum(a * a, axis=0)
     total = float(np.sum(col_energy))
     if total == 0.0:
@@ -120,10 +126,10 @@ def _kaczmarz_sketch(a: np.ndarray, ell: int, rng: RngStream) -> np.ndarray:
         raise NumericalAbortError("kaczmarz_sketch: column energies overflow")
     pi = col_energy / total
     n = a.shape[1]
-    idx = rng.generator.choice(n, size=ell, replace=True, p=pi)
-    omega = np.zeros((n, ell))
-    omega[idx, np.arange(ell)] = 1.0 / np.sqrt(ell * pi[idx])
-    return omega
+    size = ell if stack is None else (stack, ell)
+    idx = rng.generator.choice(n, size=size, replace=True, p=pi)  # (..., ell)
+    hit = np.arange(n)[:, None] == idx[..., None, :]  # (..., n, ell)
+    return np.where(hit, 1.0 / np.sqrt(ell * pi[idx])[..., None, :], 0.0)
 
 
 def power_iterate(m: np.ndarray, omega: np.ndarray, h: int) -> np.ndarray:

@@ -120,28 +120,25 @@ def _scope_prop2() -> list[CheckResult]:
     ]
 
 
-def _gram_moments(draw, n: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise mean of Omega Omega^T over ``trials`` draws and its standard
-    error, from running sums of G and G * G."""
-    acc = np.zeros((n, n))
-    sq = np.zeros((n, n))
-    for _ in range(trials):
-        om = draw()
-        g = om @ om.T
-        acc += g
-        sq += g * g
-    mean = acc / trials
+def _gram_moments(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise mean of Omega Omega^T over a (trials, n, ell) stack of draws
+    and its standard error, from sums of G and G * G over the trials in
+    draw order."""
+    trials = len(omega)
+    g = omega @ omega.transpose(0, 2, 1)
+    mean = np.add.accumulate(g)[-1] / trials
+    sq = np.add.accumulate(g * g)[-1]
     return mean, np.sqrt(np.maximum(sq / trials - mean**2, 0.0) / trials)
 
 
 def _scope_sketch_moments() -> list[CheckResult]:
     rng = RngStream(_SUITE_SEED, 30)
     n, ell, trials = 6, 3, 5000
-    mean, se = _gram_moments(lambda: gaussian_sketch(n, ell, rng), n, trials)
+    mean, se = _gram_moments(gaussian_sketch(n, ell, rng, trials))
     g_pass = bool(np.all(np.abs(mean - ell * np.eye(n)) <= 3.0 * se + 1e-12))
 
     base = rng.normal((5, n)) * np.array([3.0, 1.0, 1.0, 0.5, 2.0, 1.0])
-    mean, se = _gram_moments(lambda: kaczmarz_sketch(base, ell, rng), n, trials)
+    mean, se = _gram_moments(kaczmarz_sketch(base, ell, rng, trials))
     k_pass = bool(np.all(np.abs(mean - np.eye(n)) <= 3.0 * se + 1e-12))
     return [
         CheckResult("sketch-moments", "Gaussian E[Omega Omega^T] = ell I", g_pass, f"n={n} ell={ell} trials={trials}"),

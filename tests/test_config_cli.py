@@ -364,6 +364,27 @@ class TestRunner:
             assert (r.steps, r.aborted) == (1, True)
             assert r.rows == ref.rows
 
+    def test_overflowing_projection_aborts_the_seed(self, tmp_path, capsys):
+        # eta = 1e308 leaves the factor finite after step 0, but its
+        # Frobenius norm overflows; the projection scaled it by r / inf = 0,
+        # so the run went on at U = 0 with grad_norm 0.0 and exit 0
+        cfg = small_run_config(
+            tmp_path,
+            problem=ProblemSpec(kind="factorization", m=8, n=8, rank=4, gen_seed=7),
+            optimizer=OptimizerSpec(kind="muon", schedule="manual", K=6, eta=1e308, beta=0.9),
+            seeds=(1,),
+            verify=False,
+        )
+        path = tmp_path / "cfg.ini"
+        save(cfg, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(path)]) == cli.EXIT_NUMERICAL_ABORT
+        assert "run aborted" in capsys.readouterr().err
+        with open(tmp_path / "out" / "run.summary.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        assert (rows[0]["seed"], rows[0]["steps"], rows[0]["aborted"]) == ("1", "0", "1")
+
     def test_polar_express_priced_at_its_step_count(self, tmp_path):
         cfg = small_run_config(
             tmp_path,

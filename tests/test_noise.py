@@ -1,10 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from polarmuon import noise
-from polarmuon.errors import PreconditionError
+from polarmuon.errors import NumericalAbortError, PreconditionError
 from polarmuon.matcore import RngStream
 from polarmuon.noise import (
     NoiseModel,
@@ -84,6 +85,18 @@ class TestProblems:
         out = p.project(far)
         assert not np.array_equal(out, far)
         assert np.linalg.norm(out) == pytest.approx(r)
+
+    def test_projection_of_overflowing_norm_aborts(self):
+        # every entry is finite, but the sum of squares overflows; scaling by
+        # r / inf would return all zeros
+        p = factorization_problem(np.eye(3))
+        far = np.full((3, 3), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalAbortError):
+                p.project(far)
+            with pytest.raises(NumericalAbortError):
+                p.project(np.full((3, 3), np.nan))
 
     def test_quadratic_never_projects(self):
         p = quadratic_problem(np.eye(2))
@@ -374,3 +387,16 @@ class TestDrawOrder:
         small, large = peak(1_000), peak(16_000)
         assert large < 1.5 * small
         assert large < 1 << 18
+
+    def test_batch_moments_memory_at_default_chunk(self):
+        # the noise-moments scope's coupled estimator: 4000 samples of 64
+        # draws of 6 x 6 are 18.4M uniforms, which 2^20-uniform chunks held
+        # in about 28 MiB at peak
+        model = _calibrated("sigma0", (6, 6))
+        tracemalloc.start()
+        try:
+            empirical_batch_moments(model, (6, 6), 4000, RngStream(91), (1, 4, 16, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20

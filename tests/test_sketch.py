@@ -80,6 +80,38 @@ class TestKaczmarzSketch:
             kaczmarz_sketch(np.zeros((2, 2)), 1, RngStream(8))
 
 
+class TestStackedDraws:
+    """A stacked draw is the S successive 2-D draws, bit for bit, and leaves
+    the stream where they leave it."""
+
+    @pytest.mark.parametrize("stack", [1, 7])
+    def test_gaussian_stack_is_successive_draws(self, stack):
+        a, b = RngStream(11, 3), RngStream(11, 3)
+        stacked = gaussian_sketch(6, 3, a, stack)
+        assert stacked.shape == (stack, 6, 3)
+        assert np.array_equal(stacked, np.stack([gaussian_sketch(6, 3, b) for _ in range(stack)]))
+        assert np.array_equal(a.normal((4, 4)), b.normal((4, 4)))
+
+    @pytest.mark.parametrize("stack", [1, 7])
+    def test_kaczmarz_stack_is_successive_draws(self, stack):
+        m = gapped_matrix([3.0, 1.0, 0.5], 5, 6, seed=12)
+        a, b = RngStream(12, 3), RngStream(12, 3)
+        stacked = kaczmarz_sketch(m, 3, a, stack)
+        assert stacked.shape == (stack, 6, 3)
+        assert np.array_equal(stacked, np.stack([kaczmarz_sketch(m, 3, b) for _ in range(stack)]))
+        assert np.array_equal(a.uniform(5), b.uniform(5))
+
+    def test_kaczmarz_matches_scattered_columns(self):
+        # the sketch of the per-column scatter omega[i_k, k] = 1/sqrt(ell pi_i)
+        m = gapped_matrix([3.0, 1.0, 0.5], 5, 6, seed=13)
+        pi = np.sum(m * m, axis=0) / np.sum(m * m)
+        om = kaczmarz_sketch(m, 4, RngStream(13))
+        idx = RngStream(13).generator.choice(6, size=4, replace=True, p=pi)
+        ref = np.zeros((6, 4))
+        ref[idx, np.arange(4)] = 1.0 / np.sqrt(4 * pi[idx])
+        assert np.array_equal(om, ref)
+
+
 class TestRandomizedPolar:
     def test_dominant_direction_captured(self):
         m = np.diag([5.0, 0.01, 0.01])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polarmuon import matcore
+from polarmuon import cli, matcore, suites
 from polarmuon.errors import ConfigError, PreconditionError
 from polarmuon.matcore import RngStream, nuclear_norm, svd
 from polarmuon.polar import (
@@ -13,7 +13,7 @@ from polarmuon.polar import (
     quintic_empirical_schedule,
     quintic_theoretical_schedule,
 )
-from polarmuon.sketch import SketchConfig, randomized_polar
+from polarmuon.sketch import SketchConfig, gaussian_sketch, kaczmarz_sketch, randomized_polar
 from polarmuon.verify import (
     FlopModel,
     StepFlopsConfig,
@@ -263,3 +263,47 @@ class TestFlopModels:
             measured_step_flops(StepFlopsConfig("muon", 4, 4, polar="cholesky"))
         with pytest.raises(ConfigError):
             measured_step_flops(StepFlopsConfig("muon", 4, 4, polar="randomized", ell=0))
+
+
+class TestSuites:
+    @pytest.mark.parametrize("kind", ["gaussian", "kaczmarz"])
+    def test_gram_moments_match_per_trial_loop(self, kind):
+        rng = RngStream(61)
+        base = rng.normal((5, 6))
+        trials = 300
+        if kind == "gaussian":
+            omega = gaussian_sketch(6, 3, rng, trials)
+        else:
+            omega = kaczmarz_sketch(base, 3, rng, trials)
+        acc = np.zeros((6, 6))
+        sq = np.zeros((6, 6))
+        for om in omega:
+            g = om @ om.T
+            acc += g
+            sq += g * g
+        mean = acc / trials
+        se = np.sqrt(np.maximum(sq / trials - mean**2, 0.0) / trials)
+        got_mean, got_se = suites._gram_moments(omega)
+        assert np.array_equal(got_mean, mean)
+        assert np.array_equal(got_se, se)
+
+    def test_noise_moments_output_pinned(self, tmp_path, capsys):
+        # the lines the scope printed before its draws were chunked to fit
+        # in cache; a change of draw order or summation order shows here
+        assert cli.main(["verify", "noise-moments", "--output-dir", str(tmp_path)]) == cli.EXIT_OK
+        capsys.readouterr()
+        lines = (tmp_path / "verify.txt").read_text(encoding="utf-8").splitlines()
+        assert lines == [
+            "[PASS] noise-moments: alpha=1.25 moment within budget (3 SE) -- "
+            "estimate=1.0228 budget=1.0000 se=0.0794",
+            "[PASS] noise-moments: alpha=1.25 batch moment decreases over B in (1,4,16,64) -- "
+            "0.8967 -> 0.5264 -> 0.2766 -> 0.1747",
+            "[PASS] noise-moments: alpha=1.5 moment within budget (3 SE) -- "
+            "estimate=1.0304 budget=1.0000 se=0.0821",
+            "[PASS] noise-moments: alpha=1.5 batch moment decreases over B in (1,4,16,64) -- "
+            "0.8991 -> 0.3987 -> 0.1584 -> 0.0741",
+            "[PASS] noise-moments: alpha=2.0 moment within budget (3 SE) -- "
+            "estimate=1.0155 budget=1.0000 se=0.0708",
+            "[PASS] noise-moments: alpha=2.0 batch moment decreases over B in (1,4,16,64) -- "
+            "0.9015 -> 0.2409 -> 0.0597 -> 0.0163",
+        ]

@@ -7,13 +7,14 @@
 Pair i of a workload runs ``perfbench/run.py --trace 0 --seed <seed + i>``
 once in each checkout, back to back; the parent goes first in even pairs and
 the change in odd ones, so neither side always meets the host's slow phases.
-Then each side runs one ``--trace 1`` wide-sketch op set (seed ``--seed``).
-Every run lasts ``--seconds``, by default ``run_seconds`` of BENCHMARK.json.
-The file keeps every run's metrics, per workload and end-to-end metric the
-medians, the parent's interquartile range and the pairs the change wins, and
-from the traced runs every per-layer metric, ``spans_missing``, the traced
-and untraced step rates and the manifest.  Both checkouts need git metadata
-only for the commit and ``src`` tree ids recorded beside them.
+Then each side runs one ``--trace 1`` op set (seed ``--seed``) of every
+workload in ``--pairs``.  Every run lasts ``--seconds``, by default
+``run_seconds`` of BENCHMARK.json.  The file keeps every run's metrics, per
+workload and end-to-end metric the medians, the parent's interquartile range
+and the pairs the change wins, and from the traced runs, under
+``traced[<workload>][<side>]``, every per-layer metric, ``spans_missing``,
+the traced and untraced step rates and the manifest.  Both checkouts need git
+metadata only for the commit and ``src`` tree ids recorded beside them.
 """
 
 from __future__ import annotations
@@ -111,8 +112,10 @@ def main(argv=None) -> int:
             pairs.append(pair)
         result["pairs"][workload] = pairs
         result["summary"][workload] = summarize(pairs)
-    for name in ("parent", "change"):
-        result["traced"][name] = bench(sides[name], "wide-sketch", args.seed, args.seconds, 1)
+    for workload in result["pairs"]:
+        result["traced"][workload] = {
+            name: bench(d, workload, args.seed, args.seconds, 1) for name, d in sides.items()
+        }
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 
