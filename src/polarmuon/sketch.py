@@ -117,7 +117,9 @@ def kaczmarz_sketch(m, ell: int, rng: RngStream, stack: int | None = None) -> np
     return _kaczmarz_sketch(matcore.as_matrix(m), ell, rng, stack)
 
 
-def _kaczmarz_sketch(a: np.ndarray, ell: int, rng: RngStream, stack: int | None = None) -> np.ndarray:
+def _kaczmarz_sketch(
+    a: np.ndarray, ell: int, rng: RngStream, stack: int | None = None
+) -> np.ndarray:
     col_energy = np.sum(a * a, axis=0)
     total = float(np.sum(col_energy))
     if total == 0.0:
