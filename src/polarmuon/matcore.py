@@ -162,6 +162,11 @@ def _cholesky_qr2(y: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _tries_cholesky_qr(rows: int, cols: int) -> bool:
+    """Whether :func:`orthonormal_basis` tries CholeskyQR2 on a rows x cols Y."""
+    return rows * cols**2 >= CHOLESKY_QR_MIN_WORK
+
+
 def orthonormal_basis(y: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning range(y); column count = numerical rank.
 
@@ -171,7 +176,7 @@ def orthonormal_basis(y: np.ndarray) -> np.ndarray:
     and is not re-validated (the sketch pipeline passes the matrix it
     computed).  Raises DegenerateInputError for zero input.
     """
-    if y.shape[0] * y.shape[1] ** 2 >= CHOLESKY_QR_MIN_WORK:
+    if _tries_cholesky_qr(*y.shape):
         with np.errstate(all="ignore"):
             q = _cholesky_qr2(y)
         if q is not None:

@@ -5,7 +5,8 @@ The noise family is symmetric Pareto: entry density proportional to
 index alpha, so the alpha-th moment is finite while the variance can be
 infinite.  Entry scales are calibrated by Monte Carlo so the empirical
 Frobenius alpha-moment sits below the budget sigma0^alpha +
-sigma1^alpha * ||grad||^alpha with deliberate slack.
+sigma1^alpha * ||grad||^alpha with deliberate slack.  Batch-mean moments
+come only from :func:`empirical_batch_moments`.
 
 Draw order: each noise matrix takes, per active component (Xi0, then Xi1),
 one uniform per entry for the magnitudes, then one per entry for the signs;
@@ -158,12 +159,12 @@ _CHUNK_UNIFORMS = 1 << 16
 
 
 def _noise_chunks(model: NoiseModel, count: int, inner: tuple, grad_norm: float,
-                  rng: RngStream, group: int = 1):
+                  rng: RngStream):
     """Yield ``count`` noise matrices scale0 * Xi0 + scale1 * grad_norm * Xi1
-    of shape ``inner`` in chunks of shape (k, *inner), k a multiple of
-    ``group``.  Xi0 (drawn when sigma0 > 0) and Xi1 (when sigma1 > 0 and
-    grad_norm > 0) are unit-scale symmetric Pareto, sign * U^(-1/a); a chunk's
-    uniforms are laid out as (k, components, magnitude/sign, *inner)."""
+    of shape ``inner`` in chunks of shape (k, *inner).  Xi0 (drawn when
+    sigma0 > 0) and Xi1 (when sigma1 > 0 and grad_norm > 0) are unit-scale
+    symmetric Pareto, sign * U^(-1/a); a chunk's uniforms are laid out as
+    (k, components, magnitude/sign, *inner)."""
     if not model.calibrated:
         raise PreconditionError("NoiseModel must be calibrated before sampling")
     coefs = []
@@ -171,8 +172,8 @@ def _noise_chunks(model: NoiseModel, count: int, inner: tuple, grad_norm: float,
         coefs.append(model.scale0)
     if model.sigma1 > 0 and grad_norm > 0:
         coefs.append(model.scale1 * grad_norm)
-    per_group = 2 * max(1, len(coefs)) * math.prod(inner) * group
-    step = group * max(1, _CHUNK_UNIFORMS // per_group)
+    per_sample = 2 * max(1, len(coefs)) * math.prod(inner)
+    step = max(1, _CHUNK_UNIFORMS // per_sample)
     for start in range(0, count, step):
         u = rng.uniform((min(step, count - start), len(coefs), 2) + inner)
         xi = u[:, :, 0] ** (-1.0 / model.tail_exponent)
@@ -195,15 +196,13 @@ def calibrate(
     """Fit entry scales by Monte Carlo so each component's Frobenius
     alpha-moment hits its slack-reduced budget for matrices of ``shape``.
 
-    The moment is alpha-homogeneous in the scale, so a single unit-scale
-    estimate determines the fit exactly: scale = (target / m_hat)^(1/alpha).
+    The moment is alpha-homogeneous in the scale, so one unit-scale estimate
+    m_hat of :func:`empirical_alpha_moment` (``n_samples >= 1000``)
+    determines the fit exactly: scale = (target / m_hat)^(1/alpha).
     """
     shape = tuple(shape)
     unit = NoiseModel(model.alpha, 1.0, tail_exponent=model.tail_exponent, scale0=1.0)
-    m_hat, se = matcore._mean_and_se([
-        v for xi in _noise_chunks(unit, n_samples, shape, 0.0, rng)
-        for v in _frobenius_powers(xi, model.alpha)
-    ])
+    m_hat, se = empirical_alpha_moment(unit, shape, n_samples, rng)
     slack = (
         _SLACK_PAIRED if (model.sigma0 > 0 and model.sigma1 > 0) else _SLACK_SINGLE
     )
@@ -252,17 +251,14 @@ def empirical_alpha_moment(
     n: int,
     rng: RngStream,
     grad_norm: float = 0.0,
-    batch: int = 1,
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of E ||Xi||_F^alpha (with its standard error),
-    where Xi is a batch-mean of ``batch`` independent noise draws."""
-    if n < 1000 or batch < 1:
-        raise PreconditionError("need at least 1000 samples and batch >= 1")
-    shape = tuple(shape)
+    """Monte Carlo estimate of E ||Xi||_F^alpha (with its standard error) over
+    ``n`` noise draws Xi; batch means take :func:`empirical_batch_moments`."""
+    if n < 1000:
+        raise PreconditionError("need at least 1000 samples")
     vals = []
-    for draws in _noise_chunks(model, n * batch, shape, grad_norm, rng, group=batch):
-        sums = np.add.accumulate(draws.reshape((-1, batch) + shape), axis=1)[:, -1]
-        vals += _frobenius_powers(sums / batch, model.alpha)
+    for draws in _noise_chunks(model, n, tuple(shape), grad_norm, rng):
+        vals += _frobenius_powers(draws, model.alpha)
     return matcore._mean_and_se(vals)
 
 
@@ -275,7 +271,8 @@ def empirical_batch_moments(
     grad_norm: float = 0.0,
 ) -> dict[int, tuple[float, float]]:
     """Coupled Monte Carlo estimates of E ||batch-mean noise||_F^alpha for
-    several batch sizes, keyed by batch size.
+    several batch sizes, keyed by batch size.  Each size-b estimate averages
+    ``n`` means of b i.i.d. draws; the coupling only correlates the sizes.
 
     Every batch size in a trial reuses the same underlying draws (the size-b
     mean averages the first b of max(batches) draws), so cross-batch

@@ -175,6 +175,12 @@ def exact_polar(m) -> np.ndarray:
     return f.u @ f.v.T
 
 
+def _gram_form(rows: int, cols: int, q: int) -> bool:
+    """Whether :func:`polynomial_iterate` runs q steps on a rows x cols
+    input in Gram form: q >= 1 and one side at least twice the other."""
+    return q >= 1 and max(rows, cols) >= 2 * min(rows, cols)
+
+
 def polynomial_iterate(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Apply each row (a, b, c) of ``coeffs`` as a*Z + b*Z(Z^T Z) + c*Z(Z^T Z)^2.
 
@@ -200,7 +206,7 @@ def polynomial_iterate(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """
     steps = coeffs.tolist()
     rows, cols = z.shape
-    if not steps or max(rows, cols) < 2 * min(rows, cols):
+    if not _gram_form(rows, cols, len(steps)):
         for a, b, c in steps:
             if rows <= cols:
                 g = z @ z.T

@@ -61,7 +61,6 @@ class SeedResult:
 
 @dataclass
 class RunReport:
-    config: RunConfig
     seed_results: list
 
     @property
@@ -197,7 +196,7 @@ def run_experiment(cfg: RunConfig, write_files: bool = True) -> RunReport:
             write_csv(out_dir / f"run_seed{seed}.csv", CSV_COLUMNS, result.rows)
         results.append(result)
 
-    report = RunReport(config=cfg, seed_results=results)
+    report = RunReport(seed_results=results)
     if write_files:
         write_csv(
             out_dir / "run.summary.csv",
@@ -273,19 +272,19 @@ def sweep(template: RunConfig, axis: str, values, write_files: bool = True) -> l
     config is built before any cell runs: a value that makes it invalid (a
     non-integer on an integer axis s, q, K or B, or any value the config
     rejects) raises ConfigError naming the axis and the value, and nothing is
-    written.  So does a q sweep where q does not set the step count (exact
-    solver, custom or PolarExpress schedules): its cells would all run the
-    same steps.
+    written.  So does an axis the run does not read (its cells would all run
+    the same steps): q unless a polynomial solver repeats its schedule q
+    times, and s under the exact solver.
     """
     pl = template.polar
     name = pl.schedule.name
-    if axis == "q" and (
-        pl.solver == "exact" or name == "custom" or name.startswith("polar-express-")
-    ):
+    if axis == "q" and (pl.solver == "exact" or name not in polar_mod._REPEATED):
         raise ConfigError(
             f"sweep axis 'q': q does not set the step count of solver "
             f"{pl.solver!r} with schedule {name!r}"
         )
+    if axis == "s" and pl.solver == "exact":
+        raise ConfigError("sweep axis 's': the exact solver draws no sketch")
     out_dir = Path(template.output_dir)
     cell_cfgs = []
     for value in values:

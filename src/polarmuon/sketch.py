@@ -6,7 +6,8 @@ B / delta, and lift back with Q.  Each power step forms M^T Y as (Y^T M)^T.
 When n >= 2 ell the polynomial runs on the ell x ell Gram matrix of B (the
 Gram form of :func:`polarmuon.polar.polynomial_iterate`).  The
 expected-alignment lower bound and the integer power-iteration rule are
-exposed as spectrum calculators.
+exposed as spectrum calculators; they read the split s from their
+:class:`SpectrumSummary`.
 """
 
 from __future__ import annotations
@@ -180,22 +181,20 @@ def randomized_polar(
     return q_basis @ z
 
 
-def prop2_lower_bound(
-    spec: SpectrumSummary, s: int, p: int, h: int, delta: float
-) -> float:
-    """Expected-alignment lower bound (1/delta) * [H_s - s/(p-1) rho^(4h) T_s]_+."""
+def prop2_lower_bound(spec: SpectrumSummary, p: int, h: int, delta: float) -> float:
+    """Expected-alignment lower bound (1/delta) * [H_s - s/(p-1) rho^(4h) T_s]_+
+    at the split s of ``spec``."""
     if p < 2:
         raise PreconditionError("oversampling p must be >= 2")
-    if s != spec.s:
-        spec = SpectrumSummary.from_sigma(spec.sigma, s)
     if delta < spec.sigma[0] * (1.0 - SIGMA1_REL_SLACK):
         raise PreconditionError("delta must be >= sigma_1")
-    a = spec.head_energy - (s / (p - 1)) * spec.gap_ratio ** (4 * h) * spec.tail_energy
+    a = spec.head_energy - (spec.s / (p - 1)) * spec.gap_ratio ** (4 * h) * spec.tail_energy
     return max(0.0, a) / delta
 
 
-def choose_power_iterations(spec: SpectrumSummary, s: int, p: int) -> int | None:
-    """Smallest integer h making the alignment bound positive; None if infeasible.
+def choose_power_iterations(spec: SpectrumSummary, p: int) -> int | None:
+    """Smallest integer h making the alignment bound at the split s of
+    ``spec`` positive; None if infeasible.
 
     h = 0 already suffices when H_s > s T_s / (p-1).  Otherwise, with a
     spectral gap (rho_s < 1), h = 1 + floor(log(s T_s / ((p-1) H_s)) /
@@ -204,9 +203,7 @@ def choose_power_iterations(spec: SpectrumSummary, s: int, p: int) -> int | None
     """
     if p < 2:
         raise PreconditionError("oversampling p must be >= 2")
-    if s != spec.s:
-        spec = SpectrumSummary.from_sigma(spec.sigma, s)
-    penalty = s * spec.tail_energy / (p - 1)
+    penalty = spec.s * spec.tail_energy / (p - 1)
     if spec.head_energy > penalty:
         return 0
     rho = spec.gap_ratio
@@ -223,12 +220,11 @@ class ThetaGamma(NamedTuple):
     degenerate: bool
 
 
-def theta_and_gamma(
-    spec: SpectrumSummary, s: int, p: int, h: int, delta: float
-) -> ThetaGamma:
+def theta_and_gamma(spec: SpectrumSummary, p: int, h: int, delta: float) -> ThetaGamma:
     """Certified alignment fraction theta = [A_{s,h}]_+ / (delta ||M||_*) and
-    gamma = 1 - theta.  ``degenerate`` flags theta = 0 (bound uninformative)."""
-    bound = prop2_lower_bound(spec, s, p, h, delta)
+    gamma = 1 - theta, at the split s of ``spec``.  ``degenerate`` flags
+    theta = 0 (bound uninformative)."""
+    bound = prop2_lower_bound(spec, p, h, delta)
     nuclear = float(np.sum(spec.sigma))
     theta = bound * delta / (delta * nuclear)
     return ThetaGamma(theta=theta, gamma=1.0 - theta, degenerate=theta == 0.0)

@@ -6,7 +6,7 @@ exit status 0 means every pass flag held.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class CheckResult:
 def _scope_polynomials() -> list[CheckResult]:
     out = []
     for sched in (cubic_schedule(5), quintic_theoretical_schedule(5)):
-        rep = check_polynomial_lemmas(sched, grid=10_000)
+        rep = check_polynomial_lemmas(sched)
         out.append(
             CheckResult(
                 "polynomials",
@@ -59,7 +59,7 @@ def _scope_polynomials() -> list[CheckResult]:
         )
     # Non-theoretical schedule: overshoot above 1 is expected and reported,
     # not a failure of the harness.
-    rep = check_polynomial_lemmas(quintic_empirical_schedule(1), grid=10_000)
+    rep = check_polynomial_lemmas(quintic_empirical_schedule(1))
     overshoot = max(s.max_value for s in rep.steps)
     out.append(
         CheckResult(
@@ -84,6 +84,8 @@ def _scope_prop1() -> list[CheckResult]:
             for rule in ("operator-norm", "frobenius-norm"):
                 pcfg = PolarConfig(schedule=sched, delta_rule=rule)
                 delta = pcfg.resolve_delta(m)
+                # measure at the delta that gamma is computed for
+                pcfg = replace(pcfg, delta_rule=delta)
                 est = estimate_gamma_nu(
                     m, lambda a, _r: polar_mod.inexact_polar(a, pcfg), 1, rng
                 )

@@ -11,14 +11,14 @@ mode share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import matcore
 from .errors import ConfigError, PreconditionError
 from .matcore import RngStream
-from .polar import PolarConfig, PolynomialSchedule
+from .polar import PolarConfig, PolynomialSchedule, _gram_form
 from .sketch import SketchConfig, SpectrumSummary, prop2_lower_bound, randomized_polar
 
 __all__ = [
@@ -45,7 +45,6 @@ class AssumptionEstimate:
 
     gamma_hat: float
     nu_hat: float
-    trials: int
     gamma_se: float
     nu_se: float
     ratios: np.ndarray
@@ -91,7 +90,6 @@ def estimate_gamma_nu(m, polar, trials: int, rng: RngStream) -> AssumptionEstima
     return AssumptionEstimate(
         gamma_hat=1.0 - mean_ratio,
         nu_hat=float(np.sqrt(mean_sq) - 1.0),
-        trials=trials,
         gamma_se=gamma_se,
         # Delta method for sqrt(mean op^2).
         nu_se=float(mean_sq_se / (2.0 * np.sqrt(mean_sq))),
@@ -109,7 +107,6 @@ class Prop2Report:
     alignment_pass: bool
     max_op_norm: float
     op_norm_pass: bool
-    trials: int
 
     @property
     def passed(self) -> bool:
@@ -123,16 +120,18 @@ def check_prop2(
     m, scfg: SketchConfig, pcfg: PolarConfig, trials: int, rng: RngStream
 ) -> Prop2Report:
     """Monte Carlo check of the expected-alignment lower bound and the
-    almost-sure operator-norm bound for the Gaussian-sketch pipeline."""
+    almost-sure operator-norm bound for the Gaussian-sketch pipeline; the
+    bound's delta is handed to every trial as an explicit delta."""
     if scfg.kind != "gaussian":
         raise PreconditionError("the alignment bound is proved for Gaussian sketches")
     a = matcore.as_matrix(m)
     sigma = matcore.svd(a).sigma
     delta = pcfg.resolve_delta(a)
     spec = SpectrumSummary.from_sigma(sigma, scfg.s)
-    bound = prop2_lower_bound(spec, scfg.s, scfg.p, scfg.h, delta)
+    bound = prop2_lower_bound(spec, scfg.p, scfg.h, delta)
+    trial_cfg = replace(pcfg, delta_rule=delta)
     inners, op_norms = _polar_trials(
-        a, lambda x, r: randomized_polar(x, scfg, pcfg, r), trials, rng
+        a, lambda x, r: randomized_polar(x, scfg, trial_cfg, r), trials, rng
     )
     mean, se = matcore._mean_and_se(inners)
     max_op = float(np.max(op_norms))
@@ -143,14 +142,11 @@ def check_prop2(
         alignment_pass=mean >= bound - 3.0 * se,
         max_op_norm=max_op,
         op_norm_pass=(not pcfg.schedule.theoretical) or max_op <= 1.0 + OP_NORM_TOL,
-        trials=trials,
     )
 
 
 @dataclass(frozen=True)
 class StepLemmaResult:
-    step: int
-    coeffs: tuple[float, float, float]
     min_value: float
     max_value: float
     min_gain: float  # min of phi(x) - x
@@ -160,15 +156,14 @@ class StepLemmaResult:
 
 @dataclass(frozen=True)
 class PolynomialLemmaReport:
-    """Grid check of 0 <= phi <= 1, phi(x) >= x, phi' >= 0 on [0, 1].
+    """Grid check of 0 <= phi <= 1, phi(x) >= x, phi' >= 0 on [0, 1], on
+    ``LEMMA_GRID`` points to ``LEMMA_TOL``.
 
     For non-theoretical schedules, violations are reported (expected
     overshoot) rather than treated as failures of the harness itself.
     """
 
-    schedule_name: str
     theoretical: bool
-    tolerance: float
     steps: tuple[StepLemmaResult, ...]
 
     @property
@@ -176,14 +171,14 @@ class PolynomialLemmaReport:
         return all(s.passed for s in self.steps)
 
 
-def check_polynomial_lemmas(
-    schedule: PolynomialSchedule, grid: int = 10_000, tolerance: float = 1e-12
-) -> PolynomialLemmaReport:
-    if grid < 100:
-        raise PreconditionError("grid must have at least 100 points")
-    x = np.linspace(0.0, 1.0, grid)
+LEMMA_GRID = 10_000
+LEMMA_TOL = 1e-12
+
+
+def check_polynomial_lemmas(schedule: PolynomialSchedule) -> PolynomialLemmaReport:
+    x = np.linspace(0.0, 1.0, LEMMA_GRID)
     results = []
-    for i, (a, b, c) in enumerate(schedule.steps):
+    for a, b, c in schedule.steps:
         phi = a * x + b * x**3 + c * x**5
         dphi = a + 3.0 * b * x**2 + 5.0 * c * x**4
         min_v = float(phi.min())
@@ -191,28 +186,13 @@ def check_polynomial_lemmas(
         min_gain = float((phi - x).min())
         min_d = float(dphi.min())
         ok = (
-            min_v >= -tolerance
-            and max_v <= 1.0 + tolerance
-            and min_gain >= -tolerance
-            and min_d >= -tolerance
+            min_v >= -LEMMA_TOL
+            and max_v <= 1.0 + LEMMA_TOL
+            and min_gain >= -LEMMA_TOL
+            and min_d >= -LEMMA_TOL
         )
-        results.append(
-            StepLemmaResult(
-                step=i + 1,
-                coeffs=(a, b, c),
-                min_value=min_v,
-                max_value=max_v,
-                min_gain=min_gain,
-                min_derivative=min_d,
-                passed=ok,
-            )
-        )
-    return PolynomialLemmaReport(
-        schedule_name=schedule.name,
-        theoretical=schedule.theoretical,
-        tolerance=tolerance,
-        steps=tuple(results),
-    )
+        results.append(StepLemmaResult(min_v, max_v, min_gain, min_d, ok))
+    return PolynomialLemmaReport(theoretical=schedule.theoretical, steps=tuple(results))
 
 
 @dataclass(frozen=True)
@@ -268,10 +248,10 @@ def _direct_poly_flops(rows: int, cols: int, q: int) -> int:
 
 def _poly_flops(rows: int, cols: int, q: int) -> int:
     """The q steps in the form :func:`polarmuon.polar.polynomial_iterate`
-    evaluates: 4 d1 d0^2 + (8q - 6) d0^3 in Gram form when d1 >= 2 d0 and
-    q >= 1, else the direct form."""
-    d0, d1 = min(rows, cols), max(rows, cols)
-    if q >= 1 and d1 >= 2 * d0:
+    evaluates (by its own rule): 4 d1 d0^2 + (8q - 6) d0^3 in Gram form, else
+    the direct form."""
+    if _gram_form(rows, cols, q):
+        d0, d1 = min(rows, cols), max(rows, cols)
         return 4 * d1 * d0**2 + (8 * q - 6) * d0**3
     return _direct_poly_flops(rows, cols, q)
 
@@ -281,9 +261,9 @@ def _polar_stages(
 ) -> dict:
     """Analytic FLOPs of each stage of one polar call on an m x n matrix, in
     the order the code runs them.  The basis of the m x ell sketch is priced
-    as :func:`matcore.orthonormal_basis` takes it: CholeskyQR2 (two passes of
-    Gram, Cholesky, inverse and apply, then the Gram of the orthogonality
-    check), or the SVD for small Y.  delta is taken on the full m x n matrix
+    as :func:`matcore.orthonormal_basis` takes it (by its own rule): CholeskyQR2
+    (two passes of Gram, Cholesky, inverse and apply, then the Gram of the
+    orthogonality check), or the SVD.  delta is taken on the full m x n matrix
     by its rule in both polynomial solvers; the randomized one rescales the
     ell x n compression.  The polynomial stage is priced in the form the
     code evaluates (:func:`_poly_flops`)."""
@@ -295,7 +275,7 @@ def _polar_stages(
         raise ConfigError(f"unknown polar kind: {polar!r}")
     if ell < 1:
         raise ConfigError("randomized polar needs ell >= 1")
-    if m * ell**2 >= matcore.CHOLESKY_QR_MIN_WORK:
+    if matcore._tries_cholesky_qr(m, ell):
         basis = 2 * (4 * m * ell**2 + ell**3 // 3 + 2 * ell**3) + 2 * m * ell**2
     else:  # small Y takes the SVD
         basis = _svd_flops(m, ell)

@@ -99,8 +99,8 @@ def test_criterion_02_prop1_identity():
 
 def test_criterion_03_polynomial_lemmas():
     reps = [
-        check_polynomial_lemmas(cubic_schedule(5), grid=10_000, tolerance=1e-12),
-        check_polynomial_lemmas(quintic_theoretical_schedule(5), grid=10_000, tolerance=1e-12),
+        check_polynomial_lemmas(cubic_schedule(5)),
+        check_polynomial_lemmas(quintic_theoretical_schedule(5)),
     ]
     ok = all(r.all_passed for r in reps)
     assert report(
@@ -155,10 +155,10 @@ def test_criterion_05_prop2_monte_carlo():
 
 def test_criterion_06_h_rule():
     gapped = SpectrumSummary.from_sigma([2.0, 1.0, 1.0, 1.0, 1.0], 1)
-    h = choose_power_iterations(gapped, 1, 2)
-    bound = prop2_lower_bound(gapped, 1, 2, h, 2.0) if h is not None else -1.0
+    h = choose_power_iterations(gapped, 2)
+    bound = prop2_lower_bound(gapped, 2, h, 2.0) if h is not None else -1.0
     flat = SpectrumSummary.from_sigma([1.0, 1.0, 1.0, 1.0], 1)
-    infeasible = choose_power_iterations(flat, 1, 2) is None
+    infeasible = choose_power_iterations(flat, 2) is None
     ok = h == 1 and bound > 0.0 and infeasible
     assert report(
         6,

@@ -213,14 +213,14 @@ class TestRunner:
     def test_aggregate_skips_seeds_without_steps(self):
         rows = [(k, 1.0, g, 10 * (k + 1), None, None) for k, g in enumerate((0.9, 0.5, 0.7))]
         seeds = [runner.SeedResult(1, rows, False), runner.SeedResult(2, [], True)]
-        report = runner.RunReport(RunConfig(), seeds)
+        report = runner.RunReport(seeds)
         assert (seeds[0].steps, seeds[0].min_grad_norm, seeds[0].cum_flops) == (3, 0.5, 30)
         assert (seeds[1].steps, seeds[1].min_grad_norm, seeds[1].cum_flops) == (0, float("inf"), 0)
         assert np.isnan(seeds[1].final_f)
         assert report.mean_min_grad_norm == 0.5
         assert report.std_min_grad_norm == 0.0
         assert report.initial_grad_norm == 0.9
-        assert np.isnan(runner.RunReport(RunConfig(), seeds[::-1]).initial_grad_norm)
+        assert np.isnan(runner.RunReport(seeds[::-1]).initial_grad_norm)
 
     def test_alpha_axis_resets_noise_model(self, tmp_path):
         model = calibrate(
@@ -587,6 +587,20 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_sweep_s_under_exact_solver_is_config_error(self, tmp_path, capsys):
+        # the exact solver draws no sketch, so every s cell would match;
+        # a run of the same config still runs the exact solver
+        cfg = small_run_config(
+            tmp_path, polar=PolarConfig(solver="exact"), sketch=SketchConfig(s=2, p=2), seeds=(1,)
+        )
+        path = tmp_path / "cfg.ini"
+        save(cfg, path)
+        rc = cli.main(["sweep", str(path), "--axis", "s", "--values", "2,3"])
+        assert rc == cli.EXIT_CONFIG_ERROR
+        assert "sweep axis 's'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert cli.main(["run", str(path)]) == cli.EXIT_OK
 
     def test_verify_command(self, tmp_path, capsys):
         rc = cli.main(["verify", "flops", "lemma1", "--output-dir", str(tmp_path)])

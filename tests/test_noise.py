@@ -213,14 +213,6 @@ class TestGradientOracle:
             acc += gradient_oracle(g, float(np.linalg.norm(g)), 1, m, rng)
         np.testing.assert_allclose(acc / n, p.gradient(x), atol=0.03)
 
-    def test_batch_reduces_moment(self):
-        m = calibrate(NoiseModel(alpha=1.5, sigma0=1.0), (4, 4), RngStream(60))
-        moments = [
-            empirical_alpha_moment(m, (4, 4), 4000, RngStream(61, b), batch=b)[0]
-            for b in (1, 8, 64)
-        ]
-        assert moments[0] > moments[1] > moments[2]
-
     def test_coupled_batch_moments_monotone(self):
         # common-random-numbers coupling keeps the Lemma-style decreasing
         # trend visible even at the heaviest admissible tail
@@ -273,6 +265,11 @@ class TestGradientOracle:
         with pytest.raises(PreconditionError):
             empirical_alpha_moment(m, (2, 2), 10, RngStream(64))
 
+    def test_calibration_sample_precondition(self):
+        # the fit takes its moment from empirical_alpha_moment
+        with pytest.raises(PreconditionError):
+            calibrate(NoiseModel(alpha=1.5, sigma0=1.0), (2, 2), RngStream(63), n_samples=999)
+
 
 def _calibrated(components, shape=(3, 2)):
     s0 = 1.0 if components in ("sigma0", "both") else 0.0
@@ -303,19 +300,15 @@ class TestDrawOrder:
         got = gradient_oracle(grad, gnorm, batch, model, RngStream(82))
         assert _bitwise_equal(got, grad + acc / batch)
 
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_alpha_moment_is_loop_over_samples(self, batch):
+    def test_alpha_moment_is_loop_over_samples(self):
         model = _calibrated("both")
         rng = RngStream(90)
         vals = []
         for _ in range(1000):
-            acc = np.zeros((3, 2))
-            for _ in range(batch):
-                acc += sample_noise(model, (3, 2), 2.0, rng)
-            acc /= batch
-            vals.append(float(np.sum(acc * acc)) ** 0.75)
+            xi = sample_noise(model, (3, 2), 2.0, rng)
+            vals.append(float(np.sum(xi * xi)) ** 0.75)
         ref = (float(np.mean(vals)), float(np.std(vals) / np.sqrt(1000)))
-        assert empirical_alpha_moment(model, (3, 2), 1000, RngStream(90), 2.0, batch) == ref
+        assert empirical_alpha_moment(model, (3, 2), 1000, RngStream(90), 2.0) == ref
 
     def test_chunked_draws_match_single_draws(self, monkeypatch):
         # 2 * 2 components * 6 entries = 24 uniforms a draw: 10 draws a chunk
@@ -341,9 +334,7 @@ class TestDrawOrder:
         def estimates():
             return (
                 calibrate(NoiseModel(alpha=1.25, sigma0=1.0), (3, 2), RngStream(86), 1500),
-                empirical_alpha_moment(
-                    _calibrated("both"), (3, 2), 1000, RngStream(87), 2.0, batch=3
-                ),
+                empirical_alpha_moment(_calibrated("both"), (3, 2), 1000, RngStream(87), 2.0),
                 empirical_batch_moments(
                     _calibrated("both"), (3, 2), 1000, RngStream(88), (1, 2, 4), 2.0
                 ),

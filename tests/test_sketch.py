@@ -218,45 +218,45 @@ class TestRandomizedPolar:
 class TestBoundCalculators:
     def test_prop2_hand_value(self):
         spec = SpectrumSummary.from_sigma([10.0, 10.0, 1.0, 1.0], 2)
-        bound = prop2_lower_bound(spec, 2, 2, 0, 10.0)
+        bound = prop2_lower_bound(spec, 2, 0, 10.0)
         assert bound == pytest.approx(19.6)
 
     def test_prop2_zero_tail_limit(self):
         spec = SpectrumSummary.from_sigma([5.0, 3.0, 1e-9], 2)
-        bound = prop2_lower_bound(spec, 2, 2, 0, 5.0)
+        bound = prop2_lower_bound(spec, 2, 0, 5.0)
         assert bound == pytest.approx(34.0 / 5.0, rel=1e-6)
 
     def test_prop2_degenerate(self):
         spec = SpectrumSummary.from_sigma([2.0, 1.0, 1.0, 1.0, 1.0], 1)
-        assert prop2_lower_bound(spec, 1, 2, 0, 2.0) == 0.0
+        assert prop2_lower_bound(spec, 2, 0, 2.0) == 0.0
 
     def test_choose_h_zero(self):
         spec = SpectrumSummary.from_sigma([10.0, 10.0, 1.0, 1.0], 2)
-        assert choose_power_iterations(spec, 2, 2) == 0
+        assert choose_power_iterations(spec, 2) == 0
 
     def test_choose_h_one(self):
         spec = SpectrumSummary.from_sigma([2.0, 1.0, 1.0, 1.0, 1.0], 1)
-        assert choose_power_iterations(spec, 1, 2) == 1
+        assert choose_power_iterations(spec, 2) == 1
 
     def test_choose_h_infeasible(self):
         spec = SpectrumSummary.from_sigma([1.0, 1.0, 1.0, 1.0], 1)
-        assert choose_power_iterations(spec, 1, 2) is None
+        assert choose_power_iterations(spec, 2) is None
 
     def test_chosen_h_makes_bound_positive(self):
         spec = SpectrumSummary.from_sigma([2.0, 1.0, 1.0, 1.0, 1.0], 1)
-        h = choose_power_iterations(spec, 1, 2)
-        assert prop2_lower_bound(spec, 1, 2, h, 2.0) > 0.0
+        h = choose_power_iterations(spec, 2)
+        assert prop2_lower_bound(spec, 2, h, 2.0) > 0.0
 
     def test_theta_gamma_hand_value(self):
         spec = SpectrumSummary.from_sigma([10.0, 10.0, 1.0, 1.0], 2)
-        tg = theta_and_gamma(spec, 2, 2, 0, 10.0)
+        tg = theta_and_gamma(spec, 2, 0, 10.0)
         assert tg.theta == pytest.approx(196.0 / 220.0)
         assert tg.gamma == pytest.approx(1.0 - 196.0 / 220.0)
         assert not tg.degenerate
 
     def test_theta_near_one_for_rank_one(self):
         spec = SpectrumSummary.from_sigma([3.0, 1e-8], 1)
-        tg = theta_and_gamma(spec, 1, 2, 0, 3.0)
+        tg = theta_and_gamma(spec, 2, 0, 3.0)
         assert tg.theta == pytest.approx(1.0, abs=1e-6)
 
     def test_theta_at_most_one(self):
@@ -264,17 +264,17 @@ class TestBoundCalculators:
         for _ in range(500):
             sigma = np.sort(rng.uniform((6,)) * 10 + 0.1)[::-1]
             spec = SpectrumSummary.from_sigma(sigma, 3)
-            tg = theta_and_gamma(spec, 3, 2, 1, float(sigma[0]))
+            tg = theta_and_gamma(spec, 2, 1, float(sigma[0]))
             assert tg.theta <= 1.0 + 1e-12
 
     def test_degenerate_flag(self):
         spec = SpectrumSummary.from_sigma([2.0, 1.0, 1.0, 1.0, 1.0], 1)
-        assert theta_and_gamma(spec, 1, 2, 0, 2.0).degenerate
+        assert theta_and_gamma(spec, 2, 0, 2.0).degenerate
 
     def test_p_precondition(self):
         spec = SpectrumSummary.from_sigma([2.0, 1.0], 1)
         with pytest.raises(PreconditionError):
-            prop2_lower_bound(spec, 1, 1, 0, 2.0)
+            prop2_lower_bound(spec, 1, 0, 2.0)
 
 
 class TestSpectrumSummary:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polarmuon import cli, matcore, suites
+from polarmuon import cli, matcore, suites, verify
 from polarmuon.errors import ConfigError, PreconditionError
 from polarmuon.matcore import RngStream, nuclear_norm, svd
 from polarmuon.polar import (
@@ -131,6 +131,20 @@ class TestCheckProp2:
             rep = check_prop2(m, scfg, pcfg, trials=20, rng=rng.substream(i))
             assert rep.passed, (i, rows, cols)
 
+    def test_trials_share_the_bounds_delta(self, monkeypatch):
+        # delta is resolved once, for the bound, and handed to every trial
+        # as an explicit delta: no trial takes its own SVD of m
+        m = RngStream(92).normal((9, 7))
+        pcfg = PolarConfig(schedule=quintic_theoretical_schedule(3), delta_rule="operator-norm")
+        seen = []
+        traced = verify.randomized_polar
+        monkeypatch.setattr(
+            verify, "randomized_polar",
+            lambda a, scfg, cfg, rng: seen.append(cfg.delta_rule) or traced(a, scfg, cfg, rng),
+        )
+        check_prop2(m, SketchConfig(s=3, p=2, h=1), pcfg, trials=5, rng=RngStream(93))
+        assert seen == [pcfg.resolve_delta(m)] * 5
+
     def test_kaczmarz_rejected(self):
         with pytest.raises(PreconditionError):
             check_prop2(
@@ -159,10 +173,6 @@ class TestPolynomialLemmas:
         assert not rep.all_passed
         assert not rep.theoretical
         assert rep.steps[0].max_value == pytest.approx(1.2024, abs=1e-3)
-
-    def test_grid_precondition(self):
-        with pytest.raises(PreconditionError):
-            check_polynomial_lemmas(cubic_schedule(1), grid=10)
 
 
 class TestFlopModels:
@@ -286,6 +296,32 @@ class TestSuites:
         got_mean, got_se = suites._gram_moments(omega)
         assert np.array_equal(got_mean, mean)
         assert np.array_equal(got_se, se)
+
+    def test_scope_outputs_pinned(self, tmp_path, capsys):
+        # a change of the bound calculators, the lemma grid, the sketch draws
+        # or the FLOP model shows here; prop1 and lemma1 are not pinned, as
+        # they print deviations of order 1e-16 that vary with the BLAS build
+        scopes = ["polynomials", "prop2", "sketch-moments", "flops"]
+        assert cli.main(["verify", *scopes, "--output-dir", str(tmp_path)]) == cli.EXIT_OK
+        capsys.readouterr()
+        lines = (tmp_path / "verify.txt").read_text(encoding="utf-8").splitlines()
+        assert lines == [
+            "[PASS] polynomials: cubic grid properties -- "
+            "min_value=0.000e+00 max_value=1.000000000000",
+            "[PASS] polynomials: quintic-theoretical grid properties -- "
+            "min_value=0.000e+00 max_value=1.000000000000",
+            "[PASS] polynomials: quintic-empirical overshoot reported -- "
+            "max_value=1.202369 (expected > 1)",
+            "[PASS] prop2: expected alignment above bound (3 SE) -- "
+            "mean=22.0000 bound=19.6000 se=0.0000",
+            "[PASS] prop2: operator norm <= 1 in every realization -- "
+            "max_op_norm=1.000000000000",
+            "[PASS] sketch-moments: Gaussian E[Omega Omega^T] = ell I -- n=6 ell=3 trials=5000",
+            "[PASS] sketch-moments: Kaczmarz E[Omega Omega^T] = I -- n=6 ell=3 trials=5000",
+            "[PASS] flops: 4096/256/q5/h1 reduction ratio in [40, 45] -- "
+            "full=2061584302080 randomized=48486154240 ratio=42.52 "
+            "(paper-scale reduction ~40x)",
+        ]
 
     def test_noise_moments_output_pinned(self, tmp_path, capsys):
         # the lines the scope printed before its draws were chunked to fit
