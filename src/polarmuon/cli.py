@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 check failure, 2 config error, 3 numerical abort.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import config as config_mod, runner, suites
@@ -25,13 +26,20 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ABORT = 3
 
 
+def _mean_min_grad_norm(report, with_std: bool = False) -> str:
+    """The aggregate as printed, or "n/a" when no seed recorded a step."""
+    mean = report.mean_min_grad_norm
+    if mean is None:
+        return "n/a"
+    return f"{mean:.6g} (+/- {report.std_min_grad_norm:.3g})" if with_std else f"{mean:.6g}"
+
+
 def _cmd_run(args) -> int:
     cfg = config_mod.load(args.config)
     report = runner.run_experiment(cfg)
     print(
         f"run: {len(cfg.seeds)} seed(s), K={cfg.optimizer.K}, "
-        f"mean min grad norm = {report.mean_min_grad_norm:.6g} "
-        f"(+/- {report.std_min_grad_norm:.3g}), "
+        f"mean min grad norm = {_mean_min_grad_norm(report, with_std=True)}, "
         f"cumulative FLOPs over all seeds = {report.cum_flops}"
     )
     if report.aborted:
@@ -86,7 +94,7 @@ def _cmd_sweep(args) -> int:
                 failed = True
             print(
                 f"{args.axis}={cell.value}: mean min grad norm = "
-                f"{cell.report.mean_min_grad_norm:.6g}{flag}"
+                f"{_mean_min_grad_norm(cell.report)}{flag}"
             )
     return EXIT_NUMERICAL_ABORT if failed else EXIT_OK
 
@@ -157,10 +165,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call and kept for the
+    process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_join_sweep_values(argv))
+        args = _parser().parse_args(_join_sweep_values(argv))
     except SystemExit as e:  # argparse printed its usage error (2) or the help (0)
         return EXIT_OK if not e.code else EXIT_CONFIG_ERROR
     try:

@@ -8,12 +8,15 @@ and :func:`orthonormal_basis`.  The basis is CholeskyQR2 (two passes of
 Gram, Cholesky and apply) with a fallback to the truncating SVD, taken for
 small Y, when a Cholesky fails, when the result is not orthonormal, and
 whenever a bound on cond(Y) cannot rule out a rank below the column count;
-so the basis always has numerical-rank columns.  Frobenius norms are BLAS
-dot products (``np.linalg.norm``).
+so the basis always has numerical-rank columns.  Both SVD users take one
+LAPACK call and its rank cut from one helper.  A Frobenius norm is
+``sqrt(v . v)`` over the entries v: ``np.linalg.norm``'s own arithmetic,
+bit for bit, without its wrapper.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +49,14 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.size == 0:
         raise DimensionError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalAbortError(f"{name} contains non-finite entries")
     return a
 
 
 def _frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    v = a.ravel(order="K")
+    return math.sqrt(float(v.dot(v)))
 
 
 def frobenius_norm(m) -> float:
@@ -108,18 +112,24 @@ class Svd:
         return len(self.sigma)
 
 
-def _svd(a: np.ndarray) -> Svd:
-    if not a.any():
-        raise DegenerateInputError("svd of zero matrix")
+def _truncated_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One thin LAPACK SVD of ``a``, cut to its numerical rank r: views of the
+    first r columns of U, singular values and rows of V^T."""
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as e:  # LAPACK meets a NaN
         raise NumericalAbortError(f"svd: {e}") from e
-    tol = rank_tolerance(a.shape, s[0])
-    r = int(np.sum(s > tol))
+    r = np.count_nonzero(s > rank_tolerance(a.shape, s[0]))
     if r == 0:
         raise DegenerateInputError("svd: all singular values below tolerance")
-    return Svd(u=u[:, :r].copy(), sigma=s[:r].copy(), v=vt[:r].T.copy())
+    return u[:, :r], s[:r], vt[:r]
+
+
+def _svd(a: np.ndarray) -> Svd:
+    if not a.any():
+        raise DegenerateInputError("svd of zero matrix")
+    u, s, vt = _truncated_svd(a)
+    return Svd(u=u.copy(), sigma=s.copy(), v=vt.T.copy())
 
 
 def svd(m) -> Svd:
@@ -171,17 +181,19 @@ def orthonormal_basis(y: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning range(y); column count = numerical rank.
 
     CholeskyQR2 (Fukaya et al. 2014) when Y is large enough
-    (``CHOLESKY_QR_MIN_WORK``) and well conditioned; else the truncating SVD,
-    which also serves rank-deficient Y.  ``y`` is a finite 2-D float64 array
-    and is not re-validated (the sketch pipeline passes the matrix it
-    computed).  Raises DegenerateInputError for zero input.
+    (``CHOLESKY_QR_MIN_WORK``) and well conditioned; else U of the truncating
+    SVD, which also serves rank-deficient Y: LAPACK's U itself at full rank,
+    else a C-ordered copy of its first r columns, the layout of ``svd(y).u``.
+    ``y`` is a finite 2-D float64 array and is not re-validated (the sketch
+    pipeline passes the matrix it computed).  Raises DegenerateInputError for
+    zero input.
     """
     if _tries_cholesky_qr(*y.shape):
         with np.errstate(all="ignore"):
             q = _cholesky_qr2(y)
         if q is not None:
             return q
-    return _svd(y).u
+    return np.ascontiguousarray(_truncated_svd(y)[0])
 
 
 def _mean_and_se(vals) -> tuple[float, float]:

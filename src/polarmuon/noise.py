@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -76,9 +77,15 @@ class Problem:
         return self.value_and_gradient(x)[1]
 
     def radius(self) -> float:
-        """Iterate-ball radius used to keep the non-convex problem in a
-        region of bounded curvature."""
-        return 10.0 * float(np.linalg.norm(self.a)) ** 0.5
+        """Iterate-ball radius 10 ||A||_F^(1/2) used to keep the non-convex
+        problem in a region of bounded curvature.  It is computed on first
+        use and kept: a factorization run takes ||A||_F once, and a quadratic
+        run, whose projection is the identity, never takes it."""
+        return self._radius
+
+    @cached_property
+    def _radius(self) -> float:
+        return 10.0 * matcore._frobenius(self.a) ** 0.5
 
     def project(self, x) -> np.ndarray:
         """Clip the iterate back to the Frobenius ball (factorization only).
@@ -88,12 +95,12 @@ class Problem:
         """
         if self.kind != "factorization":
             return x
-        r = self.radius()
+        r = self._radius
         with np.errstate(over="ignore"):
-            nrm = float(np.linalg.norm(x))
+            nrm = matcore._frobenius(x)
         if nrm <= r:
             return x
-        if not np.isfinite(nrm):
+        if not math.isfinite(nrm):
             raise NumericalAbortError("iterate norm overflows")
         return x * (r / nrm)
 
@@ -164,7 +171,9 @@ def _noise_chunks(model: NoiseModel, count: int, inner: tuple, grad_norm: float,
     of shape ``inner`` in chunks of shape (k, *inner).  Xi0 (drawn when
     sigma0 > 0) and Xi1 (when sigma1 > 0 and grad_norm > 0) are unit-scale
     symmetric Pareto, sign * U^(-1/a); a chunk's uniforms are laid out as
-    (k, components, magnitude/sign, *inner)."""
+    (k, components, magnitude/sign, *inner).  One component with a positive
+    coefficient is scaled in place: |Xi| >= 1, so coef * Xi is never -0.0 and
+    equals 0.0 + coef * Xi bit for bit."""
     if not model.calibrated:
         raise PreconditionError("NoiseModel must be calibrated before sampling")
     coefs = []
@@ -178,9 +187,13 @@ def _noise_chunks(model: NoiseModel, count: int, inner: tuple, grad_norm: float,
         u = rng.uniform((min(step, count - start), len(coefs), 2) + inner)
         xi = u[:, :, 0] ** (-1.0 / model.tail_exponent)
         np.copysign(xi, u[:, :, 1] - 0.5, out=xi)  # negative iff u < 0.5
-        out = np.zeros((len(u),) + inner)  # a zero coef adds +0.0, not -0.0
-        for c, coef in enumerate(coefs):
-            out += coef * xi[:, c]
+        if len(coefs) == 1 and coefs[0] > 0:
+            out = xi[:, 0]
+            out *= coefs[0]
+        else:
+            out = np.zeros((len(u),) + inner)  # a zero coef adds +0.0, not -0.0
+            for c, coef in enumerate(coefs):
+                out += coef * xi[:, c]
         yield out
 
 
@@ -232,11 +245,14 @@ def gradient_oracle(
 ) -> np.ndarray:
     """Unbiased stochastic gradient: the exact gradient ``grad`` plus the
     mean of ``batch`` independent noise draws; ``grad_norm`` = ||grad||_F
-    scales Xi1 as in :func:`sample_noise`."""
+    scales Xi1 as in :func:`sample_noise`.  A batch of one adds its draw as
+    it is (the running sum of one draw is the draw, and x / 1 = x)."""
     if batch < 1:
         raise PreconditionError("batch must be >= 1")
     if model.sigma0 == 0.0 and model.sigma1 == 0.0:
         return grad
+    if batch == 1:
+        return grad + next(_noise_chunks(model, 1, grad.shape, grad_norm, rng))[0]
     total = None
     for draws in _noise_chunks(model, batch, grad.shape, grad_norm, rng):
         if total is not None:

@@ -77,12 +77,21 @@ class PolynomialSchedule:
     name: str = "custom"
     theoretical: bool = False
 
+    def __post_init__(self):
+        # built once: every solver call reads it (not a field, so eq, hash,
+        # replace and the INI writer see only the fields above)
+        coeffs = np.array(self.steps, dtype=np.float64).reshape(-1, 3)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "_coeffs", coeffs)
+
     @property
     def q(self) -> int:
         return len(self.steps)
 
     def coeff_array(self) -> np.ndarray:
-        return np.array(self.steps, dtype=np.float64).reshape(-1, 3)
+        """The q x 3 float64 array of the steps, built once with the schedule
+        and read-only."""
+        return self._coeffs
 
     def scalar_map(self, x):
         """Apply the scalar recursion p_0(x)=x, p_{t+1}=phi_t(p_t) elementwise."""
@@ -193,7 +202,8 @@ def polynomial_iterate(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
       orientation) is R*B with R a polynomial in G = BB^T, so the schedule
       runs on d0 x d0 matrices: S = G; per step P = aI + bS + cS^2 and
       R <- P*R, and, except on the last step, S <- P(PS); then R*B is applied
-      once.  4 d0^2 d1 + (8q - 6) d0^3 FLOPs.
+      once.  aI is built once per distinct a.  4 d0^2 d1 + (8q - 6) d0^3
+      FLOPs.
 
     Forming G squares the singular values, so the Gram form loses accuracy on
     those far below 1.  Against the exact map U p_q(Sigma) V^T, over 200
@@ -218,9 +228,13 @@ def polynomial_iterate(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     wide = z if rows <= cols else z.T
     s = wide @ wide.T
     eye = np.eye(s.shape[0])
+    scaled_eye = {}  # keyed by a's bits, so -0.0 and 0.0 stay apart
     r = None
     for t, (a, b, c) in enumerate(steps):
-        p = a * eye + b * s + c * (s @ s)
+        key = a.hex()
+        if key not in scaled_eye:
+            scaled_eye[key] = a * eye
+        p = scaled_eye[key] + b * s + c * (s @ s)
         r = p if r is None else p @ r
         if t < len(steps) - 1:
             s = p @ (p @ s)

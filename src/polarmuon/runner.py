@@ -8,6 +8,7 @@ float columns as their ``repr`` (shortest exact decimal).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -74,17 +75,22 @@ class RunReport:
     def aborted(self) -> bool:
         return any(r.aborted for r in self.seed_results)
 
-    def _min_grad_norms(self) -> np.ndarray:
+    def _min_grad_norms(self) -> list:
         # a seed that aborted before its first step has no minimum
-        return np.array([r.min_grad_norm for r in self.seed_results if r.steps > 0] or [np.nan])
+        return [r.min_grad_norm for r in self.seed_results if r.steps > 0]
 
     @property
-    def mean_min_grad_norm(self) -> float:
-        return float(np.mean(self._min_grad_norms()))
+    def mean_min_grad_norm(self) -> float | None:
+        """Mean over the seeds that recorded a step; None if none did."""
+        norms = self._min_grad_norms()
+        return float(np.mean(norms)) if norms else None
 
     @property
-    def std_min_grad_norm(self) -> float:
-        return float(np.std(self._min_grad_norms()))
+    def std_min_grad_norm(self) -> float | None:
+        """Standard deviation over the seeds that recorded a step; None if
+        none did."""
+        norms = self._min_grad_norms()
+        return float(np.std(norms)) if norms else None
 
     @property
     def cum_flops(self) -> int:
@@ -162,9 +168,9 @@ def _run_seed(cfg: RunConfig, seed: int, problem, model, step_flops: int) -> See
     rows = []
     for k in range(o.K):
         f_val, grad = problem.value_and_gradient(state.x)
-        if not np.isfinite(f_val):
+        if not math.isfinite(f_val):
             return SeedResult(seed, rows, aborted=True)
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = matcore._frobenius(grad)
         g = noise_mod.gradient_oracle(grad, gnorm, o.B, model, noise_rng)
         try:
             step(g)
@@ -176,6 +182,12 @@ def _run_seed(cfg: RunConfig, seed: int, problem, model, step_flops: int) -> See
         gamma_k, nu_k = checks.pop() if checks else (None, None)
         rows.append((k, f_val, gnorm, step_flops * (k + 1), gamma_k, nu_k))
     return SeedResult(seed, rows, aborted=False)
+
+
+def _recorded_figures(r: SeedResult) -> tuple:
+    """(min_grad_norm, final_f) of a seed for the CSV files: empty fields for
+    a seed that recorded no step."""
+    return (r.min_grad_norm, r.final_f) if r.steps else (None, None)
 
 
 def run_experiment(cfg: RunConfig, write_files: bool = True) -> RunReport:
@@ -201,7 +213,7 @@ def run_experiment(cfg: RunConfig, write_files: bool = True) -> RunReport:
         write_csv(
             out_dir / "run.summary.csv",
             SUMMARY_COLUMNS,
-            [(r.seed, r.steps, r.min_grad_norm, r.final_f, r.cum_flops, int(r.aborted))
+            [(r.seed, r.steps, *_recorded_figures(r), r.cum_flops, int(r.aborted))
              for r in results]
             + [("aggregate", None, report.mean_min_grad_norm, report.std_min_grad_norm,
                 None, None)],
@@ -311,13 +323,13 @@ def sweep(template: RunConfig, axis: str, values, write_files: bool = True) -> l
             if cell.report is None:
                 rows.append((axis, cell.value, None, None, None, None, 1))
                 continue
-            rows += [(axis, cell.value, r.seed, r.min_grad_norm, r.final_f, r.cum_flops,
+            rows += [(axis, cell.value, r.seed, *_recorded_figures(r), r.cum_flops,
                       int(r.aborted)) for r in cell.report.seed_results]
         write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
         if axis == "K":
             with open(out_dir / "sweep_loglog.dat", "w", encoding="utf-8", newline="\n") as f:
                 for cell in cells:
-                    if cell.report is None:
+                    if cell.report is None or cell.report.mean_min_grad_norm is None:
                         continue
                     f.write(
                         f"{repr(float(np.log(float(cell.value))))} "

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import matcore
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, DimensionError, PreconditionError
 from .matcore import RngStream
 from .polar import PolarConfig, PolynomialSchedule, _gram_form
 from .sketch import SketchConfig, SpectrumSummary, prop2_lower_bound, randomized_polar
@@ -53,9 +53,14 @@ class AssumptionEstimate:
 
 
 def _alignment_and_op_norm(a: np.ndarray, out) -> tuple[float, float]:
-    """(<A, T>, ||T||_op) of one polar output T of A.  An all-zero T measures
+    """(<A, T>, ||T||_op) of one polar output T of a finite 2-D float64 A.
+    T, which a user-supplied map may return, is validated once, with the
+    errors of :func:`matcore.inner_product`.  An all-zero T measures
     (0.0, 0.0), and only an all-zero T has ||T||_op = 0."""
-    return matcore.inner_product(a, out), matcore.operator_norm(out)
+    t = matcore.as_matrix(out, "b")
+    if a.shape != t.shape:
+        raise DimensionError(f"shape mismatch: {a.shape} vs {t.shape}")
+    return float(np.sum(a * t)), matcore._operator_norm(t)
 
 
 def _polar_trials(
@@ -121,12 +126,14 @@ def check_prop2(
 ) -> Prop2Report:
     """Monte Carlo check of the expected-alignment lower bound and the
     almost-sure operator-norm bound for the Gaussian-sketch pipeline; the
-    bound's delta is handed to every trial as an explicit delta."""
+    bound's delta is handed to every trial as an explicit delta.  Under the
+    operator-norm rule delta is sigma_1 of the one SVD that gives the
+    spectrum."""
     if scfg.kind != "gaussian":
         raise PreconditionError("the alignment bound is proved for Gaussian sketches")
     a = matcore.as_matrix(m)
     sigma = matcore.svd(a).sigma
-    delta = pcfg.resolve_delta(a)
+    delta = float(sigma[0]) if pcfg.delta_rule == "operator-norm" else pcfg.resolve_delta(a)
     spec = SpectrumSummary.from_sigma(sigma, scfg.s)
     bound = prop2_lower_bound(spec, scfg.p, scfg.h, delta)
     trial_cfg = replace(pcfg, delta_rule=delta)

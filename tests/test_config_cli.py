@@ -300,8 +300,8 @@ class TestRunner:
             tmp_path, noise=model, polar=PolarConfig(solver="exact"), verify=False
         )
         norms, oracle_norms = [], []
-        norm, oracle = np.linalg.norm, runner.noise_mod.gradient_oracle
-        monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(a) or norm(*a, **k))
+        norm, oracle = matcore._frobenius, runner.noise_mod.gradient_oracle
+        monkeypatch.setattr(matcore, "_frobenius", lambda a: norms.append(a) or norm(a))
         monkeypatch.setattr(
             runner.noise_mod,
             "gradient_oracle",
@@ -445,6 +445,20 @@ class TestRunner:
 
 
 class TestCli:
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert cli.main(["flops", "m=8,n=8,ell=2,q=1"]) == cli.EXIT_OK
+            assert cli.main(["flops"]) == cli.EXIT_CONFIG_ERROR  # argparse's usage error
+            assert cli.main(["flops", "m=8,n=8,ell=2,q=1"]) == cli.EXIT_OK
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
     def test_run_exit_ok(self, tmp_path, capsys):
         cfg = small_run_config(tmp_path, seeds=(1,))
         path = tmp_path / "cfg.ini"
@@ -655,7 +669,7 @@ class TestCli:
         assert cli.main(["flops", spec]) == cli.EXIT_CONFIG_ERROR
         assert "config error: flops" in capsys.readouterr().err
 
-    def test_run_without_steps_aggregates_nan(self, tmp_path, capsys):
+    def test_run_without_steps_writes_empty_aggregate(self, tmp_path, capsys):
         # every seed aborts inside its first step (the sketch underflows)
         path = tmp_path / "cfg.ini"
         out = tmp_path / "out"
@@ -666,7 +680,34 @@ class TestCli:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["run", str(path)]) == cli.EXIT_NUMERICAL_ABORT
-        assert "mean min grad norm = nan (+/- nan)" in capsys.readouterr().out
+        assert "mean min grad norm = n/a, " in capsys.readouterr().out
         lines = (out / "run.summary.csv").read_text().splitlines()
-        assert lines[1:3] == ["1,0,inf,nan,0,1", "2,0,inf,nan,0,1"]
-        assert lines[3] == "aggregate,,nan,nan,,"
+        assert lines[1:3] == ["1,0,,,0,1", "2,0,,,0,1"]
+        assert lines[3] == "aggregate,,,,,"
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_seed_aborted_at_step_0_writes_empty_fields(self, tmp_path, capsys):
+        # eta = 1e308 overflows the factor's norm in step 0, so no seed
+        # records a step: no inf or nan in the CSV files or on stdout
+        cfg = small_run_config(
+            tmp_path,
+            problem=ProblemSpec(kind="factorization", m=8, n=8, rank=4, gen_seed=7),
+            optimizer=OptimizerSpec(kind="muon", schedule="manual", K=6, eta=1e308, beta=0.9),
+            seeds=(1, 2),
+            verify=False,
+        )
+        path = tmp_path / "cfg.ini"
+        save(cfg, path)
+        assert cli.main(["run", str(path)]) == cli.EXIT_NUMERICAL_ABORT
+        assert "mean min grad norm = n/a, " in capsys.readouterr().out
+        out = tmp_path / "out"
+        lines = (out / "run.summary.csv").read_text().splitlines()
+        assert lines[1:] == ["1,0,,,0,1", "2,0,,,0,1", "aggregate,,,,,"]
+        assert cli.main(["sweep", str(path), "--axis", "K", "--values", "4,6"]) == (
+            cli.EXIT_NUMERICAL_ABORT
+        )
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [f"K={k}: mean min grad norm = n/a [aborted]" for k in (4, 6)]
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[1:] == [f"K,{k},{seed},,,0,1" for k in (4, 6) for seed in (1, 2)]
+        assert (out / "sweep_loglog.dat").read_text() == ""  # both cells skipped

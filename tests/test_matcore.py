@@ -36,6 +36,14 @@ class TestNorms:
     def test_frobenius_diag(self):
         assert frobenius_norm(np.diag([3.0, 4.0])) == pytest.approx(5.0)
 
+    def test_frobenius_is_np_linalg_norm_bitwise(self):
+        # sqrt(v . v) is np.linalg.norm's own arithmetic, in any memory order
+        rng = RngStream(14)
+        for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+            a = scale * rng.normal((9, 7))
+            for view in (a, np.asfortranarray(a), a[::2, 1::3], a.T, a[:, ::-1]):
+                assert matcore._frobenius(view).hex() == float(np.linalg.norm(view)).hex()
+
     def test_operator_norm_zero(self):
         assert operator_norm(np.zeros((3, 2))) == 0.0
 
@@ -152,9 +160,12 @@ class TestOrthonormalBasis:
 
 
 def _svd_calls(monkeypatch) -> list:
+    """Shapes of the LAPACK SVDs that both the basis and svd() take."""
     calls = []
-    exact = matcore._svd
-    monkeypatch.setattr(matcore, "_svd", lambda a: (calls.append(a.shape), exact(a))[1])
+    exact = matcore._truncated_svd
+    monkeypatch.setattr(
+        matcore, "_truncated_svd", lambda a: (calls.append(a.shape), exact(a))[1]
+    )
     return calls
 
 
@@ -213,6 +224,18 @@ class TestCholeskyQR2Basis:
         calls = _svd_calls(monkeypatch)
         orthonormal_basis(RngStream(12).normal(self.SHAPE))
         assert calls == [self.SHAPE]
+
+    @pytest.mark.parametrize("rank", [5, 3])
+    def test_svd_fallback_is_svd_u_bitwise(self, rank):
+        # the basis's lean fallback returns svd(y).u bit for bit, in the same
+        # C-ordered layout, at full rank (LAPACK's U itself) and below it
+        for t in range(4):
+            rng = RngStream(13, t)
+            y = rng.normal((16, rank)) @ rng.normal((rank, 5))
+            q, ref = orthonormal_basis(y), matcore._svd(y).u
+            assert q.shape == ref.shape == (16, rank)
+            assert q.flags.c_contiguous and q.strides == ref.strides
+            assert q.tobytes() == ref.tobytes()
 
     def test_small_input_takes_svd(self, monkeypatch):
         assert 16 * 5**2 < matcore.CHOLESKY_QR_MIN_WORK

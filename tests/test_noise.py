@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from polarmuon import noise
+from polarmuon import matcore, noise
 from polarmuon.errors import NumericalAbortError, PreconditionError
 from polarmuon.matcore import RngStream
 from polarmuon.noise import (
@@ -97,6 +97,20 @@ class TestProblems:
                 p.project(far)
             with pytest.raises(NumericalAbortError):
                 p.project(np.full((3, 3), np.nan))
+
+    def test_radius_taken_once(self, monkeypatch):
+        # the factorization's ball radius is computed on first use and kept;
+        # each projection takes only the iterate's norm
+        p = factorization_problem(RngStream(64).normal((6, 3)))
+        norms = []
+        norm = matcore._frobenius
+        monkeypatch.setattr(matcore, "_frobenius", lambda a: norms.append(a.shape) or norm(a))
+        inside = np.eye(6, 3)
+        for _ in range(3):
+            assert p.project(inside) is inside
+        assert norms == [(6, 6), (6, 3), (6, 3), (6, 3)]
+        assert p.radius() == 10.0 * float(np.linalg.norm(p.a)) ** 0.5
+        assert len(norms) == 4
 
     def test_quadratic_never_projects(self):
         p = quadratic_problem(np.eye(2))
@@ -282,6 +296,19 @@ def _bitwise_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _zeros_start_draws(model, count, shape, grad_norm, rng):
+    """``count`` noise draws from one chunk of uniforms, summed from zeros."""
+    coefs = [model.scale0] if model.sigma0 > 0 else []
+    if model.sigma1 > 0 and grad_norm > 0:
+        coefs.append(model.scale1 * grad_norm)
+    u = rng.uniform((count, len(coefs), 2) + tuple(shape))
+    xi = np.copysign(u[:, :, 0] ** (-1.0 / model.tail_exponent), u[:, :, 1] - 0.5)
+    out = np.zeros((count,) + tuple(shape))
+    for c, coef in enumerate(coefs):
+        out += coef * xi[:, c]
+    return out
+
+
 class TestDrawOrder:
     """The Monte Carlo functions read their stream in one fixed order, so a
     change of draw layout, summation order or chunking shows here."""
@@ -299,6 +326,32 @@ class TestDrawOrder:
             acc += sample_noise(model, shape, gnorm, rng)
         got = gradient_oracle(grad, gnorm, batch, model, RngStream(82))
         assert _bitwise_equal(got, grad + acc / batch)
+
+    @pytest.mark.parametrize(
+        "components, grad_norm",
+        [("sigma0", 2.0), ("sigma1", 2.0), ("both", 2.0), ("sigma1", 5e-324)],
+    )
+    def test_chunk_matches_zeros_start(self, components, grad_norm):
+        # one positive coefficient scales the draws in place; a coefficient
+        # that underflows to 0 (scale1 * 5e-324) still starts from zeros, so
+        # its draws are +0.0 and never -0.0
+        model = _calibrated(components)
+        chunk = next(noise._noise_chunks(model, 7, (3, 2), grad_norm, RngStream(91)))
+        ref = _zeros_start_draws(model, 7, (3, 2), grad_norm, RngStream(91))
+        assert _bitwise_equal(chunk, ref)
+        if grad_norm < 1e-300:
+            assert model.scale1 * grad_norm == 0.0
+            assert _bitwise_equal(chunk, np.zeros_like(chunk))
+
+    @pytest.mark.parametrize("components", ["sigma0", "sigma1", "both"])
+    def test_single_draw_oracle_matches_accumulate(self, components):
+        # batch 1 adds its draw as it is: grad + (running sum of 1 draw) / 1
+        model = _calibrated(components, (4, 3))
+        grad = RngStream(92).normal((4, 3))
+        gnorm = float(np.linalg.norm(grad))
+        draws = _zeros_start_draws(model, 1, (4, 3), gnorm, RngStream(93))
+        ref = grad + np.add.accumulate(draws)[-1] / 1
+        assert _bitwise_equal(gradient_oracle(grad, gnorm, 1, model, RngStream(93)), ref)
 
     def test_alpha_moment_is_loop_over_samples(self):
         model = _calibrated("both")

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,20 @@ class TestGramForm:
             )
             assert not np.array_equal(_gram_recursion(z, coeffs), _direct_loop(z, coeffs))
 
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            polar_express_schedule("cifar10").steps,  # distinct a, then one a three times
+            ((0.0, 1.5, -0.5), (-0.0, 1.5, -0.5), (0.0, 1.5, -0.5)),  # a = +-0.0 kept apart
+        ],
+    )
+    def test_scaled_identity_reused_bitwise(self, steps):
+        # aI is built once per distinct a; every step matches a fresh a * eye
+        coeffs = np.array(steps)
+        z = RngStream(31).normal((6, 20)) / 20.0
+        for m in (z, z.T):
+            assert polynomial_iterate(m, coeffs).tobytes() == _gram_recursion(m, coeffs).tobytes()
+
     @pytest.mark.parametrize("shape", [(4, 12), (12, 4), (5, 5)])
     def test_q_zero_returns_input(self, shape):
         z = RngStream(30).normal(shape)
@@ -226,6 +242,25 @@ class TestProp1Gamma:
 
 
 class TestSchedules:
+    @pytest.mark.parametrize("name", ["cubic", "quintic-empirical", "polar-express-nanogpt"])
+    def test_coeff_array_built_once_and_read_only(self, name):
+        sched = schedule_by_name(name, 4)
+        coeffs = sched.coeff_array()
+        assert coeffs is sched.coeff_array()
+        fresh = np.array(sched.steps, dtype=np.float64).reshape(-1, 3)
+        assert coeffs.dtype == fresh.dtype and coeffs.tobytes() == fresh.tobytes()
+        assert coeffs.shape == fresh.shape and not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[0, 0] = 1.0
+        # the array is no field: equality, hashing and replace see the steps
+        copy = replace(sched)
+        assert copy == sched and hash(copy) == hash(sched)
+        assert copy.coeff_array() is not coeffs
+        assert "_coeffs" not in {f.name for f in fields(sched)}
+
+    def test_empty_schedule_coeff_array(self):
+        assert cubic_schedule(0).coeff_array().shape == (0, 3)
+
     def test_polar_express_nanogpt_first(self):
         sched = polar_express_schedule("nanogpt")
         assert sched.steps[0] == (8.1566, -22.4833, 15.8788)

@@ -156,13 +156,16 @@ class TestRandomizedPolar:
         pcfg = PolarConfig(schedule=quintic_theoretical_schedule(5))
         scfg = SketchConfig(s=38, p=2, h=h)  # 300 * 40^2 takes CholeskyQR2
         svd_calls = []
-        exact_svd = matcore._svd
-        monkeypatch.setattr(matcore, "_svd", lambda a: (svd_calls.append(a), exact_svd(a))[1])
+        exact_svd = matcore._truncated_svd
         for t in range(5):
             a = RngStream(15, t).normal((300, 200))
-            out = randomized_polar(a, scfg, pcfg, RngStream(16, t))
             with monkeypatch.context() as mp:
-                mp.setattr(matcore, "orthonormal_basis", lambda y: exact_svd(y).u)
+                mp.setattr(
+                    matcore, "_truncated_svd", lambda y: (svd_calls.append(y), exact_svd(y))[1]
+                )
+                out = randomized_polar(a, scfg, pcfg, RngStream(16, t))
+            with monkeypatch.context() as mp:
+                mp.setattr(matcore, "orthonormal_basis", lambda y: matcore._svd(y).u)
                 ref = randomized_polar(a, scfg, pcfg, RngStream(16, t))
             assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
         assert svd_calls == []

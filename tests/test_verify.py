@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polarmuon import cli, matcore, suites, verify
-from polarmuon.errors import ConfigError, PreconditionError
+from polarmuon.errors import ConfigError, DimensionError, NumericalAbortError, PreconditionError
 from polarmuon.matcore import RngStream, nuclear_norm, svd
 from polarmuon.polar import (
     PolarConfig,
@@ -72,6 +72,38 @@ class TestEstimateGammaNu:
                 np.eye(2), lambda a, _r: np.zeros_like(a), 5, RngStream(75)
             )
 
+    def test_measurement_validates_output_once(self, monkeypatch):
+        # one as_matrix pass per output T, and the floats of the public norms
+        rng = RngStream(94)
+        a = rng.normal((6, 4))
+        outs = [rng.normal((6, 4)), np.asfortranarray(rng.normal((6, 4))), np.zeros((6, 4))]
+        refs = [(matcore.inner_product(a, t), matcore.operator_norm(t)) for t in outs]
+        checked = []
+        as_matrix = matcore.as_matrix
+        monkeypatch.setattr(
+            matcore, "as_matrix", lambda m, *n: checked.append(1) or as_matrix(m, *n)
+        )
+        got = [verify._alignment_and_op_norm(a, t) for t in outs]
+        assert len(checked) == len(outs)
+        assert [(x.hex(), y.hex()) for x, y in got] == [(x.hex(), y.hex()) for x, y in refs]
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (np.ones((4, 6)), DimensionError, "shape mismatch: (6, 4) vs (4, 6)"),
+            (np.ones((6, 4, 1)), DimensionError, "b must be 2-D, got ndim=3"),
+            (np.full((6, 4), np.nan), NumericalAbortError, "b contains non-finite entries"),
+        ],
+    )
+    def test_bad_polar_output_raises(self, bad, error, message):
+        a = RngStream(95).normal((6, 4))
+        with pytest.raises(error) as exc:
+            matcore.inner_product(a, bad)
+        assert str(exc.value) == message
+        with pytest.raises(error) as exc:
+            estimate_gamma_nu(a, lambda m, r: bad, 2, RngStream(96))
+        assert str(exc.value) == message
+
     def test_trials_precondition(self):
         with pytest.raises(PreconditionError):
             estimate_gamma_nu(np.eye(2), lambda a, _r: a, 0, RngStream(76))
@@ -132,18 +164,26 @@ class TestCheckProp2:
             assert rep.passed, (i, rows, cols)
 
     def test_trials_share_the_bounds_delta(self, monkeypatch):
-        # delta is resolved once, for the bound, and handed to every trial
-        # as an explicit delta: no trial takes its own SVD of m
+        # under operator-norm, delta is sigma_1 of the one SVD of m that gives
+        # the spectrum, and it is handed to every trial as an explicit delta:
+        # neither the bound nor a trial takes another SVD of m
         m = RngStream(92).normal((9, 7))
+        sigma_1 = float(matcore.svd(m).sigma[0])
+        assert sigma_1 != matcore.operator_norm(m)  # the SVDs differ in the last ulp
         pcfg = PolarConfig(schedule=quintic_theoretical_schedule(3), delta_rule="operator-norm")
-        seen = []
-        traced = verify.randomized_polar
+        seen, svds_of_m = [], []
+        traced, lapack_svd = verify.randomized_polar, np.linalg.svd
         monkeypatch.setattr(
             verify, "randomized_polar",
             lambda a, scfg, cfg, rng: seen.append(cfg.delta_rule) or traced(a, scfg, cfg, rng),
         )
+        monkeypatch.setattr(
+            np.linalg, "svd",
+            lambda a, **k: svds_of_m.append(np.array_equal(a, m)) or lapack_svd(a, **k),
+        )
         check_prop2(m, SketchConfig(s=3, p=2, h=1), pcfg, trials=5, rng=RngStream(93))
-        assert seen == [pcfg.resolve_delta(m)] * 5
+        assert svds_of_m.count(True) == 1
+        assert [d.hex() for d in seen] == [sigma_1.hex()] * 5
 
     def test_kaczmarz_rejected(self):
         with pytest.raises(PreconditionError):
