@@ -157,15 +157,16 @@ class TestRandomizedPolar:
         scfg = SketchConfig(s=38, p=2, h=h)  # 300 * 40^2 takes CholeskyQR2
         svd_calls = []
         exact_svd = matcore._truncated_svd
+        monkeypatch.setattr(
+            matcore, "_truncated_svd", lambda a: (svd_calls.append(a), exact_svd(a))[1]
+        )
         for t in range(5):
             a = RngStream(15, t).normal((300, 200))
-            with monkeypatch.context() as mp:
+            out = randomized_polar(a, scfg, pcfg, RngStream(16, t))
+            with monkeypatch.context() as mp:  # the full-rank SVD basis, called directly
                 mp.setattr(
-                    matcore, "_truncated_svd", lambda y: (svd_calls.append(y), exact_svd(y))[1]
+                    matcore, "orthonormal_basis", lambda y: np.linalg.svd(y, full_matrices=False)[0]
                 )
-                out = randomized_polar(a, scfg, pcfg, RngStream(16, t))
-            with monkeypatch.context() as mp:
-                mp.setattr(matcore, "orthonormal_basis", lambda y: matcore._svd(y).u)
                 ref = randomized_polar(a, scfg, pcfg, RngStream(16, t))
             assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
         assert svd_calls == []
