@@ -139,7 +139,10 @@ def _cmd_flops(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and kept for the process: parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="polarmuon", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -165,17 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` uses, built on its first call and kept for the
-    process: parsing leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(_join_sweep_values(argv))
+        args = build_parser().parse_args(_join_sweep_values(argv))
     except SystemExit as e:  # argparse printed its usage error (2) or the help (0)
         return EXIT_OK if not e.code else EXIT_CONFIG_ERROR
     try:

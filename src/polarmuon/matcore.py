@@ -82,13 +82,15 @@ def nuclear_norm(m) -> float:
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
-def inner_product(a, b) -> float:
-    """Trace inner product <A, B> = tr(A^T B)."""
-    x = as_matrix(a, "a")
-    y = as_matrix(b, "b")
+def _inner_product(x: np.ndarray, y: np.ndarray) -> float:
     if x.shape != y.shape:
         raise DimensionError(f"shape mismatch: {x.shape} vs {y.shape}")
     return float(np.sum(x * y))
+
+
+def inner_product(a, b) -> float:
+    """Trace inner product <A, B> = tr(A^T B)."""
+    return _inner_product(as_matrix(a, "a"), as_matrix(b, "b"))
 
 
 def rank_tolerance(shape: tuple[int, int], sigma_max: float) -> float:

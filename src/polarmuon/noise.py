@@ -76,15 +76,12 @@ class Problem:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.value_and_gradient(x)[1]
 
+    @cached_property
     def radius(self) -> float:
         """Iterate-ball radius 10 ||A||_F^(1/2) used to keep the non-convex
         problem in a region of bounded curvature.  It is computed on first
         use and kept: a factorization run takes ||A||_F once, and a quadratic
         run, whose projection is the identity, never takes it."""
-        return self._radius
-
-    @cached_property
-    def _radius(self) -> float:
         return 10.0 * matcore._frobenius(self.a) ** 0.5
 
     def project(self, x) -> np.ndarray:
@@ -95,7 +92,7 @@ class Problem:
         """
         if self.kind != "factorization":
             return x
-        r = self._radius
+        r = self.radius
         with np.errstate(over="ignore"):
             nrm = matcore._frobenius(x)
         if nrm <= r:

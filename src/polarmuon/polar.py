@@ -202,8 +202,7 @@ def polynomial_iterate(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
       orientation) is R*B with R a polynomial in G = BB^T, so the schedule
       runs on d0 x d0 matrices: S = G; per step P = aI + bS + cS^2 and
       R <- P*R, and, except on the last step, S <- P(PS); then R*B is applied
-      once.  aI is built once per distinct a.  4 d0^2 d1 + (8q - 6) d0^3
-      FLOPs.
+      once.  4 d0^2 d1 + (8q - 6) d0^3 FLOPs.
 
     Forming G squares the singular values, so the Gram form loses accuracy on
     those far below 1.  Against the exact map U p_q(Sigma) V^T, over 200
@@ -228,13 +227,9 @@ def polynomial_iterate(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     wide = z if rows <= cols else z.T
     s = wide @ wide.T
     eye = np.eye(s.shape[0])
-    scaled_eye = {}  # keyed by a's bits, so -0.0 and 0.0 stay apart
     r = None
     for t, (a, b, c) in enumerate(steps):
-        key = a.hex()
-        if key not in scaled_eye:
-            scaled_eye[key] = a * eye
-        p = scaled_eye[key] + b * s + c * (s @ s)
+        p = a * eye + b * s + c * (s @ s)
         r = p if r is None else p @ r
         if t < len(steps) - 1:
             s = p @ (p @ s)

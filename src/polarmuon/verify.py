@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import matcore
-from .errors import ConfigError, DimensionError, PreconditionError
+from .errors import ConfigError, PreconditionError
 from .matcore import RngStream
 from .polar import PolarConfig, PolynomialSchedule, _gram_form
 from .sketch import SketchConfig, SpectrumSummary, prop2_lower_bound, randomized_polar
@@ -58,9 +58,7 @@ def _alignment_and_op_norm(a: np.ndarray, out) -> tuple[float, float]:
     errors of :func:`matcore.inner_product`.  An all-zero T measures
     (0.0, 0.0), and only an all-zero T has ||T||_op = 0."""
     t = matcore.as_matrix(out, "b")
-    if a.shape != t.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {t.shape}")
-    return float(np.sum(a * t)), matcore._operator_norm(t)
+    return matcore._inner_product(a, t), matcore._operator_norm(t)
 
 
 def _polar_trials(

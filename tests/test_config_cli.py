@@ -445,19 +445,14 @@ class TestRunner:
 
 
 class TestCli:
-    def test_parser_built_once_per_process(self, monkeypatch, capsys):
-        built = []
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-        cli._parser.cache_clear()
-        try:
-            for _ in range(3):
-                assert cli.main(["flops", "m=8,n=8,ell=2,q=1"]) == cli.EXIT_OK
-            assert cli.main(["flops"]) == cli.EXIT_CONFIG_ERROR  # argparse's usage error
+    def test_parser_built_once_per_process(self, capsys):
+        cli.build_parser.cache_clear()
+        for _ in range(3):
             assert cli.main(["flops", "m=8,n=8,ell=2,q=1"]) == cli.EXIT_OK
-        finally:
-            cli._parser.cache_clear()
-        assert built == [1]
+        assert cli.main(["flops"]) == cli.EXIT_CONFIG_ERROR  # argparse's usage error
+        assert cli.main(["flops", "m=8,n=8,ell=2,q=1"]) == cli.EXIT_OK
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
 
     def test_run_exit_ok(self, tmp_path, capsys):
         cfg = small_run_config(tmp_path, seeds=(1,))

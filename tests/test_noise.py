@@ -78,7 +78,7 @@ class TestProblems:
 
     def test_projection(self):
         p = factorization_problem(np.eye(3))
-        r = p.radius()
+        r = p.radius
         inside = np.eye(3)
         assert np.array_equal(p.project(inside), inside)
         far = np.eye(3) * (10 * r)
@@ -109,7 +109,7 @@ class TestProblems:
         for _ in range(3):
             assert p.project(inside) is inside
         assert norms == [(6, 6), (6, 3), (6, 3), (6, 3)]
-        assert p.radius() == 10.0 * float(np.linalg.norm(p.a)) ** 0.5
+        assert p.radius == 10.0 * float(np.linalg.norm(p.a)) ** 0.5
         assert len(norms) == 4
 
     def test_quadratic_never_projects(self):

@@ -152,20 +152,6 @@ class TestGramForm:
             )
             assert not np.array_equal(_gram_recursion(z, coeffs), _direct_loop(z, coeffs))
 
-    @pytest.mark.parametrize(
-        "steps",
-        [
-            polar_express_schedule("cifar10").steps,  # distinct a, then one a three times
-            ((0.0, 1.5, -0.5), (-0.0, 1.5, -0.5), (0.0, 1.5, -0.5)),  # a = +-0.0 kept apart
-        ],
-    )
-    def test_scaled_identity_reused_bitwise(self, steps):
-        # aI is built once per distinct a; every step matches a fresh a * eye
-        coeffs = np.array(steps)
-        z = RngStream(31).normal((6, 20)) / 20.0
-        for m in (z, z.T):
-            assert polynomial_iterate(m, coeffs).tobytes() == _gram_recursion(m, coeffs).tobytes()
-
     @pytest.mark.parametrize("shape", [(4, 12), (12, 4), (5, 5)])
     def test_q_zero_returns_input(self, shape):
         z = RngStream(30).normal(shape)

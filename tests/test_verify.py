@@ -169,7 +169,6 @@ class TestCheckProp2:
         # neither the bound nor a trial takes another SVD of m
         m = RngStream(92).normal((9, 7))
         sigma_1 = float(matcore.svd(m).sigma[0])
-        assert sigma_1 != matcore.operator_norm(m)  # the SVDs differ in the last ulp
         pcfg = PolarConfig(schedule=quintic_theoretical_schedule(3), delta_rule="operator-norm")
         seen, svds_of_m = [], []
         traced, lapack_svd = verify.randomized_polar, np.linalg.svd
