@@ -149,14 +149,22 @@ def _scope_sketch_moments() -> list[CheckResult]:
 
 
 def _scope_noise_moments() -> list[CheckResult]:
-    out = []
-    shape = (6, 6)
-    for alpha in (1.25, 1.5, 2.0):
-        model = noise_mod.NoiseModel(alpha=alpha, sigma0=1.0)
-        model = noise_mod.calibrate(model, shape, RngStream(_SUITE_SEED, 4))
-        est, se = noise_mod.empirical_alpha_moment(
-            model, shape, 20000, RngStream(_SUITE_SEED, 5)
+    # Each alpha is calibrated on its own; the estimators then draw each
+    # stream once for all three models, which share its uniforms.
+    shape, batches = (6, 6), (1, 4, 16, 64)
+    models = tuple(
+        noise_mod.calibrate(
+            noise_mod.NoiseModel(alpha=alpha, sigma0=1.0), shape, RngStream(_SUITE_SEED, 4)
         )
+        for alpha in (1.25, 1.5, 2.0)
+    )
+    moments = noise_mod.empirical_alpha_moment(models, shape, 20000, RngStream(_SUITE_SEED, 5))
+    coupled = noise_mod.empirical_batch_moments(
+        models, shape, 4000, RngStream(_SUITE_SEED, 6), batches=batches
+    )
+    out = []
+    for model, (est, se), by_batch in zip(models, moments, coupled):
+        alpha = model.alpha
         budget = model.sigma0**alpha
         out.append(
             CheckResult(
@@ -166,10 +174,7 @@ def _scope_noise_moments() -> list[CheckResult]:
                 f"estimate={est:.4f} budget={budget:.4f} se={se:.4f}",
             )
         )
-        coupled = noise_mod.empirical_batch_moments(
-            model, shape, 4000, RngStream(_SUITE_SEED, 6), batches=(1, 4, 16, 64)
-        )
-        batch_moments = [coupled[b][0] for b in (1, 4, 16, 64)]
+        batch_moments = [by_batch[b][0] for b in batches]
         mono = all(
             batch_moments[i + 1] < batch_moments[i]
             for i in range(len(batch_moments) - 1)

@@ -54,10 +54,10 @@ class AssumptionEstimate:
 
 def _alignment_and_op_norm(a: np.ndarray, out) -> tuple[float, float]:
     """(<A, T>, ||T||_op) of one polar output T of a finite 2-D float64 A.
-    T, which a user-supplied map may return, is validated once, with the
-    errors of :func:`matcore.inner_product`.  An all-zero T measures
-    (0.0, 0.0), and only an all-zero T has ||T||_op = 0."""
-    t = matcore.as_matrix(out, "b")
+    T, which a user-supplied map may return, is validated once and named
+    "polar output" in its errors.  An all-zero T measures (0.0, 0.0), and
+    only an all-zero T has ||T||_op = 0."""
+    t = matcore.as_matrix(out, "polar output")
     return matcore._inner_product(a, t), matcore._operator_norm(t)
 
 

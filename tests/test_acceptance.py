@@ -251,11 +251,11 @@ def test_criterion_10_noise_certification():
     shape = (6, 6)
     for alpha in (1.25, 1.5, 2.0):
         model = calibrate(NoiseModel(alpha=alpha, sigma0=1.0), shape, RngStream(0xACC, 10))
-        est, se = empirical_alpha_moment(model, shape, 20000, RngStream(0xACC, 11))
+        est, se = empirical_alpha_moment((model,), shape, 20000, RngStream(0xACC, 11))[0]
         budget_ok = est <= 1.0 + 3.0 * se
         coupled = empirical_batch_moments(
-            model, shape, 4000, RngStream(0xACC, 12), batches=(1, 4, 16, 64)
-        )
+            (model,), shape, 4000, RngStream(0xACC, 12), batches=(1, 4, 16, 64)
+        )[0]
         batch = [coupled[b][0] for b in (1, 4, 16, 64)]
         mono = all(batch[i + 1] < batch[i] for i in range(3))
         ok = ok and budget_ok and mono

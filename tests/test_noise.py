@@ -153,7 +153,7 @@ class TestCalibration:
             m = calibrate(
                 NoiseModel(alpha=alpha, sigma0=2.0), (5, 3), RngStream(45)
             )
-            est, se = empirical_alpha_moment(m, (5, 3), 20000, RngStream(46))
+            est, se = empirical_alpha_moment((m,), (5, 3), 20000, RngStream(46))[0]
             budget = 2.0**alpha
             assert 0.8 * budget - 3 * se <= est <= budget
             assert se <= 0.1 * budget
@@ -164,8 +164,8 @@ class TestCalibration:
         )
         gnorm = 3.0
         est, se = empirical_alpha_moment(
-            m, (4, 4), 20000, RngStream(48), grad_norm=gnorm
-        )
+            (m,), (4, 4), 20000, RngStream(48), grad_norm=gnorm
+        )[0]
         budget = 1.0**1.5 + 0.5**1.5 * gnorm**1.5
         assert est <= budget + 3 * se
 
@@ -233,26 +233,26 @@ class TestGradientOracle:
         for alpha in (1.25, 1.5, 2.0):
             m = calibrate(NoiseModel(alpha=alpha, sigma0=1.0), (4, 4), RngStream(65))
             est = empirical_batch_moments(
-                m, (4, 4), 2000, RngStream(66), batches=(1, 4, 16, 64)
-            )
+                (m,), (4, 4), 2000, RngStream(66), batches=(1, 4, 16, 64)
+            )[0]
             vals = [est[b][0] for b in (1, 4, 16, 64)]
             assert vals[0] > vals[1] > vals[2] > vals[3]
 
     def test_coupled_matches_plain_estimator_at_b1(self):
         m = calibrate(NoiseModel(alpha=2.0, sigma0=1.0), (3, 3), RngStream(67))
-        coupled = empirical_batch_moments(m, (3, 3), 5000, RngStream(68), batches=(1,))
-        plain, se = empirical_alpha_moment(m, (3, 3), 5000, RngStream(69))
+        coupled = empirical_batch_moments((m,), (3, 3), 5000, RngStream(68), batches=(1,))[0]
+        plain, se = empirical_alpha_moment((m,), (3, 3), 5000, RngStream(69))[0]
         assert coupled[1][0] == pytest.approx(plain, abs=6 * se)
 
     def test_coupled_preconditions(self):
         m = calibrate(NoiseModel(alpha=1.5, sigma0=1.0), (2, 2), RngStream(70))
         with pytest.raises(PreconditionError):
-            empirical_batch_moments(m, (2, 2), 10, RngStream(70))
+            empirical_batch_moments((m,), (2, 2), 10, RngStream(70))
         with pytest.raises(PreconditionError):
-            empirical_batch_moments(m, (2, 2), 2000, RngStream(70), batches=(0, 2))
+            empirical_batch_moments((m,), (2, 2), 2000, RngStream(70), batches=(0, 2))
         with pytest.raises(PreconditionError):
             empirical_batch_moments(
-                NoiseModel(alpha=1.5, sigma0=1.0), (2, 2), 2000, RngStream(70)
+                (NoiseModel(alpha=1.5, sigma0=1.0),), (2, 2), 2000, RngStream(70)
             )
 
     @pytest.mark.parametrize("sigma1, reads", [(0.0, 0), (0.5, 1)])
@@ -277,7 +277,7 @@ class TestGradientOracle:
     def test_moment_precondition(self):
         m = calibrate(NoiseModel(alpha=1.5, sigma0=1.0), (2, 2), RngStream(63))
         with pytest.raises(PreconditionError):
-            empirical_alpha_moment(m, (2, 2), 10, RngStream(64))
+            empirical_alpha_moment((m,), (2, 2), 10, RngStream(64))
 
     def test_calibration_sample_precondition(self):
         # the fit takes its moment from empirical_alpha_moment
@@ -336,7 +336,7 @@ class TestDrawOrder:
         # that underflows to 0 (scale1 * 5e-324) still starts from zeros, so
         # its draws are +0.0 and never -0.0
         model = _calibrated(components)
-        chunk = next(noise._noise_chunks(model, 7, (3, 2), grad_norm, RngStream(91)))
+        chunk = next(noise._noise_chunks((model,), 7, (3, 2), grad_norm, RngStream(91)))[0]
         ref = _zeros_start_draws(model, 7, (3, 2), grad_norm, RngStream(91))
         assert _bitwise_equal(chunk, ref)
         if grad_norm < 1e-300:
@@ -361,16 +361,16 @@ class TestDrawOrder:
             xi = sample_noise(model, (3, 2), 2.0, rng)
             vals.append(float(np.sum(xi * xi)) ** 0.75)
         ref = (float(np.mean(vals)), float(np.std(vals) / np.sqrt(1000)))
-        assert empirical_alpha_moment(model, (3, 2), 1000, RngStream(90), 2.0) == ref
+        assert empirical_alpha_moment((model,), (3, 2), 1000, RngStream(90), 2.0)[0] == ref
 
     def test_chunked_draws_match_single_draws(self, monkeypatch):
         # 2 * 2 components * 6 entries = 24 uniforms a draw: 10 draws a chunk
         monkeypatch.setattr(noise, "_CHUNK_UNIFORMS", 240)
         model = _calibrated("both")
-        chunks = list(noise._noise_chunks(model, 35, (3, 2), 1.0, RngStream(83)))
+        chunks = [c[0] for c in noise._noise_chunks((model,), 35, (3, 2), 1.0, RngStream(83))]
         assert [len(c) for c in chunks] == [10, 10, 10, 5]
         rng = RngStream(83)
-        singles = [next(noise._noise_chunks(model, 1, (3, 2), 1.0, rng)) for _ in range(35)]
+        singles = [next(noise._noise_chunks((model,), 1, (3, 2), 1.0, rng))[0] for _ in range(35)]
         assert _bitwise_equal(np.concatenate(chunks), np.concatenate(singles))
 
         grad = RngStream(84).normal((3, 2))
@@ -387,9 +387,9 @@ class TestDrawOrder:
         def estimates():
             return (
                 calibrate(NoiseModel(alpha=1.25, sigma0=1.0), (3, 2), RngStream(86), 1500),
-                empirical_alpha_moment(_calibrated("both"), (3, 2), 1000, RngStream(87), 2.0),
+                empirical_alpha_moment((_calibrated("both"),), (3, 2), 1000, RngStream(87), 2.0),
                 empirical_batch_moments(
-                    _calibrated("both"), (3, 2), 1000, RngStream(88), (1, 2, 4), 2.0
+                    (_calibrated("both"),), (3, 2), 1000, RngStream(88), (1, 2, 4), 2.0
                 ),
             )
 
@@ -406,8 +406,8 @@ class TestDrawOrder:
         assert repr(m.scale1) == "0.01586825096749006"
         assert repr(m.calib_rel_tol) == "0.14941546095904024"
         est = empirical_batch_moments(
-            m, (2, 3), 1000, RngStream(2026, 5), batches=(1, 3, 8), grad_norm=2.0
-        )
+            (m,), (2, 3), 1000, RngStream(2026, 5), batches=(1, 3, 8), grad_norm=2.0
+        )[0]
         assert repr(est) == (
             "{1: (0.28507910007378773, 0.0645583050247094), "
             "3: (0.16091000360037963, 0.02266816973093592), "
@@ -439,7 +439,74 @@ class TestDrawOrder:
         model = _calibrated("sigma0", (6, 6))
         tracemalloc.start()
         try:
-            empirical_batch_moments(model, (6, 6), 4000, RngStream(91), (1, 4, 16, 64))
+            empirical_batch_moments((model,), (6, 6), 4000, RngStream(91), (1, 4, 16, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+
+def _model_triple(components):
+    """Three calibrated models with the same active components but different
+    alpha, tail exponent and scales."""
+    if components == "single":  # one component each, of either kind
+        specs = [dict(sigma0=1.0), dict(sigma1=0.5), dict(sigma0=2.0, tail_exponent=2.6)]
+    else:
+        specs = [dict(sigma0=1.0, sigma1=0.5), dict(sigma0=0.3, sigma1=2.0),
+                 dict(sigma0=2.0, sigma1=0.1, tail_exponent=2.6)]
+    return tuple(
+        calibrate(NoiseModel(alpha=alpha, **spec), (3, 2), RngStream(80), 1000)
+        for alpha, spec in zip((1.25, 1.5, 2.0), specs)
+    )
+
+
+class TestSharedDraw:
+    """The estimators draw once for several models; each model's result is
+    bit for bit that of a call with it alone on the same stream."""
+
+    @pytest.mark.parametrize("components", ["single", "both"])
+    @pytest.mark.parametrize("chunk_uniforms", [None, 1100])
+    def test_models_match_single_model_calls(self, monkeypatch, components, chunk_uniforms):
+        if chunk_uniforms is not None:
+            # 1100 uniforms split both draws mid-way: the last chunk is partial
+            monkeypatch.setattr(noise, "_CHUNK_UNIFORMS", chunk_uniforms)
+        models = _model_triple(components)
+        shared = (
+            empirical_alpha_moment(models, (3, 2), 1000, RngStream(94), 2.0),
+            empirical_batch_moments(models, (3, 2), 1000, RngStream(95), (1, 2, 4), 2.0),
+        )
+        alone = (
+            [empirical_alpha_moment((m,), (3, 2), 1000, RngStream(94), 2.0)[0] for m in models],
+            [empirical_batch_moments((m,), (3, 2), 1000, RngStream(95), (1, 2, 4), 2.0)[0]
+             for m in models],
+        )
+        assert repr(shared) == repr(alone)
+        assert len({repr(r) for r in shared[0]}) == 3  # the models do differ
+
+    @pytest.mark.parametrize(
+        "first, second, grad_norm",
+        [("sigma0", "both", 2.0), ("sigma0", "sigma1", 0.0)],  # sigma1 draws nothing at 0
+    )
+    def test_mismatched_components_raise(self, first, second, grad_norm):
+        models = (_calibrated(first), _calibrated(second))
+        with pytest.raises(PreconditionError, match="same active components"):
+            empirical_alpha_moment(models, (3, 2), 1000, RngStream(96), grad_norm)
+        with pytest.raises(PreconditionError, match="same active components"):
+            empirical_batch_moments(models, (3, 2), 1000, RngStream(96), (1, 2), grad_norm)
+
+    def test_no_models_raise(self):
+        with pytest.raises(PreconditionError):
+            empirical_alpha_moment((), (3, 2), 1000, RngStream(96))
+
+    def test_batch_moments_memory_with_three_models(self):
+        # the noise-moments scope's shared draw: three models' chunks at once
+        models = tuple(
+            calibrate(NoiseModel(alpha=a, sigma0=1.0), (6, 6), RngStream(80), 1000)
+            for a in (1.25, 1.5, 2.0)
+        )
+        tracemalloc.start()
+        try:
+            empirical_batch_moments(models, (6, 6), 4000, RngStream(91), (1, 4, 16, 64))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

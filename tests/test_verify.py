@@ -100,9 +100,11 @@ class TestEstimateGammaNu:
         with pytest.raises(error) as exc:
             matcore.inner_product(a, bad)
         assert str(exc.value) == message
+        # estimate_gamma_nu names the map's output; inner_product keeps "b"
+        polar_message = "polar output" + message[1:] if message.startswith("b ") else message
         with pytest.raises(error) as exc:
             estimate_gamma_nu(a, lambda m, r: bad, 2, RngStream(96))
-        assert str(exc.value) == message
+        assert str(exc.value) == polar_message
 
     def test_trials_precondition(self):
         with pytest.raises(PreconditionError):
@@ -382,3 +384,43 @@ class TestSuites:
             "[PASS] noise-moments: alpha=2.0 batch moment decreases over B in (1,4,16,64) -- "
             "0.9015 -> 0.2409 -> 0.0597 -> 0.0163",
         ]
+
+    def test_noise_moments_estimates_pinned(self, monkeypatch):
+        # full-precision estimates of the scope, as three alpha-by-alpha
+        # calls of each estimator returned them
+        calls = []
+
+        def record(fn):
+            def wrapped(models, *args, **kwargs):
+                out = fn(models, *args, **kwargs)
+                calls.append((fn.__name__, len(models), out))
+                return out
+            return wrapped
+
+        for name in ("empirical_alpha_moment", "empirical_batch_moments"):
+            monkeypatch.setattr(suites.noise_mod, name, record(getattr(suites.noise_mod, name)))
+        suites._scope_noise_moments()
+        # each alpha's calibration fits one model; then one call per estimator
+        assert [call[:2] for call in calls] == [("empirical_alpha_moment", 1)] * 3 + [
+            ("empirical_alpha_moment", 3), ("empirical_batch_moments", 3)
+        ]
+        moments, coupled = (out for *_, out in calls[3:])
+        assert repr(moments) == (
+            "[(1.0227799526804908, 0.07936390736379262), "
+            "(1.0304203139055632, 0.0820791229995404), "
+            "(1.0155077490472264, 0.07079192835897816)]"
+        )
+        assert repr(coupled) == (
+            "[{1: (0.896662694560438, 0.0847769015142869), "
+            "4: (0.5263914276188644, 0.03975147365661524), "
+            "16: (0.27660159203106593, 0.014419131274430967), "
+            "64: (0.17468152090964265, 0.0126464373121831)}, "
+            "{1: (0.8991153313894059, 0.08517936437651125), "
+            "4: (0.3986835005917291, 0.028588810271284425), "
+            "16: (0.15839603224765045, 0.007413501099193826), "
+            "64: (0.07411851544085164, 0.004840671242808705)}, "
+            "{1: (0.9015045482661904, 0.07091532903568952), "
+            "4: (0.24092266011884697, 0.012205060036212195), "
+            "16: (0.05973578889036809, 0.0016371396036551236), "
+            "64: (0.016267548775139726, 0.0005640503325442695)}]"
+        )
