@@ -23,7 +23,8 @@ and the scales applied to them, so each model's estimate is bit for bit that
 of a call with it alone on the same stream.  The shared layout needs the
 models to agree on their number of active components.  The verify
 noise-moments scope estimates alpha = 1.25, 1.5 and 2 from one draw of each
-stream, not three; on a Xeon core it took about 0.65 s instead of 1.1 s.
+stream, not three: on a 2-core Xeon it took about 0.63 s instead of 0.96 s
+per traced certify op in ``BENCH_16.json``.
 """
 
 from __future__ import annotations
@@ -192,6 +193,22 @@ def _noise_plans(models: tuple, grad_norm: float) -> tuple[int, list]:
     return comps, plans
 
 
+def _compose(u: np.ndarray, sign: np.ndarray, power: float, coefs: tuple) -> np.ndarray:
+    """sum_c coefs[c] * sign[:, c] * u[:, c, 0]^power, shape (k, *inner).
+    One component with a positive coefficient is scaled in place: |Xi| >= 1,
+    so coef * Xi is never -0.0 and equals 0.0 + coef * Xi bit for bit."""
+    xi = u[:, :, 0] ** power
+    np.copysign(xi, sign, out=xi)
+    if len(coefs) == 1 and coefs[0] > 0:
+        out = xi[:, 0]
+        out *= coefs[0]
+        return out
+    out = np.zeros((len(u),) + u.shape[3:])  # a zero coef adds +0.0, not -0.0
+    for c, coef in enumerate(coefs):
+        out += coef * xi[:, c]
+    return out
+
+
 def _draw(comps: int, plans: list, k: int, inner: tuple, rng: RngStream) -> list:
     """``k`` noise matrices scale0 * Xi0 + scale1 * grad_norm * Xi1 of shape
     ``inner`` per plan of :func:`_noise_plans`: one (k, *inner) array per
@@ -213,22 +230,6 @@ def _noise_chunks(models: tuple, count: int, inner: tuple, grad_norm: float,
     step = max(1, _CHUNK_UNIFORMS // (2 * max(1, comps) * math.prod(inner)))
     for start in range(0, count, step):
         yield _draw(comps, plans, min(step, count - start), inner, rng)
-
-
-def _compose(u: np.ndarray, sign: np.ndarray, power: float, coefs: tuple) -> np.ndarray:
-    """sum_c coefs[c] * sign[:, c] * u[:, c, 0]^power, shape (k, *inner).
-    One component with a positive coefficient is scaled in place: |Xi| >= 1,
-    so coef * Xi is never -0.0 and equals 0.0 + coef * Xi bit for bit."""
-    xi = u[:, :, 0] ** power
-    np.copysign(xi, sign, out=xi)
-    if len(coefs) == 1 and coefs[0] > 0:
-        out = xi[:, 0]
-        out *= coefs[0]
-        return out
-    out = np.zeros((len(u),) + u.shape[3:])  # a zero coef adds +0.0, not -0.0
-    for c, coef in enumerate(coefs):
-        out += coef * xi[:, c]
-    return out
 
 
 def _frobenius_powers(x: np.ndarray, alpha: float) -> list:
