@@ -435,15 +435,21 @@ class TestDrawOrder:
     def test_batch_moments_memory_at_default_chunk(self):
         # the noise-moments scope's coupled estimator: 4000 samples of 64
         # draws of 6 x 6 are 18.4M uniforms, which 2^20-uniform chunks held
-        # in about 28 MiB at peak
+        # in about 28 MiB at peak; the scope shares each chunk among three
+        # models, whose arrays it holds at once
         model = _calibrated("sigma0", (6, 6))
-        tracemalloc.start()
-        try:
-            empirical_batch_moments((model,), (6, 6), 4000, RngStream(91), (1, 4, 16, 64))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 << 20
+        others = tuple(
+            calibrate(NoiseModel(alpha=a, sigma0=1.0), (6, 6), RngStream(80), 1000)
+            for a in (1.25, 2.0)
+        )
+        for models in ((model,), (model,) + others):
+            tracemalloc.start()
+            try:
+                empirical_batch_moments(models, (6, 6), 4000, RngStream(91), (1, 4, 16, 64))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20
 
 
 def _model_triple(components):
@@ -497,17 +503,3 @@ class TestSharedDraw:
     def test_no_models_raise(self):
         with pytest.raises(PreconditionError):
             empirical_alpha_moment((), (3, 2), 1000, RngStream(96))
-
-    def test_batch_moments_memory_with_three_models(self):
-        # the noise-moments scope's shared draw: three models' chunks at once
-        models = tuple(
-            calibrate(NoiseModel(alpha=a, sigma0=1.0), (6, 6), RngStream(80), 1000)
-            for a in (1.25, 1.5, 2.0)
-        )
-        tracemalloc.start()
-        try:
-            empirical_batch_moments(models, (6, 6), 4000, RngStream(91), (1, 4, 16, 64))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 << 20
