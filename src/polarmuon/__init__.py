@@ -4,7 +4,7 @@ Subpackages:
   matcore   -- dense matrix primitives, compact SVD, RNG streams
   polar     -- exact and polynomial polar decomposition
   sketch    -- lifted randomized polar decomposition and its bound calculators
-  optimizer -- Muon update rule, schedules, baselines
+  optimizer -- Muon update rule, schedules
   noise     -- synthetic problems and heavy-tailed gradient oracles
   verify    -- numerical certification of the alignment/spectral constants
   config    -- run configuration file format

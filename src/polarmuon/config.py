@@ -102,7 +102,7 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    kind: str = "muon"  # "muon" | "sgd_nesterov" | "adamw"
+    kind: str = "muon"  # the one optimizer
     momentum: str = "nesterov"
     schedule: str = "corollary1"  # "corollary1" | "theorem1" | "manual"
     K: int = 100
@@ -115,14 +115,13 @@ class OptimizerSpec:
         _section("optimizer", self._check)
 
     def _check(self) -> None:
-        if self.kind not in ("muon", "sgd_nesterov", "adamw"):
+        if self.kind != "muon":
             raise PreconditionError(f"unknown kind {self.kind!r}")
         if self.K < 1:
             raise PreconditionError("K must be >= 1")
         if self.B < 1:
             raise PreconditionError("B must be >= 1")
-        beta = self.step_schedule().beta
-        opt.check_momentum(self.momentum, beta if self.kind == "muon" else 0.0)
+        opt.check_momentum(self.momentum, self.step_schedule().beta)
 
     def step_schedule(self) -> opt.Schedule:
         """The (eta, beta) pair of this spec's schedule source."""

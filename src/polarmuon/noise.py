@@ -329,6 +329,7 @@ def empirical_batch_moments(
     several batch sizes and models: one dict per model of ``models``, in
     order, keyed by batch size.  Each size-b estimate averages ``n`` means
     of b i.i.d. draws; the coupling only correlates the estimates.
+    ``batches`` names at least one size, each once.
 
     Every batch size in a trial reuses the same underlying draws (the size-b
     mean averages the first b of max(batches) draws), so cross-batch
@@ -341,8 +342,8 @@ def empirical_batch_moments(
     """
     if n < 1000:
         raise PreconditionError("need at least 1000 samples")
-    if any(b < 1 for b in batches):
-        raise PreconditionError("batch sizes must be >= 1")
+    if not batches or len(set(batches)) < len(batches) or min(batches) < 1:
+        raise PreconditionError("batch sizes must be distinct, >= 1 and at least one")
     inner = (max(batches),) + tuple(shape)
     vals = [{b: array("d") for b in batches} for _ in models]
     for chunk in _noise_chunks(models, n, inner, grad_norm, rng):

@@ -1,6 +1,6 @@
-"""Muon update rule with Nesterov/Polyak momentum, parameter schedules, and
-baseline optimizers (SGD-Nesterov, AdamW).  A step rebinds its state's fields
-to fresh arrays and returns None; it writes into no array it was given."""
+"""Muon update rule with Nesterov/Polyak momentum and parameter schedules.
+A step rebinds its state's fields to fresh arrays and returns None; it
+writes into no array it was given."""
 
 from __future__ import annotations
 
@@ -16,15 +16,11 @@ __all__ = [
     "MuonState",
     "Schedule",
     "check_momentum",
-    "SgdState",
-    "AdamWState",
     "muon_step",
     "scaled_momentum",
     "theorem1_schedule",
     "corollary1_schedule",
     "min_batch_size",
-    "sgd_nesterov_step",
-    "adamw_step",
 ]
 
 
@@ -159,59 +155,3 @@ def min_batch_size(
     )
     threshold = base ** (alpha / (alpha - 1.0))
     return int(math.floor(threshold)) + 1
-
-
-@dataclass
-class SgdState:
-    x: np.ndarray
-    buf: np.ndarray
-    lr: float = 1e-2
-    momentum: float = 0.9
-
-    @classmethod
-    def initial(cls, x0, lr=1e-2, momentum=0.9) -> "SgdState":
-        a = matcore.as_matrix(x0)
-        return cls(x=a, buf=np.zeros_like(a), lr=lr, momentum=momentum)
-
-
-def sgd_nesterov_step(state: SgdState, g) -> None:
-    """buf = mu buf + G, x -= lr (G + mu buf); plain SGD when mu = 0."""
-    grad = matcore.as_matrix(g)
-    if grad.shape != state.x.shape:
-        raise DimensionError("gradient shape mismatch")
-    buf = state.momentum * state.buf + grad
-    d = grad + state.momentum * buf if state.momentum > 0 else grad
-    state.x, state.buf = state.x - state.lr * d, buf
-
-
-@dataclass
-class AdamWState:
-    x: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    k: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
-
-    @classmethod
-    def initial(cls, x0, **kw) -> "AdamWState":
-        a = matcore.as_matrix(x0)
-        return cls(x=a, m=np.zeros_like(a), v=np.zeros_like(a), **kw)
-
-
-def adamw_step(state: AdamWState, g) -> None:
-    """Bias-corrected Adam moments with decoupled weight decay; k counts steps."""
-    grad = matcore.as_matrix(g)
-    if grad.shape != state.x.shape:
-        raise DimensionError("gradient shape mismatch")
-    k = state.k + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**k)
-    v_hat = v / (1.0 - state.beta2**k)
-    x = state.x * (1.0 - state.lr * state.weight_decay)
-    x = x - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    state.x, state.m, state.v, state.k = x, m, v, k

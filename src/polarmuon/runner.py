@@ -144,26 +144,19 @@ def _initial_point(cfg: RunConfig, seed: int) -> np.ndarray:
 
 
 def _run_seed(cfg: RunConfig, seed: int, problem, model, step_flops: int) -> SeedResult:
-    """K steps from this seed's start, on the run's resolved inputs: one
-    step(g) that updates the state, one ||grad f||_F per step.  A non-finite
-    f aborts the seed; a non-finite entry of the iterate makes f non-finite,
-    so the iterate is not checked apart.  A step that raises, or whose
-    projection finds an overflowing norm, aborts the seed without its row."""
+    """K Muon steps from this seed's start, on the run's resolved inputs, one
+    ||grad f||_F per step.  A non-finite f aborts the seed; a non-finite
+    entry of the iterate makes f non-finite, so the iterate is not checked
+    apart.  A step that raises, or whose projection finds an overflowing
+    norm, aborts the seed without its row."""
     o = cfg.optimizer
     sched = o.step_schedule()
     noise_rng = RngStream(seed, derive_stream_id(_TAG_NOISE))
-    x = _initial_point(cfg, seed)
+    state = opt.MuonState.initial(
+        _initial_point(cfg, seed), kind=o.momentum, beta=sched.beta, eta=sched.eta
+    )
     checks = []
-    if o.kind == "muon":
-        state = opt.MuonState.initial(x, kind=o.momentum, beta=sched.beta, eta=sched.eta)
-        polar = _make_polar(cfg, RngStream(seed, derive_stream_id(_TAG_SKETCH)), checks)
-        step = lambda g: opt.muon_step(state, g, polar)
-    elif o.kind == "sgd_nesterov":
-        state = opt.SgdState.initial(x, lr=sched.eta, momentum=sched.beta)
-        step = lambda g: opt.sgd_nesterov_step(state, g)
-    else:
-        state = opt.AdamWState.initial(x, lr=sched.eta)
-        step = lambda g: opt.adamw_step(state, g)
+    polar = _make_polar(cfg, RngStream(seed, derive_stream_id(_TAG_SKETCH)), checks)
 
     rows = []
     for k in range(o.K):
@@ -173,7 +166,7 @@ def _run_seed(cfg: RunConfig, seed: int, problem, model, step_flops: int) -> See
         gnorm = matcore._frobenius(grad)
         g = noise_mod.gradient_oracle(grad, gnorm, o.B, model, noise_rng)
         try:
-            step(g)
+            opt.muon_step(state, g, polar)
             state.x = problem.project(state.x)
         except (NumericalAbortError, DegenerateInputError):
             # the step or its projection overflowed, or the step

@@ -225,7 +225,6 @@ class FlopModel:
 #   Frobenius norm of m x n (dot):    2 m n
 #   rescale of m x n:                 m n
 #   SVD of m x n (d1 >= d0):          14 d1 d0^2 + 8 d0^3
-#   AdamW per entry:                  12  (m, v, denom, step, decay)
 # Terms of order ell^2 (small norms, the identity subtraction) are dropped.
 
 
@@ -317,13 +316,13 @@ def flop_counts(model: FlopModel) -> tuple[int, int, float]:
 
 @dataclass(frozen=True)
 class StepFlopsConfig:
-    """Names one optimizer step for analytic FLOP counting."""
+    """Names one Muon step for analytic FLOP counting."""
 
-    optimizer: str  # "muon" | "sgd_nesterov" | "adamw"
+    optimizer: str  # "muon", the one optimizer
     m: int
     n: int
-    momentum: str = "nesterov"  # muon only: "nesterov" | "polyak"
-    polar: str = "polynomial"  # muon only: "exact" | "polynomial" | "randomized"
+    momentum: str = "nesterov"  # "nesterov" | "polyak"
+    polar: str = "polynomial"  # "exact" | "polynomial" | "randomized"
     q: int = 0
     ell: int = 0
     h: int = 0
@@ -331,14 +330,10 @@ class StepFlopsConfig:
 
 
 def measured_step_flops(cfg: StepFlopsConfig) -> int:
-    """FLOPs of one optimizer step, counted analytically from the shapes with
-    the tables above (not measured): momentum, every polar stage, update."""
+    """FLOPs of one Muon step, counted analytically from the shapes with the
+    tables above (not measured): momentum, every polar stage, update."""
     m, n = cfg.m, cfg.n
     axpy = 2 * m * n
-    if cfg.optimizer == "sgd_nesterov":
-        return 2 * axpy
-    if cfg.optimizer == "adamw":
-        return 12 * m * n
     if cfg.optimizer != "muon":
         raise ConfigError(f"unknown optimizer: {cfg.optimizer!r}")
     if cfg.momentum not in ("nesterov", "polyak"):

@@ -44,7 +44,7 @@ POOLS = {
         "gen_seed": (["1", "-5", "18446744073709551617"], ["seed", "1.5"]),
     },
     "optimizer": {
-        "kind": (["muon", "sgd_nesterov", "adamw"], ["lion"]),
+        "kind": (["muon"], ["lion", "sgd_nesterov", "adamw"]),
         "momentum": (["nesterov", "polyak"], ["heavy"]),
         "schedule": (["corollary1", "theorem1", "manual"], ["cosine"]),
         "k": (["3", "2", "1"], ["0", "-1", "2.0"]),

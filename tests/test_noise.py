@@ -248,8 +248,11 @@ class TestGradientOracle:
         m = calibrate(NoiseModel(alpha=1.5, sigma0=1.0), (2, 2), RngStream(70))
         with pytest.raises(PreconditionError):
             empirical_batch_moments((m,), (2, 2), 10, RngStream(70))
-        with pytest.raises(PreconditionError):
-            empirical_batch_moments((m,), (2, 2), 2000, RngStream(70), batches=(0, 2))
+        # a size listed twice would count each of its samples twice and
+        # understate its standard error by sqrt(2)
+        for batches in ((0, 2), (1, 1), (4, 1, 4), ()):
+            with pytest.raises(PreconditionError, match="batch sizes"):
+                empirical_batch_moments((m,), (2, 2), 2000, RngStream(70), batches=batches)
         with pytest.raises(PreconditionError):
             empirical_batch_moments(
                 (NoiseModel(alpha=1.5, sigma0=1.0),), (2, 2), 2000, RngStream(70)

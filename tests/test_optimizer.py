@@ -4,15 +4,11 @@ import pytest
 from polarmuon.errors import DimensionError, PreconditionError
 from polarmuon.matcore import RngStream
 from polarmuon.optimizer import (
-    AdamWState,
     MuonState,
-    SgdState,
-    adamw_step,
     corollary1_schedule,
     min_batch_size,
     muon_step,
     scaled_momentum,
-    sgd_nesterov_step,
     theorem1_schedule,
 )
 from polarmuon.polar import exact_polar
@@ -204,84 +200,3 @@ class TestMinBatchSize:
             min_batch_size(1.0, 0.1, 4)
         with pytest.raises(PreconditionError):
             min_batch_size(1.5, 0.1, 4, gamma_bar=1.0)
-
-
-class TestBaselines:
-    def test_sgd_plain_gradient_descent(self):
-        st = SgdState.initial(np.zeros((2, 2)), lr=0.5, momentum=0.0)
-        g = np.ones((2, 2))
-        sgd_nesterov_step(st, g)
-        np.testing.assert_allclose(st.x, -0.5 * np.ones((2, 2)))
-
-    def test_sgd_nesterov_hand_value(self):
-        st = SgdState.initial(np.zeros((1, 1)), lr=1.0, momentum=0.5)
-        sgd_nesterov_step(st, np.array([[1.0]]))
-        # buf = 1, d = g + mu*buf = 1.5
-        np.testing.assert_allclose(st.x, [[-1.5]])
-        sgd_nesterov_step(st, np.array([[1.0]]))
-        # buf = 1.5, d = 1 + 0.75 = 1.75
-        np.testing.assert_allclose(st.x, [[-3.25]])
-
-    def test_adamw_first_step_sign(self):
-        st = AdamWState.initial(np.zeros((2, 3)), lr=1e-3, weight_decay=0.0)
-        g = RngStream(34).normal((2, 3))
-        adamw_step(st, g)
-        # after bias correction the first step is -lr * g/(|g| + eps)
-        np.testing.assert_allclose(st.x, -1e-3 * np.sign(g), atol=1e-5)
-
-    def test_adamw_weight_decay(self):
-        st = AdamWState.initial(np.ones((2, 2)), lr=0.1, weight_decay=0.5)
-        adamw_step(st, np.zeros((2, 2)))
-        np.testing.assert_allclose(st.x, 0.95 * np.ones((2, 2)))
-
-    @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    def test_sgd_step_bitwise_equal_to_formula_and_inputs_untouched(self, momentum):
-        rng = RngStream(36)
-        x0 = rng.normal((5, 3))
-        x0_copy = x0.copy()
-        st = SgdState.initial(x0, lr=0.05, momentum=momentum)
-        for _ in range(4):
-            g = rng.normal((5, 3))
-            old = (st.x, st.buf, g)
-            before = [a.copy() for a in old]
-            assert sgd_nesterov_step(st, g) is None
-            for a, b in zip(old, before):
-                assert np.array_equal(a, b)
-            buf = momentum * before[1] + g
-            d = g + momentum * buf if momentum > 0 else g
-            assert np.array_equal(st.buf, buf)
-            assert np.array_equal(st.x, before[0] - 0.05 * d)
-        assert np.array_equal(x0, x0_copy)
-
-    def test_adamw_step_bitwise_equal_to_formula_and_inputs_untouched(self):
-        rng = RngStream(37)
-        x0 = rng.normal((5, 3))
-        x0_copy = x0.copy()
-        lr, b1, b2, eps, wd = 1e-2, 0.9, 0.999, 1e-8, 0.01
-        st = AdamWState.initial(x0, lr=lr, weight_decay=wd)
-        for k in range(1, 5):
-            g = rng.normal((5, 3))
-            old = (st.x, st.m, st.v, g)
-            before = [a.copy() for a in old]
-            assert adamw_step(st, g) is None
-            for a, b in zip(old, before):
-                assert np.array_equal(a, b)
-            m = b1 * before[1] + (1.0 - b1) * g
-            v = b2 * before[2] + (1.0 - b2) * g * g
-            x = before[0] * (1.0 - lr * wd)
-            x = x - lr * (m / (1.0 - b1**k)) / (np.sqrt(v / (1.0 - b2**k)) + eps)
-            assert st.k == k
-            assert np.array_equal(st.m, m) and np.array_equal(st.v, v)
-            assert np.array_equal(st.x, x)
-        assert np.array_equal(x0, x0_copy)
-
-    def test_baselines_converge_on_quadratic(self):
-        a = RngStream(35).normal((4, 4))
-        sgd = SgdState.initial(np.zeros((4, 4)), lr=0.05, momentum=0.9)
-        for _ in range(300):
-            sgd_nesterov_step(sgd, sgd.x - a)
-        assert np.linalg.norm(sgd.x - a) <= 1e-6
-        adam = AdamWState.initial(np.zeros((4, 4)), lr=0.1, weight_decay=0.0)
-        for _ in range(800):
-            adamw_step(adam, adam.x - a)
-        assert np.linalg.norm(adam.x - a) <= 1e-2
