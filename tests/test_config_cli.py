@@ -396,7 +396,7 @@ class TestRunner:
         assert f"cumulative FLOPs over all seeds = {(K + 3) * step}" in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("ignore:overflow")
-    def test_overflowed_iterate_aborts_at_next_step(self, tmp_path, monkeypatch):
+    def test_overflowed_muon_iterate_aborts_at_next_step(self, tmp_path, monkeypatch):
         # the one-step schedule 10 M/||M||_F has entries above 1.8, so
         # eta = 1e308 overflows the iterate in the first step; f of the
         # non-finite iterate is non-finite, so the seed aborts at step 1
