@@ -107,7 +107,6 @@ class OptimizerSpec:
     schedule: str = "corollary1"  # "corollary1" | "theorem1" | "manual"
     K: int = 100
     B: int = 1
-    alpha: float = 2.0  # theorem1 only
     eta: float = 0.02  # manual only
     beta: float = 0.95  # manual only
 
@@ -121,16 +120,16 @@ class OptimizerSpec:
             raise PreconditionError("K must be >= 1")
         if self.B < 1:
             raise PreconditionError("B must be >= 1")
-        opt.check_momentum(self.momentum, self.step_schedule().beta)
+        opt.check_momentum(self.momentum, self.beta)
 
-    def step_schedule(self) -> opt.Schedule:
-        """The (eta, beta) pair of this spec's schedule source."""
+    def step_schedule(self, alpha: float) -> opt.Schedule:
+        """The (eta, beta) pair of this spec's schedule; theorem 1 reads the noise's ``alpha``."""
         if self.schedule == "manual":
             return opt.Schedule(eta=self.eta, beta=self.beta)
         if self.schedule == "corollary1":
             return opt.corollary1_schedule(self.K)
         if self.schedule == "theorem1":
-            return opt.theorem1_schedule(self.K, self.alpha)
+            return opt.theorem1_schedule(self.K, alpha)
         raise PreconditionError(f"unknown schedule source {self.schedule!r}")
 
 
@@ -146,10 +145,14 @@ class RunConfig:
     verify: bool = False
 
     def __post_init__(self):
+        _section("optimizer", lambda: self.optimizer.step_schedule(self.noise.alpha))
         if self.sketch is not None:
             _section("sketch", lambda: self.sketch.check_shape(self.problem.param_shape))
         if not self.seeds:
             raise ConfigError("run.seeds: at least one seed required")
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:
+            raise ConfigError(f"run.seeds: seed {repeated[0]} is listed twice")
 
 
 def _write(obj) -> dict:

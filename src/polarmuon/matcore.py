@@ -64,8 +64,6 @@ def frobenius_norm(m) -> float:
 
 
 def _operator_norm(a: np.ndarray) -> float:
-    if not a.any():
-        return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
@@ -76,10 +74,7 @@ def operator_norm(m) -> float:
 
 def nuclear_norm(m) -> float:
     """Sum of singular values."""
-    a = as_matrix(m)
-    if not a.any():
-        return 0.0
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+    return float(np.sum(np.linalg.svd(as_matrix(m), compute_uv=False)))
 
 
 def _inner_product(x: np.ndarray, y: np.ndarray) -> float:
@@ -128,17 +123,13 @@ def _truncated_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _svd(a: np.ndarray) -> Svd:
-    if not a.any():
-        raise DegenerateInputError("svd of zero matrix")
     u, s, vt = _truncated_svd(a)
     return Svd(u=u.copy(), sigma=s.copy(), v=vt.T.copy())
 
 
 def svd(m) -> Svd:
-    """Compact SVD with rank-tolerance truncation.
-
-    Raises DegenerateInputError for the zero matrix.
-    """
+    """Compact SVD with rank-tolerance truncation; DegenerateInputError when
+    no singular value passes the rank cut, as for the zero matrix."""
     return _svd(as_matrix(m))
 
 

@@ -11,12 +11,13 @@ such a solver has a closed form in the singular values, exposed as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import matcore
-from .errors import DegenerateInputError, PreconditionError
+from .errors import DegenerateInputError, NumericalAbortError, PreconditionError
 
 __all__ = [
     "PolynomialSchedule",
@@ -170,12 +171,21 @@ class PolarConfig:
 
     def resolve_delta(self, m: np.ndarray) -> float:
         """The scale delta for ``m``, a finite 2-D float64 array that the
-        calling solver has validated (it is not re-checked here)."""
+        calling solver has validated: DegenerateInputError if delta is 0 (a
+        zero ``m``, or squares that underflow), NumericalAbortError if it is
+        not finite (squares that overflow)."""
         if isinstance(self.delta_rule, (int, float)):
-            return float(self.delta_rule)
-        if self.delta_rule == "operator-norm":
-            return matcore._operator_norm(m)
-        return matcore._frobenius(m)
+            delta = float(self.delta_rule)
+        elif self.delta_rule == "operator-norm":
+            delta = matcore._operator_norm(m)
+        else:
+            with np.errstate(over="ignore"):
+                delta = matcore._frobenius(m)
+        if delta == 0.0:
+            raise DegenerateInputError("scale delta is 0")
+        if not math.isfinite(delta):
+            raise NumericalAbortError("scale delta is not finite")
+        return delta
 
 
 def exact_polar(m) -> np.ndarray:
@@ -241,11 +251,11 @@ def inexact_polar(m, cfg: PolarConfig) -> np.ndarray:
     """Polynomial polar approximation p_q(m / delta).
 
     An explicit delta below the operator norm voids the <= 1 spectral
-    guarantee of theoretical schedules.
+    guarantee of theoretical schedules.  delta is checked as
+    :meth:`PolarConfig.resolve_delta` says, so only an explicit delta maps a
+    zero ``m`` (to p_q(0) = 0).
     """
     a = matcore.as_matrix(m)
-    if not a.any():
-        raise DegenerateInputError("inexact_polar of zero matrix")
     if cfg.solver != "polynomial":
         raise PreconditionError("inexact_polar requires a polynomial config")
     delta = cfg.resolve_delta(a)

@@ -150,7 +150,7 @@ def _run_seed(cfg: RunConfig, seed: int, problem, model, step_flops: int) -> See
     apart.  A step that raises, or whose projection finds an overflowing
     norm, aborts the seed without its row."""
     o = cfg.optimizer
-    sched = o.step_schedule()
+    sched = o.step_schedule(cfg.noise.alpha)
     noise_rng = RngStream(seed, derive_stream_id(_TAG_NOISE))
     state = opt.MuonState.initial(
         _initial_point(cfg, seed), kind=o.momentum, beta=sched.beta, eta=sched.eta
@@ -251,11 +251,9 @@ def _apply_axis(cfg: RunConfig, axis: str, value) -> RunConfig:
     if axis == "K":
         return replace(cfg, optimizer=replace(cfg.optimizer, K=int(value)))
     if axis == "alpha":
-        # Tail sweep: a fresh, uncalibrated noise model; theorem-1 exponents.
+        # Tail sweep: a fresh, uncalibrated noise model, which theorem 1 reads.
         noise = noise_mod.NoiseModel(float(value), cfg.noise.sigma0, cfg.noise.sigma1)
-        return replace(
-            cfg, noise=noise, optimizer=replace(cfg.optimizer, alpha=float(value))
-        )
+        return replace(cfg, noise=noise)
     if axis == "B":
         return replace(cfg, optimizer=replace(cfg.optimizer, B=int(value)))
     raise ConfigError(f"sweep axis: unknown axis {axis!r} (choose from {SWEEP_AXES})")

@@ -161,22 +161,18 @@ def randomized_polar(
 
     delta is resolved from ``pcfg.delta_rule`` on the *original* matrix, so
     theoretical schedules keep the almost-sure operator-norm <= 1 guarantee
-    whenever delta >= ||m||_op.  A sketch whose Y is zero (it underflowed,
-    and a redraw of the same scale would underflow again) raises
-    DegenerateInputError.
+    whenever delta >= ||m||_op; a delta that ``resolve_delta`` rejects raises
+    before the sketch is drawn.  A zero ``m`` under an explicit delta, or a Y
+    that underflowed to numerical rank 0, raises DegenerateInputError.
     """
     a = matcore.as_matrix(m)
-    if not a.any():
-        raise DegenerateInputError("randomized_polar of zero matrix")
     if pcfg.solver != "polynomial":
         raise PreconditionError("randomized_polar requires a polynomial config")
     scfg.check_shape(a.shape)
+    delta = pcfg.resolve_delta(a)
     y = power_iterate(a, _draw_sketch(a, scfg, rng), scfg.h)
-    if not y.any():
-        raise DegenerateInputError("sketch produced zero Y")
     q_basis = matcore.orthonormal_basis(y)
     b = q_basis.T @ a
-    delta = pcfg.resolve_delta(a)
     z = polynomial_iterate(b / delta, pcfg.schedule.coeff_array())
     return q_basis @ z
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polarmuon import cli, matcore, runner, suites
+from polarmuon import cli, matcore, optimizer as opt, runner, suites
 from polarmuon.config import (
     OptimizerSpec,
     ProblemSpec,
@@ -20,6 +20,7 @@ from polarmuon.config import (
 from polarmuon.errors import ConfigError, NumericalAbortError
 from polarmuon.matcore import RngStream
 from polarmuon.noise import NoiseModel, Problem, calibrate
+from polarmuon.optimizer import theorem1_schedule
 from polarmuon.polar import (
     PolarConfig,
     PolynomialSchedule,
@@ -72,7 +73,6 @@ def random_config(rng) -> RunConfig:
             schedule=["corollary1", "theorem1", "manual"][int(g.integers(0, 3))],
             K=int(g.integers(2, 500)),
             B=int(g.integers(1, 32)),
-            alpha=float(g.uniform(1.05, 2.0)),
             eta=float(g.uniform(1e-4, 0.5)),
             beta=float(g.uniform(0.0, 0.999)),
         ),
@@ -146,6 +146,7 @@ class TestConfigRoundTrip:
         "body, named",
         [
             ("[optimizer]\nkk = 99\n", "optimizer.kk: unknown key"),
+            ("[optimizer]\nalpha = 1.5\n", "optimizer.alpha: unknown key"),  # [noise] alpha
             ("[polar]\nbogus = 1\n", "polar.bogus: unknown key"),
             ("[sketch]\ns = 38\nell = 40\n", "sketch.ell: unknown key"),
             ("[run]\nseed = 3\n", "run.seed: unknown key"),
@@ -163,6 +164,19 @@ class TestConfigRoundTrip:
         path.write_text(body)
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
         assert named in capsys.readouterr().err
+
+    def test_repeated_seed_is_config_error(self, tmp_path, capsys):
+        # a repeated seed would write its trace twice and count twice in the
+        # aggregate
+        with pytest.raises(ConfigError, match="run.seeds: seed 1 is listed twice"):
+            parse("[run]\nseeds = 1, 2, 1\n")
+        with pytest.raises(ConfigError, match="seed 4 is listed twice"):
+            RunConfig(seeds=(3, 4, 4, 3))
+        path = tmp_path / "seeds.ini"
+        path.write_text(f"[run]\nseeds = 1, 1, 2\noutput_dir = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert "run.seeds: seed 1 is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_polar_spec_errors(self):
         with pytest.raises(ConfigError):
@@ -231,6 +245,47 @@ PINNED_RUNS = {
                 "fa5c052cbfe7528293010869d050e9522dbf83db62e43451ed9bdd4a6c7b0a98",
         },
     ),
+    # hashed when the INI still set theorem 1's alpha twice, in [optimizer]
+    # and [noise]: [noise] alpha is now the one tail index
+    "noiseless-theorem1-tail-index": (
+        "[problem]\nkind = quadratic\nm = 9\nn = 7\nrank = 4\n"
+        "[optimizer]\nschedule = theorem1\nk = 12\n"
+        "[noise]\nalpha = 1.5\n[run]\n",
+        {
+            "run_seed1.csv":
+                "52b55d6353cf69aa181078b43892d199ad40f0be0b1089820040835aa2bab837",
+            "run_seed2.csv":
+                "52b55d6353cf69aa181078b43892d199ad40f0be0b1089820040835aa2bab837",
+            "run.summary.csv":
+                "2995c83958930bbbe32a3836e54c4b8efc0b227db099f28cfd29a6415cd8a8ae",
+        },
+    ),
+    "operator-norm-polynomial": (
+        "[problem]\nkind = quadratic\nm = 10\nn = 6\nrank = 3\n"
+        "[optimizer]\nmomentum = polyak\nschedule = manual\neta = 0.05\nbeta = 0.9\nk = 12\n"
+        "[polar]\nsolver = polynomial\nschedule = cubic\nq = 4\ndelta = operator-norm\n[run]\n",
+        {
+            "run_seed1.csv":
+                "5b1eb51f41f9747f6ba2f14d3d6c52e2257a0a476a28c42479933c75ed11015a",
+            "run_seed2.csv":
+                "5b1eb51f41f9747f6ba2f14d3d6c52e2257a0a476a28c42479933c75ed11015a",
+            "run.summary.csv":
+                "cfca1539deea26dd5ea83301207a7a7d1051de470db986d9811798bb559dbe73",
+        },
+    ),
+    "exact-factorization-verify": (
+        "[problem]\nkind = factorization\nm = 10\nn = 10\nrank = 4\nscale = 1.0\n"
+        "[optimizer]\nschedule = corollary1\nk = 12\n"
+        "[polar]\nsolver = exact\n[run]\nverify = true\n",
+        {
+            "run_seed1.csv":
+                "adff742c11ca277b67b3868ab2aeb220eaca56494478709e4d66a376e0e3ea63",
+            "run_seed2.csv":
+                "b2d84d52e06cbab0848fc3dd17bf047046c20f9b757702a567ad035fedc43129",
+            "run.summary.csv":
+                "efb77fbf3a52c53287bef3799c8fdc2bf91c820a5d3b5621846dcad6c7b0ce46",
+        },
+    ),
 }
 
 
@@ -275,10 +330,14 @@ class TestRunner:
             (4, 4),
             RngStream(84),
         )
-        cell = runner._apply_axis(small_run_config(tmp_path, noise=model), "alpha", 1.25)
+        cfg = small_run_config(
+            tmp_path, noise=model, optimizer=OptimizerSpec(schedule="theorem1", K=20)
+        )
+        cell = runner._apply_axis(cfg, "alpha", 1.25)
         assert cell.noise == NoiseModel(alpha=1.25, sigma0=1.0, sigma1=0.25)
         assert not cell.noise.calibrated
-        assert cell.optimizer.alpha == 1.25
+        # the one tail index sets theorem 1's schedule too
+        assert cell.optimizer.step_schedule(cell.noise.alpha) == theorem1_schedule(20, 1.25)
 
     def test_deterministic_rerun_byte_identical(self, tmp_path):
         cfg1 = small_run_config(
@@ -308,6 +367,24 @@ class TestRunner:
         got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in (tmp_path / "out").glob("run*.csv")}
         assert got == pins
+
+    def test_theorem1_reads_noise_alpha(self, tmp_path, monkeypatch):
+        # theorem 1's step sizes are functions of the noise's tail index
+        seen = set()
+        step = opt.muon_step
+
+        def record(state, g, polar):
+            seen.add((state.eta, state.beta))
+            return step(state, g, polar)
+
+        monkeypatch.setattr(opt, "muon_step", record)
+        path = tmp_path / "cfg.ini"
+        path.write_text(
+            "[problem]\nm = 4\nn = 4\nrank = 2\n[optimizer]\nschedule = theorem1\nk = 100\n"
+            f"[noise]\nalpha = 1.5\n[run]\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        assert cli.main(["run", str(path)]) == cli.EXIT_OK
+        assert seen == {(100 ** -0.8, 1.0 - 100 ** -0.6)}
 
     def test_gradient_evaluated_once_per_step(self, tmp_path, monkeypatch):
         calls = Counter()
@@ -544,6 +621,21 @@ class TestCli:
         save(cfg, path)
         assert cli.main(["run", str(path)]) == cli.EXIT_NUMERICAL_ABORT
 
+    def test_overflowing_delta_aborts_before_the_step(self, tmp_path):
+        # the momentum's Frobenius norm overflows, so delta is inf: the step
+        # used to scale the momentum to 0 and leave the iterate frozen (five
+        # identical rows, f = 5e+307, exit 0)
+        path = tmp_path / "cfg.ini"
+        out = tmp_path / "out"
+        path.write_text(
+            "[problem]\nm = 8\nn = 8\nrank = 1\nscale = 1e154\n[optimizer]\nk = 5\n"
+            f"[run]\noutput_dir = {out}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(path)]) == cli.EXIT_NUMERICAL_ABORT
+        assert (out / "run_seed1.csv").read_text().splitlines() == [",".join(CSV_COLUMNS)]
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -597,6 +689,7 @@ class TestCli:
             "[polar]\ndelta = explicit:-1\n",
             "[optimizer]\nk = 1\n",
             "[optimizer]\nmomentum = heavy\n",
+            "[optimizer]\nschedule = corollary1\nbeta = 1.0\n",  # beta is checked always
             "[optimizer]\nkind = sgd_nesterov\n",  # retired baselines: muon is the one kind
             "[optimizer]\nkind = adamw\n",
             "[problem]\nm = 0\n",

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from polarmuon import matcore
-from polarmuon.errors import DegenerateInputError, PreconditionError
+from polarmuon.errors import DegenerateInputError, NumericalAbortError, PreconditionError
 from polarmuon.matcore import RngStream, inner_product, operator_norm, orthonormal_basis
-from polarmuon.polar import PolarConfig, inexact_polar, quintic_theoretical_schedule
+from polarmuon.polar import PolarConfig, exact_polar, inexact_polar, quintic_theoretical_schedule
 from polarmuon.sketch import (
     SketchConfig,
     SpectrumSummary,
@@ -217,6 +219,49 @@ class TestRandomizedPolar:
             randomized_polar(
                 m, SketchConfig(s=2, p=2), PolarConfig(), RngStream(14)
             )
+
+
+ZERO_CASES = [
+    ("exact", None, None),
+    *[("polynomial", None, rule) for rule in ("frobenius-norm", "operator-norm")],
+    *[("randomized", SketchConfig(s=2, p=2, h=h, kind=kind), rule)
+      for kind in ("gaussian", "kaczmarz") for h in (0, 1)
+      for rule in ("frobenius-norm", "operator-norm", 3.0)],
+]
+
+
+def _solve(solver, scfg, rule, m):
+    if solver == "exact":
+        return exact_polar(m)
+    pcfg = PolarConfig(delta_rule=rule)
+    if solver == "polynomial":
+        return inexact_polar(m, pcfg)
+    return randomized_polar(m, scfg, pcfg, RngStream(5))
+
+
+class TestDeltaAndZeroInputs:
+    """Each failure comes from the operation that the input breaks: the
+    scale delta, the basis's rank cut or the Kaczmarz column energies."""
+
+    @pytest.mark.parametrize("solver, scfg, rule", ZERO_CASES)
+    def test_zero_input_is_degenerate(self, solver, scfg, rule):
+        with pytest.raises(DegenerateInputError):
+            _solve(solver, scfg, rule, np.zeros((6, 5)))
+
+    def test_zero_input_under_explicit_delta_maps_to_zero(self):
+        out = inexact_polar(np.zeros((6, 5)), PolarConfig(delta_rule=3.0))
+        assert out.shape == (6, 5) and not out.any()
+
+    @pytest.mark.parametrize(
+        "entry, error", [(1e-300, DegenerateInputError), (1e160, NumericalAbortError)]
+    )
+    @pytest.mark.parametrize("solver", ["polynomial", "randomized"])
+    def test_frobenius_delta_out_of_range_raises(self, solver, entry, error):
+        # the squares under- or overflow, so the Frobenius delta reads 0 or inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match="scale delta"):
+                _solve(solver, SketchConfig(s=2, p=2), "frobenius-norm", np.full((8, 8), entry))
 
 
 class TestBoundCalculators:

@@ -1,6 +1,6 @@
 """Paired same-session benchmark of two source checkouts, as one BENCH file.
 
-    python3 tools/bench_pairs.py --parent <parent checkout> --change . \\
+    python3 tools/bench_pairs.py --parent <parent checkout> --change <change checkout> \\
         --pairs wide-sketch=10,desk-heavytail=3,certify=3 \\
         --out BENCH_<n>.json
 
@@ -13,8 +13,10 @@ workload in ``--pairs``.  Every run lasts ``--seconds``, by default
 workload and end-to-end metric the medians, the parent's interquartile range
 and the pairs the change wins, and from the traced runs, under
 ``traced[<workload>][<side>]``, every per-layer metric, ``spans_missing``,
-the traced and untraced step rates and the manifest.  Both checkouts need git
-metadata only for the commit and ``src`` tree ids recorded beside them.
+the traced and untraced step rates and the manifest.  ``args`` keeps the
+``--pairs``, ``--seed`` and ``--seconds`` that regenerate the file.  Both
+checkouts need git metadata only for the commit and ``src`` tree ids recorded
+beside them.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ def main(argv=None) -> int:
                    f"--seconds {args.seconds:g} --trace T",
         "sides": {name: {"commit": git_id(d, "HEAD"), "src_tree": git_id(d, "HEAD:src")}
                   for name, d in sides.items()},
+        "args": {"pairs": args.pairs, "seed": args.seed, "seconds": args.seconds},
         "pairs": {},
         "summary": {},
         "traced": {},
