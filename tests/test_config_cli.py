@@ -20,7 +20,6 @@ from polarmuon.config import (
 from polarmuon.errors import ConfigError, NumericalAbortError
 from polarmuon.matcore import RngStream
 from polarmuon.noise import NoiseModel, Problem, calibrate
-from polarmuon.optimizer import theorem1_schedule
 from polarmuon.polar import (
     PolarConfig,
     PolynomialSchedule,
@@ -337,7 +336,7 @@ class TestRunner:
         assert cell.noise == NoiseModel(alpha=1.25, sigma0=1.0, sigma1=0.25)
         assert not cell.noise.calibrated
         # the one tail index sets theorem 1's schedule too
-        assert cell.optimizer.step_schedule(cell.noise.alpha) == theorem1_schedule(20, 1.25)
+        assert cell.optimizer.step_schedule(cell.noise.alpha) == opt.theorem1_schedule(20, 1.25)
 
     def test_deterministic_rerun_byte_identical(self, tmp_path):
         cfg1 = small_run_config(
@@ -622,9 +621,8 @@ class TestCli:
         assert cli.main(["run", str(path)]) == cli.EXIT_NUMERICAL_ABORT
 
     def test_overflowing_delta_aborts_before_the_step(self, tmp_path):
-        # the momentum's Frobenius norm overflows, so delta is inf: the step
-        # used to scale the momentum to 0 and leave the iterate frozen (five
-        # identical rows, f = 5e+307, exit 0)
+        # the momentum's Frobenius norm overflows: an inf delta would scale
+        # every step to 0 and freeze the iterate, so the seed aborts instead
         path = tmp_path / "cfg.ini"
         out = tmp_path / "out"
         path.write_text(

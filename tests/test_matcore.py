@@ -45,7 +45,9 @@ class TestNorms:
                 assert matcore._frobenius(view).hex() == float(np.linalg.norm(view)).hex()
 
     def test_operator_norm_zero(self):
+        # LAPACK's singular values of a zero matrix are 0, with no zero check
         assert operator_norm(np.zeros((3, 2))) == 0.0
+        assert nuclear_norm(np.zeros((3, 2))) == 0.0
 
     def test_operator_norm_diag(self):
         assert operator_norm(np.diag([3.0, 4.0])) == pytest.approx(4.0)
