@@ -148,6 +148,14 @@ class RunConfig:
         _section("optimizer", lambda: self.optimizer.step_schedule(self.noise.alpha))
         if self.sketch is not None:
             _section("sketch", lambda: self.sketch.check_shape(self.problem.param_shape))
+        calib, shape = self.noise.calib_shape, self.problem.param_shape
+        if calib is not None and tuple(calib) != shape:
+            # the fitted scales hold the noise's alpha-moment budget only at
+            # the shape they were fitted for
+            raise ConfigError(
+                f"noise.calib_shape: the scales were fitted for {calib[0]} x {calib[1]}, "
+                f"but the parameter is {shape[0]} x {shape[1]}"
+            )
         if not self.seeds:
             raise ConfigError("run.seeds: at least one seed required")
         repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]

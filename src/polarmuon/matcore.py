@@ -8,10 +8,11 @@ and :func:`orthonormal_basis`.  The basis is CholeskyQR2 (two passes of
 Gram, Cholesky and apply) with a fallback to the truncating SVD, taken for
 small Y, when a Cholesky fails, when the result is not orthonormal, and
 whenever a bound on cond(Y) cannot rule out a rank below the column count;
-so the basis always has numerical-rank columns.  Both SVD users take one
-LAPACK call and its rank cut from one helper.  A Frobenius norm is
-``sqrt(v . v)`` over the entries v: ``np.linalg.norm``'s own arithmetic,
-bit for bit, without its wrapper.
+so the basis always has numerical-rank columns.  Every SVD is one LAPACK
+call, retried on the transpose and then through a QR when LAPACK does not
+converge; both SVD users take it and its rank cut from one helper.  A
+Frobenius norm is ``sqrt(v . v)`` over the entries v: ``np.linalg.norm``'s
+own arithmetic, bit for bit, without its wrapper.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def frobenius_norm(m) -> float:
 
 
 def _operator_norm(a: np.ndarray) -> float:
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(_lapack_svd(a, compute_uv=False)[0])
 
 
 def operator_norm(m) -> float:
@@ -74,7 +75,7 @@ def operator_norm(m) -> float:
 
 def nuclear_norm(m) -> float:
     """Sum of singular values."""
-    return float(np.sum(np.linalg.svd(as_matrix(m), compute_uv=False)))
+    return float(np.sum(_lapack_svd(as_matrix(m), compute_uv=False)))
 
 
 def _inner_product(x: np.ndarray, y: np.ndarray) -> float:
@@ -109,13 +110,36 @@ class Svd:
         return len(self.sigma)
 
 
+def _lapack_svd(a: np.ndarray, compute_uv: bool = True):
+    """Thin ``np.linalg.svd`` of ``a``, retried when LAPACK does not converge:
+    on A^T (swapping U and V), then on the R of a QR of A's tall orientation
+    (U = Q U_R); NumericalAbortError when all three fail.  Every SVD of the
+    package is taken here, on matrices derived from inputs that
+    ``as_matrix`` checked for NaNs, so a LinAlgError means non-convergence."""
+    tall = a if a.shape[0] >= a.shape[1] else a.T
+    for m, via_qr in ((a, False), (a.T, False), (tall, True)):
+        try:
+            q, r = np.linalg.qr(m) if via_qr else (None, m)
+            out = np.linalg.svd(r, full_matrices=False, compute_uv=compute_uv)
+        except np.linalg.LinAlgError:
+            continue
+        if not compute_uv:
+            return out
+        u, s, vt = out
+        if q is not None:
+            u = q @ u
+        return (u, s, vt) if m is a else (vt.T, s, u.T)
+    raise NumericalAbortError(
+        f"svd did not converge on a {a.shape[0]} x {a.shape[1]} matrix, "
+        "its transpose or its QR factor"
+    )
+
+
 def _truncated_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One thin LAPACK SVD of ``a``, cut to its numerical rank r: views of the
-    first r columns of U, singular values and rows of V^T."""
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as e:  # LAPACK meets a NaN
-        raise NumericalAbortError(f"svd: {e}") from e
+    """One thin SVD of ``a`` (:func:`_lapack_svd`), cut to its numerical
+    rank r: views of the first r columns of U, singular values and rows of
+    V^T."""
+    u, s, vt = _lapack_svd(a)
     r = np.count_nonzero(s > rank_tolerance(a.shape, s[0]))
     if r == 0:
         raise DegenerateInputError("svd: all singular values below tolerance")

@@ -27,6 +27,7 @@ __all__ = [
     "quintic_empirical_schedule",
     "polar_express_schedule",
     "schedule_by_name",
+    "certified_range",
     "exact_polar",
     "polynomial_iterate",
     "inexact_polar",
@@ -65,25 +66,89 @@ _POLAR_EXPRESS = {
 }
 
 
+def _quadratic_roots(k0: float, k1: float, k2: float) -> list:
+    """Real roots of k0 + k1*y + k2*y^2 in closed form (the product of the
+    roots gives the second without cancellation); none when the polynomial is
+    constant."""
+    if k2 == 0.0:
+        return [] if k1 == 0.0 else [-k0 / k1]
+    disc = k1 * k1 - 4.0 * k2 * k0
+    if not disc >= 0.0:  # also a disc that overflowed to nan
+        return []
+    t = -0.5 * (k1 + math.copysign(math.sqrt(disc), k1))
+    return [t / k2] if t == 0.0 else [t / k2, k0 / t]
+
+
+def _extrema(f, k: tuple, lo: float, hi: float) -> tuple[float, float]:
+    """(min, max) of ``f`` on [lo, hi], where f' vanishes only at x = +-sqrt(y)
+    for the real roots y >= 0 of k[0] + k[1]*y + k[2]*y^2: both are taken at
+    an endpoint or at such a point.  ``f`` maps a float64 array elementwise;
+    its overflow is silenced, and a non-finite value comes back as it is."""
+    xs = [lo, hi]
+    for y in _quadratic_roots(*k):
+        if y >= 0.0:
+            r = math.sqrt(y)
+            xs += [x for x in (r, -r) if lo < x < hi]
+    with np.errstate(all="ignore"):
+        v = f(np.array(xs))
+    return float(v.min()), float(v.max())
+
+
+def certified_range(steps) -> tuple[float, float]:
+    """The image (lo, hi) of [0, 1] under the composite map of ``steps``,
+    exact up to rounding: step phi(x) = a*x + b*x^3 + c*x^5 takes its
+    extrema on an interval at the ends or where phi' = a + 3b*x^2 + 5c*x^4
+    vanishes.  A bound that is not finite (overflowing coefficients) is
+    returned as it is and stops the propagation."""
+    lo, hi = 0.0, 1.0
+    for a, b, c in steps:
+        lo, hi = _extrema(
+            lambda x: a * x + b * x**3 + c * x**5, (a, 3.0 * b, 5.0 * c), lo, hi
+        )
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            break
+    return lo, hi
+
+
+# Rounding slack of the range certificate, per step.  The bounds are
+# float64 values of a*x + b*x**3 + c*x**5 at rounded points.  At an interior
+# extremum phi' = 0, so rounding the point moves phi by second order only;
+# the evaluation itself (two powers, three products, two sums) rounds a
+# result near 1, where the bound matters, by a few ulps of 1.  On a
+# 2M-point grid of ``scalar_map`` the builtin schedules exceed their
+# certified bounds by at most 2 ulps of 1 (quintic-theoretical at q = 5 and
+# 9).  Four ulps per step, summed over the steps, cover that; a designed
+# schedule's real overshoot is orders of magnitude larger (quintic-empirical's
+# is 0.2), so the slack admits none.
+RANGE_SLACK = 4.0 * float(np.finfo(np.float64).eps)
+
+
 @dataclass(frozen=True)
 class PolynomialSchedule:
     """Ordered coefficient triples (a_t, b_t, c_t), one per iteration.
 
-    ``theoretical`` marks schedules whose scalar map provably stays in [0, 1]
-    on [0, 1] (cubic, quintic-theoretical); only for those is the hard
-    operator-norm bound <= 1 asserted downstream.
+    ``theoretical`` is computed from the coefficients, not set: it holds when
+    :func:`certified_range` puts the image of [0, 1] under the composite map
+    p_q inside [0, 1], up to ``RANGE_SLACK`` per step.  Then nu <= 0 and
+    every singular value of p_q(M / delta) with delta >= ||M||_op is at most
+    1, so the operator-norm bound <= 1 is asserted downstream.  It holds for
+    cubic and quintic-theoretical at every q and for both PolarExpress
+    tables, not for quintic-empirical (peak 1.2024); a custom schedule gets
+    the bound exactly when its image passes.
     """
 
     steps: tuple[tuple[float, float, float], ...]
     name: str = "custom"
-    theoretical: bool = False
 
     def __post_init__(self):
-        # built once: every solver call reads it (not a field, so eq, hash,
-        # replace and the INI writer see only the fields above)
+        # built once with the schedule (not fields, so eq, hash, replace and
+        # the INI writer see only the fields above)
         coeffs = np.array(self.steps, dtype=np.float64).reshape(-1, 3)
         coeffs.flags.writeable = False
         object.__setattr__(self, "_coeffs", coeffs)
+        lo, hi = certified_range(coeffs.tolist())
+        slack = len(coeffs) * RANGE_SLACK
+        object.__setattr__(self, "theoretical", lo >= -slack and hi <= 1.0 + slack)
 
     @property
     def q(self) -> int:
@@ -102,11 +167,11 @@ class PolynomialSchedule:
         return p
 
 
-# name -> (coefficient triple repeated q times, theoretical, smallest q)
+# name -> (coefficient triple repeated q times, smallest q)
 _REPEATED = {
-    "cubic": (CUBIC_COEFFS, True, 0),
-    "quintic-theoretical": (QUINTIC_THEORETICAL_COEFFS, True, 0),
-    "quintic-empirical": (QUINTIC_EMPIRICAL_COEFFS, False, 1),
+    "cubic": (CUBIC_COEFFS, 0),
+    "quintic-theoretical": (QUINTIC_THEORETICAL_COEFFS, 0),
+    "quintic-empirical": (QUINTIC_EMPIRICAL_COEFFS, 1),
 }
 
 
@@ -125,9 +190,7 @@ def quintic_empirical_schedule(q: int) -> PolynomialSchedule:
 def polar_express_schedule(variant: str) -> PolynomialSchedule:
     if variant not in _POLAR_EXPRESS:
         raise PreconditionError(f"unknown PolarExpress variant: {variant!r}")
-    return PolynomialSchedule(
-        _POLAR_EXPRESS[variant], name=f"polar-express-{variant}", theoretical=False
-    )
+    return PolynomialSchedule(_POLAR_EXPRESS[variant], name=f"polar-express-{variant}")
 
 
 def schedule_by_name(name: str, q: int) -> PolynomialSchedule:
@@ -136,10 +199,10 @@ def schedule_by_name(name: str, q: int) -> PolynomialSchedule:
         return polar_express_schedule(name.removeprefix("polar-express-"))
     if name not in _REPEATED:
         raise PreconditionError(f"unknown schedule name: {name!r}")
-    coeffs, theoretical, q_min = _REPEATED[name]
+    coeffs, q_min = _REPEATED[name]
     if q < q_min:
         raise PreconditionError(f"q must be >= {q_min}")
-    return PolynomialSchedule((coeffs,) * q, name=name, theoretical=theoretical)
+    return PolynomialSchedule((coeffs,) * q, name=name)
 
 
 @dataclass(frozen=True)
@@ -169,12 +232,17 @@ class PolarConfig:
     def q(self) -> int:
         return self.schedule.q
 
+    @property
+    def explicit_delta(self) -> bool:
+        """Whether delta is the given float rather than a norm of the input."""
+        return not isinstance(self.delta_rule, str)
+
     def resolve_delta(self, m: np.ndarray) -> float:
         """The scale delta for ``m``, a finite 2-D float64 array that the
         calling solver has validated: DegenerateInputError if delta is 0 (a
         zero ``m``, or squares that underflow), NumericalAbortError if it is
         not finite (squares that overflow)."""
-        if isinstance(self.delta_rule, (int, float)):
+        if self.explicit_delta:
             delta = float(self.delta_rule)
         elif self.delta_rule == "operator-norm":
             delta = matcore._operator_norm(m)
@@ -247,19 +315,35 @@ def polynomial_iterate(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out if rows <= cols else out.T
 
 
+def _finite_output(z: np.ndarray) -> np.ndarray:
+    """``z``, a polynomial output under an explicit delta, if its entries are
+    finite, else NumericalAbortError.  No norm of the input bounds an
+    explicit delta, so p_q(M / delta) may overflow: the solvers run the
+    polynomial with numpy's overflow warnings silenced and check its output
+    once here."""
+    if not np.isfinite(z).all():
+        raise NumericalAbortError("polynomial output is not finite under the explicit delta")
+    return z
+
+
 def inexact_polar(m, cfg: PolarConfig) -> np.ndarray:
     """Polynomial polar approximation p_q(m / delta).
 
-    An explicit delta below the operator norm voids the <= 1 spectral
-    guarantee of theoretical schedules.  delta is checked as
-    :meth:`PolarConfig.resolve_delta` says, so only an explicit delta maps a
-    zero ``m`` (to p_q(0) = 0).
+    The operator norm of the output is at most 1 (up to rounding) when the
+    schedule is ``theoretical`` and delta >= ||m||_op, which the two norm
+    rules guarantee; an explicit delta below the operator norm voids it, and
+    an output it overflows raises NumericalAbortError (:func:`_finite_output`).
+    delta is checked as :meth:`PolarConfig.resolve_delta` says, so only an
+    explicit delta maps a zero ``m`` (to p_q(0) = 0).
     """
     a = matcore.as_matrix(m)
     if cfg.solver != "polynomial":
         raise PreconditionError("inexact_polar requires a polynomial config")
     delta = cfg.resolve_delta(a)
-    return polynomial_iterate(a / delta, cfg.schedule.coeff_array())
+    if not cfg.explicit_delta:
+        return polynomial_iterate(a / delta, cfg.schedule.coeff_array())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_output(polynomial_iterate(a / delta, cfg.schedule.coeff_array()))
 
 
 # Relative slack of the bounds' hypothesis delta >= sigma_1: delta and sigma

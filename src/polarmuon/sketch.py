@@ -20,7 +20,7 @@ import numpy as np
 from . import matcore
 from .errors import DegenerateInputError, NumericalAbortError, PreconditionError
 from .matcore import RngStream
-from .polar import SIGMA1_REL_SLACK, PolarConfig, polynomial_iterate
+from .polar import SIGMA1_REL_SLACK, PolarConfig, _finite_output, polynomial_iterate
 
 __all__ = [
     "SketchConfig",
@@ -121,8 +121,9 @@ def kaczmarz_sketch(m, ell: int, rng: RngStream, stack: int | None = None) -> np
 def _kaczmarz_sketch(
     a: np.ndarray, ell: int, rng: RngStream, stack: int | None = None
 ) -> np.ndarray:
-    col_energy = np.sum(a * a, axis=0)
-    total = float(np.sum(col_energy))
+    with np.errstate(over="ignore"):  # an overflow raises below
+        col_energy = np.sum(a * a, axis=0)
+        total = float(np.sum(col_energy))
     if total == 0.0:
         raise DegenerateInputError("kaczmarz_sketch of zero matrix")
     if not np.isfinite(total):
@@ -160,10 +161,12 @@ def randomized_polar(
     """Project down, iterate, project up; returns Q @ Z_q.
 
     delta is resolved from ``pcfg.delta_rule`` on the *original* matrix, so
-    theoretical schedules keep the almost-sure operator-norm <= 1 guarantee
-    whenever delta >= ||m||_op; a delta that ``resolve_delta`` rejects raises
-    before the sketch is drawn.  A zero ``m`` under an explicit delta, or a Y
-    that underflowed to numerical rank 0, raises DegenerateInputError.
+    a ``theoretical`` schedule keeps the almost-sure operator-norm <= 1
+    guarantee whenever delta >= ||m||_op; a delta that ``resolve_delta``
+    rejects raises before the sketch is drawn.  Under an explicit delta the
+    compressed iterate Z is checked once for overflow, before the lift.  A
+    zero ``m`` under an explicit delta, or a Y that underflowed to numerical
+    rank 0, raises DegenerateInputError.
     """
     a = matcore.as_matrix(m)
     if pcfg.solver != "polynomial":
@@ -173,7 +176,10 @@ def randomized_polar(
     y = power_iterate(a, _draw_sketch(a, scfg, rng), scfg.h)
     q_basis = matcore.orthonormal_basis(y)
     b = q_basis.T @ a
-    z = polynomial_iterate(b / delta, pcfg.schedule.coeff_array())
+    if not pcfg.explicit_delta:
+        return q_basis @ polynomial_iterate(b / delta, pcfg.schedule.coeff_array())
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _finite_output(polynomial_iterate(b / delta, pcfg.schedule.coeff_array()))
     return q_basis @ z
 
 

@@ -51,7 +51,7 @@ def _scope_polynomials() -> list[CheckResult]:
         out.append(
             CheckResult(
                 "polynomials",
-                f"{sched.name} grid properties",
+                f"{sched.name} range properties",
                 rep.all_passed,
                 f"min_value={min(s.min_value for s in rep.steps):.3e} "
                 f"max_value={max(s.max_value for s in rep.steps):.12f}",
@@ -74,13 +74,14 @@ def _scope_polynomials() -> list[CheckResult]:
 
 def _scope_prop1() -> list[CheckResult]:
     rng = RngStream(_SUITE_SEED, 1)
+    schedules = (cubic_schedule(3), quintic_theoretical_schedule(3))
     worst = 0.0
     for i in range(100):
         m_rows = int(rng.generator.integers(3, 12))
         n_cols = int(rng.generator.integers(3, 12))
         m = rng.normal((m_rows, n_cols))
         sigma = matcore.svd(m).sigma
-        for sched in (cubic_schedule(3), quintic_theoretical_schedule(3)):
+        for sched in schedules:
             for rule in ("operator-norm", "frobenius-norm"):
                 pcfg = PolarConfig(schedule=sched, delta_rule=rule)
                 delta = pcfg.resolve_delta(m)

@@ -1,5 +1,8 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -30,6 +33,8 @@ from polarmuon.polar import (
 from polarmuon.runner import CSV_COLUMNS, SUMMARY_COLUMNS, run_experiment, sweep
 from polarmuon.sketch import SketchConfig
 from polarmuon.verify import StepFlopsConfig, measured_step_flops
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def random_config(rng) -> RunConfig:
@@ -89,7 +94,8 @@ def random_config(rng) -> RunConfig:
             sigma1=float(g.uniform(0, 1)),
             scale0=float(g.uniform(0, 1)) if g.uniform() < 0.5 else None,
             scale1=float(g.uniform(0, 1)) if g.uniform() < 0.5 else None,
-            calib_shape=(int(g.integers(1, 9)), int(g.integers(1, 9)))
+            # fitted scales are valid only for the parameter's shape
+            calib_shape=(m, rank if kind == "factorization" else n)
             if g.uniform() < 0.5
             else None,
             calib_rel_tol=float(g.uniform(0, 0.1)) if g.uniform() < 0.5 else None,
@@ -122,7 +128,7 @@ class TestConfigRoundTrip:
         model = calibrate(
             NoiseModel(alpha=1.5, sigma0=1.0, sigma1=0.25), (6, 6), RngStream(83)
         )
-        cfg = RunConfig(noise=model)
+        cfg = RunConfig(problem=ProblemSpec(m=6, n=6, rank=4), noise=model)
         again = parse(serialize(cfg))
         rebuilt = again.noise
         assert rebuilt.scale0 == model.scale0
@@ -176,6 +182,26 @@ class TestConfigRoundTrip:
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
         assert "run.seeds: seed 1 is listed twice" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_calib_shape_must_match_parameter_shape(self, tmp_path, capsys):
+        # scales fitted for 2 x 2 are 7.2x the 16 x 16 fit at alpha = 1.5,
+        # about 19x the noise's alpha-moment budget on the 16 x 16 parameter
+        path = tmp_path / "calib.ini"
+        path.write_text(
+            "[problem]\nm = 16\nn = 16\n[noise]\nalpha = 1.5\nsigma0 = 1.0\nscale0 = 0.3\n"
+            f"calib_shape = 2, 2\n[run]\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert "fitted for 2 x 2, but the parameter is 16 x 16" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # a factorization's parameter is m x rank (the desk-heavytail INI)
+        cfg = parse(
+            "[problem]\nkind = factorization\nm = 16\nn = 16\nrank = 8\n"
+            "[noise]\nsigma0 = 0.5\nscale0 = 0.1\ncalib_shape = 16, 8\n"
+        )
+        assert cfg.noise.calib_shape == cfg.problem.param_shape == (16, 8)
+        with pytest.raises(ConfigError, match="fitted for 16 x 16, but the parameter is 16 x 8"):
+            replace(cfg, noise=replace(cfg.noise, calib_shape=(16, 16)))
 
     def test_polar_spec_errors(self):
         with pytest.raises(ConfigError):
@@ -326,7 +352,7 @@ class TestRunner:
     def test_alpha_axis_resets_noise_model(self, tmp_path):
         model = calibrate(
             NoiseModel(alpha=1.5, sigma0=1.0, sigma1=0.25, tail_exponent=1.9),
-            (4, 4),
+            (8, 8),
             RngStream(84),
         )
         cfg = small_run_config(
@@ -595,6 +621,28 @@ class TestCli:
         save(cfg, path)
         assert cli.main(["run", str(path)]) == cli.EXIT_OK
         assert "mean min grad norm" in capsys.readouterr().out
+
+    def test_exact_solver_survives_non_converging_svd(self, tmp_path):
+        # Build-dependent (OpenBLAS 0.3.31, one BLAS thread): LAPACK's SVD of
+        # this run's step-8 momentum does not converge, while the SVD of its
+        # transpose does.  The parent of the retry aborted this seed after
+        # 8 rows with exit 3; other builds may converge at once.
+        path = tmp_path / "svd.ini"
+        path.write_text(
+            "[problem]\nkind = quadratic\nm = 1024\nn = 1024\nrank = 256\ndecay = 0.99\n"
+            "gen_seed = 3\n[optimizer]\nschedule = manual\nk = 9\n"
+            "eta = 0.08944271909999159\nbeta = 0.8\n[polar]\nsolver = exact\n"
+            f"[run]\nseeds = 1\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "polarmuon.cli", "run", str(path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        rows = (tmp_path / "out" / "run_seed1.csv").read_text().splitlines()
+        assert len(rows) == 1 + 9
 
     def test_run_missing_config_is_config_error(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "missing.ini")]) == cli.EXIT_CONFIG_ERROR

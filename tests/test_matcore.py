@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polarmuon import matcore
-from polarmuon.errors import DegenerateInputError, DimensionError
+from polarmuon.errors import DegenerateInputError, DimensionError, NumericalAbortError
 from polarmuon.matcore import (
     RngStream,
     derive_stream_id,
@@ -128,6 +128,65 @@ class TestSvd:
             np.testing.assert_allclose(f.u.T @ f.u, np.eye(r), atol=1e-10)
             np.testing.assert_allclose(f.v.T @ f.v, np.eye(r), atol=1e-10)
             assert np.all(np.diff(f.sigma) <= 0) and np.all(f.sigma > 0)
+
+
+def _failing_svd(monkeypatch, failures: int) -> list:
+    """Make the first ``failures`` LAPACK SVDs raise as a non-converging one
+    does; returns the shapes of all SVD calls."""
+    calls = []
+    lapack = np.linalg.svd
+
+    def svd_or_fail(x, *args, **kwargs):
+        calls.append(x.shape)
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return lapack(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_or_fail)
+    return calls
+
+
+class TestSvdRetry:
+    """An SVD that LAPACK does not converge on is retried on the transpose,
+    then through a QR, before it aborts."""
+
+    @pytest.mark.parametrize("shape", [(7, 4), (4, 7), (5, 5)])
+    @pytest.mark.parametrize("failures, route", [(1, "transpose"), (2, "qr")])
+    def test_fallback_order(self, monkeypatch, shape, failures, route):
+        a = RngStream(12).normal(shape)
+        want = np.linalg.svd(a, compute_uv=False)
+        calls = _failing_svd(monkeypatch, failures)
+        f = svd(a)
+        assert calls[:2] == [shape, shape[::-1]]
+        assert calls[2:] == ([] if route == "transpose" else [(min(shape),) * 2])
+        assert f.u.shape == (shape[0], f.rank) and f.v.shape == (shape[1], f.rank)
+        np.testing.assert_allclose(f.sigma, want, rtol=1e-12)
+        np.testing.assert_allclose((f.u * f.sigma) @ f.v.T, a, atol=1e-12)
+        np.testing.assert_allclose(f.u.T @ f.u, np.eye(f.rank), atol=1e-12)
+        np.testing.assert_allclose(f.v.T @ f.v, np.eye(f.rank), atol=1e-12)
+
+    @pytest.mark.parametrize("failures", [1, 2])
+    @pytest.mark.parametrize(
+        "call, of_sigma", [(operator_norm, np.max), (nuclear_norm, np.sum)], ids=["op", "nuc"]
+    )
+    def test_values_only_callers_retry(self, monkeypatch, call, of_sigma, failures):
+        a = RngStream(13).normal((6, 4))
+        want = of_sigma(np.linalg.svd(a, compute_uv=False))
+        calls = _failing_svd(monkeypatch, failures)
+        assert call(a) == pytest.approx(want, rel=1e-12)
+        assert len(calls) == failures + 1
+
+    @pytest.mark.parametrize(
+        "call",
+        [svd, operator_norm, nuclear_norm, orthonormal_basis],
+        ids=["svd", "operator_norm", "nuclear_norm", "orthonormal_basis"],
+    )
+    def test_aborts_when_every_route_fails(self, monkeypatch, call):
+        a = RngStream(14).normal((6, 4))
+        calls = _failing_svd(monkeypatch, 3)
+        with pytest.raises(NumericalAbortError, match="svd did not converge"):
+            call(a)
+        assert len(calls) == 3
 
 
 class TestOrthonormalBasis:

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -7,7 +8,10 @@ from polarmuon.errors import DegenerateInputError, PreconditionError
 from polarmuon.matcore import RngStream, inner_product, nuclear_norm, operator_norm, svd
 from polarmuon.polar import (
     QUINTIC_EMPIRICAL_COEFFS,
+    RANGE_SLACK,
     PolarConfig,
+    PolynomialSchedule,
+    certified_range,
     cubic_schedule,
     exact_polar,
     inexact_polar,
@@ -278,3 +282,71 @@ class TestSchedules:
         assert schedule_by_name("polar-express-nanogpt", 0).q == 9
         with pytest.raises(PreconditionError):
             schedule_by_name("nope", 1)
+
+
+OVERSHOOTING = PolynomialSchedule(((2.0, -1.5, 0.6),) * 3)  # peak 1.2528 after q = 3
+
+
+class TestCertifiedRange:
+    """theoretical <=> the certified image of [0, 1] under p_q lies in [0, 1],
+    up to RANGE_SLACK per step."""
+
+    @pytest.mark.parametrize(
+        "sched",
+        [
+            cubic_schedule(5),
+            quintic_theoretical_schedule(5),
+            quintic_empirical_schedule(5),
+            polar_express_schedule("nanogpt"),
+            polar_express_schedule("cifar10"),
+            OVERSHOOTING,
+        ],
+        ids=lambda s: f"{s.name}-q{s.q}",
+    )
+    def test_grid_stays_within_certified_bounds(self, sched):
+        lo, hi = certified_range(sched.steps)
+        p = sched.scalar_map(np.linspace(0.0, 1.0, 2_000_001))
+        s = sched.q * RANGE_SLACK
+        assert p.min() >= lo - s and p.max() <= hi + s
+        # and the bounds are the extrema, not just bounds of them
+        assert p.min() - lo <= 1e-6 and hi - p.max() <= 1e-6
+
+    @pytest.mark.parametrize("q", [0, 1, 5, 9])
+    @pytest.mark.parametrize("name", ["cubic", "quintic-theoretical"])
+    def test_theoretical_schedules(self, name, q):
+        sched = schedule_by_name(name, q)
+        assert certified_range(sched.steps) == (0.0, 1.0)
+        assert sched.theoretical
+
+    @pytest.mark.parametrize(
+        "name, hi, theoretical",
+        [
+            ("quintic-empirical", 1.2023686051632128, False),
+            ("polar-express-nanogpt", 0.9999999999975199, True),
+            ("polar-express-cifar10", 1.0, True),
+        ],
+    )
+    def test_computed_flag(self, name, hi, theoretical):
+        sched = schedule_by_name(name, 5)
+        lo, got = certified_range(sched.steps)
+        assert lo == 0.0 and got == pytest.approx(hi, rel=0, abs=sched.q * RANGE_SLACK)
+        assert sched.theoretical is theoretical
+
+    def test_custom_schedules_certified_from_coefficients(self):
+        assert PolynomialSchedule(((1.875, -1.25, 0.375), (1.5, -0.5, 0.0))).theoretical
+        assert not OVERSHOOTING.theoretical
+        # an overshoot inside the slack's order is refused all the same
+        assert not PolynomialSchedule(((1.0 + 1e-13, 0.0, 0.0),)).theoretical
+
+    def test_overflowing_coefficients_not_certified_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not PolynomialSchedule(((1e300, 1e300, 1e300),)).theoretical
+            lo, hi = certified_range(((1e300, 1e300, 1e300),) * 3)
+            assert hi == np.inf
+
+    def test_theoretical_is_no_field(self):
+        assert [f.name for f in fields(PolynomialSchedule)] == ["steps", "name"]
+        with pytest.raises(TypeError):
+            PolynomialSchedule(((1.5, -0.5, 0.0),), theoretical=True)
+        assert replace(quintic_empirical_schedule(2), steps=((1.5, -0.5, 0.0),)).theoretical

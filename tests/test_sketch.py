@@ -263,6 +263,24 @@ class TestDeltaAndZeroInputs:
             with pytest.raises(error, match="scale delta"):
                 _solve(solver, SketchConfig(s=2, p=2), "frobenius-norm", np.full((8, 8), entry))
 
+    @pytest.mark.parametrize(
+        "solver, scfg, entry, delta, match",
+        [
+            ("polynomial", None, 1e160, 2.0, "polynomial output"),
+            ("polynomial", None, 1.0, 1e-300, "polynomial output"),
+            ("randomized", SketchConfig(s=2, p=2), 1e160, 2.0, "polynomial output"),
+            ("randomized", SketchConfig(s=2, p=2), 1.0, 1e-300, "polynomial output"),
+            ("randomized", SketchConfig(s=2, p=2, kind="kaczmarz"), 1e160, 2.0, "column energies"),
+        ],
+    )
+    def test_explicit_delta_overflow_raises(self, solver, scfg, entry, delta, match):
+        # no norm of the input bounds an explicit delta, so the polynomial
+        # (or the Kaczmarz column energies) may overflow: it raises, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalAbortError, match=match):
+                _solve(solver, scfg, delta, np.full((8, 8), entry))
+
 
 class TestBoundCalculators:
     def test_prop2_hand_value(self):

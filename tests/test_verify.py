@@ -5,10 +5,12 @@ from polarmuon import cli, matcore, suites, verify
 from polarmuon.errors import ConfigError, DimensionError, NumericalAbortError, PreconditionError
 from polarmuon.matcore import RngStream, nuclear_norm, svd
 from polarmuon.polar import (
+    RANGE_SLACK,
     PolarConfig,
     cubic_schedule,
     exact_polar,
     inexact_polar,
+    polar_express_schedule,
     prop1_gamma,
     quintic_empirical_schedule,
     quintic_theoretical_schedule,
@@ -137,6 +139,21 @@ class TestCheckProp2:
         )
         assert rep.op_norm_pass  # not claimed for non-theoretical schedules
 
+    @pytest.mark.parametrize("variant", ["nanogpt", "cifar10"])
+    def test_polar_express_op_norm_gated(self, variant):
+        # the prop2 scope's matrix and sketch: PolarExpress maps [0, 1] into
+        # [0, 1], so its operator-norm bound is now asserted
+        sched = polar_express_schedule(variant)
+        assert sched.theoretical
+        rep = check_prop2(
+            np.diag([10.0, 10.0, 1.0, 1.0]),
+            SketchConfig(s=2, p=2, h=0),
+            PolarConfig(schedule=sched, delta_rule=10.0),
+            trials=500,
+            rng=RngStream(suites._SUITE_SEED, 2),
+        )
+        assert rep.op_norm_pass and rep.max_op_norm <= 1.0 + verify.OP_NORM_TOL
+
     def test_same_trials_as_estimate_gamma_nu(self):
         # both estimators measure the outputs of one trial loop
         m = RngStream(80).normal((9, 7))
@@ -212,8 +229,9 @@ class TestPolynomialLemmas:
     def test_quintic_empirical_overshoot_reported(self):
         rep = check_polynomial_lemmas(quintic_empirical_schedule(1))
         assert not rep.all_passed
-        assert not rep.theoretical
-        assert rep.steps[0].max_value == pytest.approx(1.2024, abs=1e-3)
+        assert not quintic_empirical_schedule(1).theoretical
+        # the exact peak, which a 10^4-point grid read as 1.2023686020
+        assert rep.steps[0].max_value == pytest.approx(1.2023686051632128, rel=0, abs=RANGE_SLACK)
 
 
 class TestFlopModels:
@@ -336,7 +354,7 @@ class TestSuites:
         assert np.array_equal(got_se, se)
 
     def test_scope_outputs_pinned(self, tmp_path, capsys):
-        # a change of the bound calculators, the lemma grid, the sketch draws
+        # a change of the bound calculators, the range checks, the sketch draws
         # or the FLOP model shows here; prop1 and lemma1 are not pinned, as
         # they print deviations of order 1e-16 that vary with the BLAS build
         scopes = ["polynomials", "prop2", "sketch-moments", "flops"]
@@ -344,9 +362,9 @@ class TestSuites:
         capsys.readouterr()
         lines = (tmp_path / "verify.txt").read_text(encoding="utf-8").splitlines()
         assert lines == [
-            "[PASS] polynomials: cubic grid properties -- "
+            "[PASS] polynomials: cubic range properties -- "
             "min_value=0.000e+00 max_value=1.000000000000",
-            "[PASS] polynomials: quintic-theoretical grid properties -- "
+            "[PASS] polynomials: quintic-theoretical range properties -- "
             "min_value=0.000e+00 max_value=1.000000000000",
             "[PASS] polynomials: quintic-empirical overshoot reported -- "
             "max_value=1.202369 (expected > 1)",
