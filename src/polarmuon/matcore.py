@@ -116,8 +116,12 @@ def _lapack_svd(a: np.ndarray, compute_uv: bool = True):
     (U = Q U_R); NumericalAbortError when all three fail.  Every SVD of the
     package is taken here, on matrices derived from inputs that
     ``as_matrix`` checked for NaNs, so a LinAlgError means non-convergence."""
+    try:
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        pass
     tall = a if a.shape[0] >= a.shape[1] else a.T
-    for m, via_qr in ((a, False), (a.T, False), (tall, True)):
+    for m, via_qr in ((a.T, False), (tall, True)):
         try:
             q, r = np.linalg.qr(m) if via_qr else (None, m)
             out = np.linalg.svd(r, full_matrices=False, compute_uv=compute_uv)

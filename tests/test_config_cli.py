@@ -625,8 +625,9 @@ class TestCli:
     def test_exact_solver_survives_non_converging_svd(self, tmp_path):
         # Build-dependent (OpenBLAS 0.3.31, one BLAS thread): LAPACK's SVD of
         # this run's step-8 momentum does not converge, while the SVD of its
-        # transpose does.  The parent of the retry aborted this seed after
-        # 8 rows with exit 3; other builds may converge at once.
+        # transpose does.  Without the retry the seed aborted after 8 rows
+        # with exit 3; other builds may converge at once.  The step sizes are
+        # corollary1's for K = 25, the run in which the failure was seen.
         path = tmp_path / "svd.ini"
         path.write_text(
             "[problem]\nkind = quadratic\nm = 1024\nn = 1024\nrank = 256\ndecay = 0.99\n"
