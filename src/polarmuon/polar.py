@@ -82,44 +82,45 @@ def _quadratic_roots(k0: float, k1: float, k2: float) -> list:
 def _extrema(f, k: tuple, lo: float, hi: float) -> tuple[float, float]:
     """(min, max) of ``f`` on [lo, hi], where f' vanishes only at x = +-sqrt(y)
     for the real roots y >= 0 of k[0] + k[1]*y + k[2]*y^2: both are taken at
-    an endpoint or at such a point.  ``f`` maps a float64 array elementwise;
-    its overflow is silenced, and a non-finite value comes back as it is."""
+    an endpoint or at such a point.  Python floats overflow to inf without
+    a warning; a value that is not finite makes the extrema (-inf, inf)."""
     xs = [lo, hi]
     for y in _quadratic_roots(*k):
         if y >= 0.0:
             r = math.sqrt(y)
             xs += [x for x in (r, -r) if lo < x < hi]
-    with np.errstate(all="ignore"):
-        v = f(np.array(xs))
-    return float(v.min()), float(v.max())
+    v = [f(x) for x in xs]
+    if not all(map(math.isfinite, v)):
+        return -math.inf, math.inf
+    return min(v), max(v)
 
 
 def certified_range(steps) -> tuple[float, float]:
     """The image (lo, hi) of [0, 1] under the composite map of ``steps``,
     exact up to rounding: step phi(x) = a*x + b*x^3 + c*x^5 takes its
     extrema on an interval at the ends or where phi' = a + 3b*x^2 + 5c*x^4
-    vanishes.  A bound that is not finite (overflowing coefficients) is
-    returned as it is and stops the propagation."""
+    vanishes.  Overflowing coefficients give (-inf, inf), which is not
+    certified."""
     lo, hi = 0.0, 1.0
     for a, b, c in steps:
-        lo, hi = _extrema(
-            lambda x: a * x + b * x**3 + c * x**5, (a, 3.0 * b, 5.0 * c), lo, hi
-        )
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        def phi(x):  # products, not **, which raises on overflow
+            return a * x + b * x * x * x + c * x * x * x * x * x
+
+        lo, hi = _extrema(phi, (a, 3.0 * b, 5.0 * c), lo, hi)
+        if hi == math.inf:
             break
     return lo, hi
 
 
 # Rounding slack of the range certificate, per step.  The bounds are
-# float64 values of a*x + b*x**3 + c*x**5 at rounded points.  At an interior
+# float64 values of a*x + b*x^3 + c*x^5 at rounded points.  At an interior
 # extremum phi' = 0, so rounding the point moves phi by second order only;
-# the evaluation itself (two powers, three products, two sums) rounds a
-# result near 1, where the bound matters, by a few ulps of 1.  On a
-# 2M-point grid of ``scalar_map`` the builtin schedules exceed their
-# certified bounds by at most 2 ulps of 1 (quintic-theoretical at q = 5 and
-# 9).  Four ulps per step, summed over the steps, cover that; a designed
-# schedule's real overshoot is orders of magnitude larger (quintic-empirical's
-# is 0.2), so the slack admits none.
+# the evaluation itself (eight products and two sums) rounds a result near
+# 1, where the bound matters, by a few ulps of 1.  On a 2M-point grid of
+# ``scalar_map`` the builtin schedules exceed their certified bounds by at
+# most 2 ulps of 1.  Four ulps per step, summed over the steps, cover that;
+# a designed schedule's real overshoot is orders of magnitude larger
+# (quintic-empirical's is 0.2), so the slack admits none.
 RANGE_SLACK = 4.0 * float(np.finfo(np.float64).eps)
 
 

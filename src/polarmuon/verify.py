@@ -184,13 +184,14 @@ def check_polynomial_lemmas(schedule: PolynomialSchedule) -> PolynomialLemmaRepo
     results = []
     for a, b, c in schedule.steps:
         def phi(x):
-            return a * x + b * x**3 + c * x**5
+            return a * x + b * x * x * x + c * x * x * x * x * x
 
         min_v, max_v = _extrema(phi, (a, 3.0 * b, 5.0 * c), 0.0, 1.0)
         min_gain = _extrema(lambda x: phi(x) - x, (a - 1.0, 3.0 * b, 5.0 * c), 0.0, 1.0)[0]
-        min_d = _extrema(
-            lambda x: a + 3.0 * b * x**2 + 5.0 * c * x**4, (0.0, 3.0 * b, 10.0 * c), 0.0, 1.0
-        )[0]
+        def dphi(x):
+            return a + 3.0 * b * x * x + 5.0 * c * x * x * x * x
+
+        min_d = _extrema(dphi, (0.0, 3.0 * b, 10.0 * c), 0.0, 1.0)[0]
         ok = min_v >= -s and max_v <= 1.0 + s and min_gain >= -s and min_d >= -s
         results.append(StepLemmaResult(min_v, max_v, min_gain, min_d, ok))
     return PolynomialLemmaReport(steps=tuple(results))
