@@ -184,8 +184,9 @@ class TestConfigRoundTrip:
         assert not (tmp_path / "out").exists()
 
     def test_calib_shape_must_match_parameter_shape(self, tmp_path, capsys):
-        # scales fitted for 2 x 2 are 7.2x the 16 x 16 fit at alpha = 1.5,
-        # about 19x the noise's alpha-moment budget on the 16 x 16 parameter
+        # the run's calibration stream fits 2 x 2 scales 7.2x the 16 x 16 fit
+        # at alpha = 1.5: about 17x the noise's alpha-moment budget on the
+        # 16 x 16 parameter (20,000 draws)
         path = tmp_path / "calib.ini"
         path.write_text(
             "[problem]\nm = 16\nn = 16\n[noise]\nalpha = 1.5\nsigma0 = 1.0\nscale0 = 0.3\n"
