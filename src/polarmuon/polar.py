@@ -99,16 +99,14 @@ def certified_range(steps) -> tuple[float, float]:
     """The image (lo, hi) of [0, 1] under the composite map of ``steps``,
     exact up to rounding: step phi(x) = a*x + b*x^3 + c*x^5 takes its
     extrema on an interval at the ends or where phi' = a + 3b*x^2 + 5c*x^4
-    vanishes.  Overflowing coefficients give (-inf, inf), which is not
-    certified."""
+    vanishes.  Overflowing coefficients give (-inf, inf), which no
+    schedule's slack admits."""
     lo, hi = 0.0, 1.0
     for a, b, c in steps:
         def phi(x):  # products, not **, which raises on overflow
             return a * x + b * x * x * x + c * x * x * x * x * x
 
         lo, hi = _extrema(phi, (a, 3.0 * b, 5.0 * c), lo, hi)
-        if hi == math.inf:
-            break
     return lo, hi
 
 
