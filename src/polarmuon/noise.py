@@ -21,10 +21,12 @@ The estimators take a tuple of models and draw each chunk once for all of
 them: the models share its uniforms and signs and differ only in the power
 and the scales applied to them, so each model's estimate is bit for bit that
 of a call with it alone on the same stream.  The shared layout needs the
-models to agree on their number of active components.  The verify
-noise-moments scope estimates alpha = 1.25, 1.5 and 2 from one draw of each
-stream, not three, so a ``polarmuon verify`` of all scopes makes 374
-``RngStream.uniform`` calls instead of 990.
+models to agree on their number of active components.  :func:`calibrate_models`
+fits several models from one draw the same way.  The verify noise-moments
+scope calibrates and estimates alpha = 1.25, 1.5 and 2 from one draw of each
+of its three streams, not three, so a ``polarmuon verify`` of all scopes
+makes 330 ``RngStream.uniform`` calls instead of 990.  A batch-mean estimate
+forms only the prefix sums of the batch sizes it reads, in draw order.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "factorization_problem",
     "NoiseModel",
     "calibrate",
+    "calibrate_models",
     "sample_noise",
     "gradient_oracle",
     "empirical_alpha_moment",
@@ -238,19 +241,52 @@ def _frobenius_powers(x: np.ndarray, alpha: float) -> list:
     return [v ** (alpha / 2.0) for v in sq.tolist()]
 
 
-def calibrate(
-    model: NoiseModel, shape: tuple[int, int], rng: RngStream, n_samples: int = 20000
-) -> NoiseModel:
+def _prefix_sums(draws: np.ndarray, batches: tuple) -> np.ndarray:
+    """(len(batches), k, *inner) sums of the first b of each row of a
+    (k, max(batches), *inner) ``draws`` for each b of ``batches``, added in
+    draw order: bit for bit ``np.add.accumulate(draws, axis=1)[:, b - 1]``.
+    numpy reduces a non-innermost axis slice by slice, in order, so only the
+    sums read are formed.  With one entry per matrix the batch axis becomes
+    the innermost, which numpy sums pairwise, so that case accumulates."""
+    out = np.empty((len(batches),) + draws.shape[:1] + draws.shape[2:])
+    if math.prod(draws.shape[2:]) == 1:
+        csum = np.add.accumulate(draws, axis=1)
+        for sums, b in zip(out, batches):
+            sums[...] = csum[:, b - 1]
+        return out
+    for sums, b in zip(out, batches):
+        np.add.reduce(draws[:, :b], axis=1, out=sums)
+    return out
+
+
+def calibrate_models(
+    models: tuple[NoiseModel, ...],
+    shape: tuple[int, int],
+    rng: RngStream,
+    n_samples: int = 20000,
+) -> list[NoiseModel]:
     """Fit entry scales by Monte Carlo so each component's Frobenius
-    alpha-moment hits its slack-reduced budget for matrices of ``shape``.
+    alpha-moment hits its slack-reduced budget for matrices of ``shape``;
+    one fitted model per model of ``models``, in order.
 
     The moment is alpha-homogeneous in the scale, so one unit-scale estimate
     m_hat of :func:`empirical_alpha_moment` (``n_samples >= 1000``)
-    determines the fit exactly: scale = (target / m_hat)^(1/alpha).
+    determines the fit exactly: scale = (target / m_hat)^(1/alpha).  The
+    unit models share one draw, so each fit is bit for bit that of
+    :func:`calibrate` with its model alone on the same stream.
     """
     shape = tuple(shape)
-    unit = NoiseModel(model.alpha, 1.0, tail_exponent=model.tail_exponent, scale0=1.0)
-    m_hat, se = empirical_alpha_moment((unit,), shape, n_samples, rng)[0]
+    units = tuple(
+        NoiseModel(model.alpha, 1.0, tail_exponent=model.tail_exponent, scale0=1.0)
+        for model in models
+    )
+    estimates = empirical_alpha_moment(units, shape, n_samples, rng)
+    return [_fit(model, m_hat, se, shape) for model, (m_hat, se) in zip(models, estimates)]
+
+
+def _fit(model: NoiseModel, m_hat: float, se: float, shape: tuple) -> NoiseModel:
+    """``model`` with the scales that put each component's moment at its
+    slack-reduced budget, given the unit-scale moment ``m_hat`` (s.e. ``se``)."""
     slack = (
         _SLACK_PAIRED if (model.sigma0 > 0 and model.sigma1 > 0) else _SLACK_SINGLE
     )
@@ -265,6 +301,13 @@ def calibrate(
         calib_shape=shape,
         calib_rel_tol=se / m_hat,
     )
+
+
+def calibrate(
+    model: NoiseModel, shape: tuple[int, int], rng: RngStream, n_samples: int = 20000
+) -> NoiseModel:
+    """:func:`calibrate_models` of the one model ``model``."""
+    return calibrate_models((model,), shape, rng, n_samples)[0]
 
 
 def sample_noise(
@@ -344,11 +387,15 @@ def empirical_batch_moments(
         raise PreconditionError("need at least 1000 samples")
     if not batches or len(set(batches)) < len(batches) or min(batches) < 1:
         raise PreconditionError("batch sizes must be distinct, >= 1 and at least one")
-    inner = (max(batches),) + tuple(shape)
+    shape = tuple(shape)
+    sizes = np.array(batches, dtype=np.float64).reshape((-1, 1) + (1,) * len(shape))
     vals = [{b: array("d") for b in batches} for _ in models]
-    for chunk in _noise_chunks(models, n, inner, grad_norm, rng):
+    for chunk in _noise_chunks(models, n, (max(batches),) + shape, grad_norm, rng):
         for v, model, draws in zip(vals, models, chunk):
-            csum = np.add.accumulate(draws, axis=1)
-            for b in batches:
-                v[b].extend(_frobenius_powers(csum[:, b - 1] / b, model.alpha))
+            means = _prefix_sums(draws, batches)
+            means /= sizes
+            powers = _frobenius_powers(means.reshape((-1,) + shape), model.alpha)
+            k = len(draws)
+            for i, b in enumerate(batches):
+                v[b].extend(powers[i * k:(i + 1) * k])
     return [{b: matcore._mean_and_se(vb) for b, vb in v.items()} for v in vals]

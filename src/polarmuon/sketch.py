@@ -166,7 +166,8 @@ def randomized_polar(
     rejects raises before the sketch is drawn.  Under an explicit delta the
     compressed iterate Z is checked once for overflow, before the lift.  A
     zero ``m`` under an explicit delta, or a Y that underflowed to numerical
-    rank 0, raises DegenerateInputError.
+    rank 0, raises DegenerateInputError; a Y that overflowed in the power
+    iteration raises NumericalAbortError once its basis fails.
     """
     a = matcore.as_matrix(m)
     if pcfg.solver != "polynomial":
@@ -174,7 +175,12 @@ def randomized_polar(
     scfg.check_shape(a.shape)
     delta = pcfg.resolve_delta(a)
     y = power_iterate(a, _draw_sketch(a, scfg, rng), scfg.h)
-    q_basis = matcore.orthonormal_basis(y)
+    try:
+        q_basis = matcore.orthonormal_basis(y)
+    except (DegenerateInputError, NumericalAbortError):
+        if not np.isfinite(y).all():  # checked only once the basis failed
+            raise NumericalAbortError("power iteration overflows") from None
+        raise
     b = q_basis.T @ a
     if not pcfg.explicit_delta:
         return q_basis @ polynomial_iterate(b / delta, pcfg.schedule.coeff_array())

@@ -126,11 +126,12 @@ def _scope_prop2() -> list[CheckResult]:
 def _gram_moments(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise mean of Omega Omega^T over a (trials, n, ell) stack of draws
     and its standard error, from sums of G and G * G over the trials in
-    draw order."""
+    draw order (numpy reduces the leading axis of an n x n stack, n >= 2,
+    slice by slice)."""
     trials = len(omega)
     g = omega @ omega.transpose(0, 2, 1)
-    mean = np.add.accumulate(g)[-1] / trials
-    sq = np.add.accumulate(g * g)[-1]
+    mean = g.sum(axis=0) / trials
+    sq = (g * g).sum(axis=0)
     return mean, np.sqrt(np.maximum(sq / trials - mean**2, 0.0) / trials)
 
 
@@ -150,15 +151,14 @@ def _scope_sketch_moments() -> list[CheckResult]:
 
 
 def _scope_noise_moments() -> list[CheckResult]:
-    # Each alpha is calibrated on its own; the estimators then draw each
-    # stream once for all three models, which share its uniforms.
+    # The calibration and the estimators each draw their stream once for all
+    # three models, which share its uniforms.
     shape, batches = (6, 6), (1, 4, 16, 64)
-    models = tuple(
-        noise_mod.calibrate(
-            noise_mod.NoiseModel(alpha=alpha, sigma0=1.0), shape, RngStream(_SUITE_SEED, 4)
-        )
-        for alpha in (1.25, 1.5, 2.0)
-    )
+    models = tuple(noise_mod.calibrate_models(
+        tuple(noise_mod.NoiseModel(alpha=alpha, sigma0=1.0) for alpha in (1.25, 1.5, 2.0)),
+        shape,
+        RngStream(_SUITE_SEED, 4),
+    ))
     moments = noise_mod.empirical_alpha_moment(models, shape, 20000, RngStream(_SUITE_SEED, 5))
     coupled = noise_mod.empirical_batch_moments(
         models, shape, 4000, RngStream(_SUITE_SEED, 6), batches=batches

@@ -65,12 +65,17 @@ def _polar_trials(
     a: np.ndarray, polar, trials: int, rng: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of <A, T_t> and ||T_t||_op for T_t = polar(a, rng.substream(t)),
-    t < trials."""
+    t < trials.  One stream serves every trial: it is re-keyed to
+    ``rng.substream(t)`` before trial t and draws bit for bit what that
+    stream draws, so ``polar`` must not keep its rng after the call."""
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     inners, op_norms = np.empty(trials), np.empty(trials)
+    trial = rng.substream(0)
     for t in range(trials):
-        inners[t], op_norms[t] = _alignment_and_op_norm(a, polar(a, rng.substream(t)))
+        if t:
+            trial._rekey(matcore.derive_stream_id(rng.stream, t))
+        inners[t], op_norms[t] = _alignment_and_op_norm(a, polar(a, trial))
     return inners, op_norms
 
 
@@ -78,8 +83,10 @@ def estimate_gamma_nu(m, polar, trials: int, rng: RngStream) -> AssumptionEstima
     """Estimate (gamma, nu) for a polar map ``polar(matrix, rng) -> matrix``.
 
     Deterministic maps may ignore the rng argument; one trial then suffices
-    and the standard errors are zero.  All-zero outputs are excluded from the
-    averages and counted as degenerate.
+    and the standard errors are zero.  Trial t draws from the stream of
+    ``rng.substream(t)``, but every trial gets the same object, re-keyed, so
+    ``polar`` must not keep its rng after the call.  All-zero outputs are
+    excluded from the averages and counted as degenerate.
     """
     a = matcore.as_matrix(m)
     inners, op_norms = _polar_trials(a, polar, trials, rng)

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from polarmuon.matcore import RngStream
 from polarmuon.noise import (
     NoiseModel,
     calibrate,
+    calibrate_models,
     empirical_alpha_moment,
     empirical_batch_moments,
     factorization_problem,
@@ -503,6 +505,56 @@ class TestSharedDraw:
         with pytest.raises(PreconditionError, match="same active components"):
             empirical_batch_moments(models, (3, 2), 1000, RngStream(96), (1, 2), grad_norm)
 
+    @pytest.mark.parametrize("components", ["single", "both"])
+    def test_calibrate_models_match_calibrate(self, components):
+        # the unit models share one draw; each fit is that of its model alone
+        models = tuple(replace(m, scale0=None, scale1=None) for m in _model_triple(components))
+        shared = calibrate_models(models, (3, 2), RngStream(80), 1000)
+        alone = [calibrate(m, (3, 2), RngStream(80), 1000) for m in models]
+        assert repr(shared) == repr(alone)
+        assert len({m.scale0 or m.scale1 for m in shared}) == 3
+
     def test_no_models_raise(self):
         with pytest.raises(PreconditionError):
             empirical_alpha_moment((), (3, 2), 1000, RngStream(96))
+
+
+def _accumulated_batch_moments(model, shape, n, rng, batches):
+    """:func:`empirical_batch_moments` of one model from every prefix sum of
+    ``np.add.accumulate``, the form the estimator reads four of."""
+    vals = {b: [] for b in batches}
+    for (draws,) in noise._noise_chunks((model,), n, (max(batches),) + shape, 0.0, rng):
+        csum = np.add.accumulate(draws, axis=1)
+        for b in batches:
+            vals[b].extend(noise._frobenius_powers(csum[:, b - 1] / b, model.alpha))
+    return {b: matcore._mean_and_se(v) for b, v in vals.items()}
+
+
+class TestPrefixSums:
+    """The batch estimator forms only the prefix sums it reads, each added in
+    draw order, bit for bit the ``np.add.accumulate`` prefixes."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(14, 64, 6, 6), (10, 64, 6, 6),  # the noise-moments scope's chunks
+         (1, 64, 6, 6), (5, 64, 1, 1), (1, 64, 1, 1), (3, 64, 1, 2), (2, 64, 3, 1)],
+    )
+    def test_bitwise_accumulate_prefixes(self, shape):
+        rng = RngStream(97, shape[0] * 100 + shape[2])
+        draws = rng.uniform(shape) ** -0.8 * np.sign(rng.uniform(shape) - 0.5)
+        batches = (1, 4, 16, 64)
+        got = noise._prefix_sums(draws, batches)
+        csum = np.add.accumulate(draws, axis=1)
+        for sums, b in zip(got, batches):
+            assert _bitwise_equal(sums, csum[:, b - 1])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (6, 6)])
+    def test_public_call_matches_accumulated_prefixes(self, shape):
+        # a 1 x 1 matrix makes the batch axis innermost, which numpy would sum
+        # pairwise; the estimator still adds in draw order
+        model = calibrate(NoiseModel(alpha=1.5, sigma0=1.0), shape, RngStream(98), 1000)
+        batches = (1, 4, 16, 64)
+        got = empirical_batch_moments((model,), shape, 1100, RngStream(99), batches)[0]
+        assert repr(got) == repr(
+            _accumulated_batch_moments(model, shape, 1100, RngStream(99), batches)
+        )

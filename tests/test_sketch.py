@@ -281,6 +281,15 @@ class TestDeltaAndZeroInputs:
             with pytest.raises(NumericalAbortError, match=match):
                 _solve(solver, scfg, delta, np.full((8, 8), entry))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["gaussian", "kaczmarz"])
+    def test_power_iteration_overflow_raises(self, kind):
+        # the Frobenius delta (8e103) is finite, but (M M^T) M Omega is not:
+        # the error names the power iteration, not the basis's svd
+        with pytest.raises(NumericalAbortError, match="power iteration overflows"):
+            _solve("randomized", SketchConfig(s=2, p=2, h=1, kind=kind), "frobenius-norm",
+                   np.full((8, 8), 1e103))
+
 
 class TestBoundCalculators:
     def test_prop2_hand_value(self):

@@ -47,6 +47,22 @@ class TestEstimateGammaNu:
         # deterministic polynomial solvers have op norm <= 1, so nu_hat <= 0
         assert est.nu_hat <= 1e-10
 
+    def test_trial_streams_match_substreams(self):
+        # one stream is re-keyed for every trial; it draws what a fresh
+        # rng.substream(t) draws, and a draw of trial t - 1 leaves no trace
+        rng, drawn = RngStream(74, 9), []
+
+        def record(a, r):
+            drawn.append((r.normal((3, 2)), r.uniform(5), r.generator.integers(0, 1000, 7)))
+            return a
+
+        verify._polar_trials(np.eye(2), record, 50, rng)
+        for t, got in enumerate(drawn):
+            r = rng.substream(t)
+            want = (r.normal((3, 2)), r.uniform(5), r.generator.integers(0, 1000, 7))
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+        assert len({d[0].tobytes() for d in drawn}) == 50
+
     def test_random_map_statistics(self):
         # polar output scaled by a random factor in {0.5, 1.0} gives known
         # mean alignment and op-norm second moment
@@ -114,6 +130,22 @@ class TestEstimateGammaNu:
 
 
 class TestCheckProp2:
+    def test_streams_built_do_not_grow_with_trials(self, monkeypatch):
+        # the trial loop re-keys one stream instead of building one per trial
+        built = []
+        post_init = RngStream.__post_init__
+        monkeypatch.setattr(
+            RngStream, "__post_init__", lambda self: (built.append(1), post_init(self))
+        )
+        args = (np.diag([10.0, 10.0, 1.0, 1.0]), SketchConfig(s=2, p=2, h=0),
+                PolarConfig(schedule=quintic_theoretical_schedule(6), delta_rule=10.0))
+        counts = []
+        for trials in (3, 60):
+            built.clear()
+            check_prop2(*args, trials=trials, rng=RngStream(77))
+            counts.append(len(built))
+        assert counts == [2, 2]  # the caller's stream and the trial stream
+
     def test_gapped_spectrum_passes(self):
         m = np.diag([10.0, 10.0, 1.0, 1.0])
         rep = check_prop2(
@@ -400,6 +432,17 @@ class TestSuites:
             "0.9015 -> 0.2409 -> 0.0597 -> 0.0163",
         ]
 
+    def test_noise_moments_uniform_calls(self, monkeypatch):
+        # 22 chunks for the calibration, 22 for the moments and 286 for the
+        # batch moments: each stream is drawn once for the three models
+        calls = []
+        uniform = RngStream.uniform
+        monkeypatch.setattr(
+            RngStream, "uniform", lambda self, shape: (calls.append(1), uniform(self, shape))[1]
+        )
+        suites._scope_noise_moments()
+        assert len(calls) == 330
+
     def test_noise_moments_estimates_pinned(self, monkeypatch):
         # full-precision estimates of the scope, as three alpha-by-alpha
         # calls of each estimator returned them
@@ -415,11 +458,13 @@ class TestSuites:
         for name in ("empirical_alpha_moment", "empirical_batch_moments"):
             monkeypatch.setattr(suites.noise_mod, name, record(getattr(suites.noise_mod, name)))
         suites._scope_noise_moments()
-        # each alpha's calibration fits one model; then one call per estimator
-        assert [call[:2] for call in calls] == [("empirical_alpha_moment", 1)] * 3 + [
-            ("empirical_alpha_moment", 3), ("empirical_batch_moments", 3)
+        # one calibration draw fits the three models; then one call per estimator
+        assert [call[:2] for call in calls] == [
+            ("empirical_alpha_moment", 3),
+            ("empirical_alpha_moment", 3),
+            ("empirical_batch_moments", 3),
         ]
-        moments, coupled = (out for *_, out in calls[3:])
+        moments, coupled = (out for *_, out in calls[1:])
         assert repr(moments) == (
             "[(1.0227799526804908, 0.07936390736379262), "
             "(1.0304203139055632, 0.0820791229995404), "
