@@ -1,6 +1,5 @@
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -508,7 +507,7 @@ class TestSharedDraw:
     @pytest.mark.parametrize("components", ["single", "both"])
     def test_calibrate_models_match_calibrate(self, components):
         # the unit models share one draw; each fit is that of its model alone
-        models = tuple(replace(m, scale0=None, scale1=None) for m in _model_triple(components))
+        models = _model_triple(components)
         shared = calibrate_models(models, (3, 2), RngStream(80), 1000)
         alone = [calibrate(m, (3, 2), RngStream(80), 1000) for m in models]
         assert repr(shared) == repr(alone)
