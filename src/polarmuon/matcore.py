@@ -45,14 +45,24 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     Public entry points check their caller's input with it; package code
     passing an array it computed calls the unchecked ``_``-kernels instead.
     """
+    a = _as_nonempty_2d(m, name)
+    _require_finite(a, name)
+    return a
+
+
+def _as_nonempty_2d(m, name: str = "matrix") -> np.ndarray:
+    """``m`` as a nonempty 2-D float64 array, its entries not yet scanned."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.size == 0:
         raise DimensionError(f"{name} must be nonempty")
+    return a
+
+
+def _require_finite(a: np.ndarray, name: str = "matrix") -> None:
     if not np.isfinite(a).all():
         raise NumericalAbortError(f"{name} contains non-finite entries")
-    return a
 
 
 def _frobenius(a: np.ndarray) -> float:

@@ -17,6 +17,16 @@ the stream unchanged.  At that bound a chunk's arrays (512 KB of uniforms,
 about 256 KB per derived array) fit in a core's L2 cache, so the allocator
 recycles them instead of mapping and faulting in fresh pages.
 
+A run's seed draws its noise through :func:`seed_oracle`.  When the noise
+does not read the gradient (sigma1 = 0) the draw layout is fixed by the
+model, so the seed's steps are drawn ahead by :func:`batch_means`, in blocks
+of whole steps that fit in one chunk; a step whose batch needs more than a
+chunk is drawn alone, its running sum carried across chunks.  Either way
+each step's noise is bit for bit that of one :func:`gradient_oracle` call,
+which is the one-step case of :func:`batch_means`.  With sigma1 > 0 whether
+Xi1 is drawn, and its coefficient, read each step's ||grad f||_F, so those
+runs draw step by step.
+
 The estimators take a tuple of models and draw each chunk once for all of
 them: the models share its uniforms and signs and differ only in the power
 and the scales applied to them, so each model's estimate is bit for bit that
@@ -50,7 +60,9 @@ __all__ = [
     "calibrate",
     "calibrate_models",
     "sample_noise",
+    "batch_means",
     "gradient_oracle",
+    "seed_oracle",
     "empirical_alpha_moment",
     "empirical_batch_moments",
 ]
@@ -225,12 +237,18 @@ def _draw(comps: int, plans: list, k: int, inner: tuple, rng: RngStream) -> list
     return [_compose(u, sign, power, coefs) for power, coefs in plans]
 
 
+def _draws_per_chunk(comps: int, inner: tuple) -> int:
+    """Matrices of shape ``inner`` in a chunk of at most ``_CHUNK_UNIFORMS``
+    uniforms, and at least one."""
+    return max(1, _CHUNK_UNIFORMS // (2 * max(1, comps) * math.prod(inner)))
+
+
 def _noise_chunks(models: tuple, count: int, inner: tuple, grad_norm: float,
                   rng: RngStream):
     """Yield :func:`_draw` lists of ``count`` matrices per model in chunks of
     at most ``_CHUNK_UNIFORMS`` uniforms (at least one sample each)."""
     comps, plans = _noise_plans(models, grad_norm)
-    step = max(1, _CHUNK_UNIFORMS // (2 * max(1, comps) * math.prod(inner)))
+    step = _draws_per_chunk(comps, inner)
     for start in range(0, count, step):
         yield _draw(comps, plans, min(step, count - start), inner, rng)
 
@@ -318,25 +336,93 @@ def sample_noise(
     return _draw(*_noise_plans((model,), grad_norm), 1, tuple(shape), rng)[0][0]
 
 
+def batch_means(
+    model: NoiseModel,
+    shape: tuple[int, int],
+    batch: int,
+    steps: int,
+    rng: RngStream,
+    grad_norm: float = 0.0,
+) -> np.ndarray:
+    """(steps, *shape) means of ``steps`` successive batches of ``batch``
+    noise draws from ``rng``, each batch summed in draw order; ``grad_norm``
+    scales Xi1 as in :func:`sample_noise`.
+
+    Steps whose draws fit in one chunk of ``_CHUNK_UNIFORMS`` uniforms are
+    drawn and composed together, as many whole steps a chunk as fit; a step
+    whose batch needs more is drawn alone, chunk by chunk, its running sum
+    carried across chunk boundaries.  The (k, batch, *shape) block of draws
+    is summed over its batch axis by :func:`_prefix_sums`, which keeps draw
+    order also where that axis is the innermost (1 x 1 matrices).  A batch
+    of one is its own mean (x / 1 = x), so its draws are returned as drawn.
+    Memory holds the output and one chunk.
+    """
+    if batch < 1 or steps < 1:
+        raise PreconditionError("batch and steps must be >= 1")
+    shape = tuple(shape)
+    comps, plans = _noise_plans((model,), grad_norm)
+    per_chunk = _draws_per_chunk(comps, shape)
+    blocks = []
+    if batch > per_chunk:
+        for _ in range(steps):
+            total = None
+            for (draws,) in _noise_chunks((model,), batch, shape, grad_norm, rng):
+                if total is not None:
+                    draws[0] += total  # carry the running sum across chunks
+                total = np.add.accumulate(draws)[-1]  # in draw order; sum may pair up
+            blocks.append(total[None] / batch)
+    else:
+        per_block = per_chunk // batch
+        for start in range(0, steps, per_block):
+            k = min(per_block, steps - start)
+            (draws,) = _draw(comps, plans, k * batch, shape, rng)
+            if batch > 1:
+                draws = _prefix_sums(draws.reshape((k, batch) + shape), (batch,))[0]
+                draws /= batch
+            blocks.append(draws)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 def gradient_oracle(
     grad: np.ndarray, grad_norm: float, batch: int, model: NoiseModel, rng: RngStream
 ) -> np.ndarray:
     """Unbiased stochastic gradient: the exact gradient ``grad`` plus the
     mean of ``batch`` independent noise draws; ``grad_norm`` = ||grad||_F
-    scales Xi1 as in :func:`sample_noise`.  A batch of one adds its draw as
-    it is (the running sum of one draw is the draw, and x / 1 = x)."""
+    scales Xi1 as in :func:`sample_noise`.  The noise is the one-step case of
+    :func:`batch_means`."""
     if batch < 1:
         raise PreconditionError("batch must be >= 1")
     if model.sigma0 == 0.0 and model.sigma1 == 0.0:
         return grad
-    if batch == 1:
-        return grad + _draw(*_noise_plans((model,), grad_norm), 1, grad.shape, rng)[0][0]
-    total = None
-    for (draws,) in _noise_chunks((model,), batch, grad.shape, grad_norm, rng):
-        if total is not None:
-            draws[0] += total  # carry the running sum across chunks
-        total = np.add.accumulate(draws)[-1]  # in draw order; sum may pair up
-    return grad + total / batch
+    return grad + batch_means(model, grad.shape, batch, 1, rng, grad_norm)[0]
+
+
+def seed_oracle(
+    model: NoiseModel, shape: tuple[int, int], batch: int, steps: int, rng: RngStream
+):
+    """``oracle(grad, grad_norm)`` for ``steps`` successive steps of one seed:
+    its k-th call returns bit for bit the k-th of ``steps`` successive
+    :func:`gradient_oracle` calls on ``rng``, and it takes at most ``steps``
+    calls.  Noise that does not read the gradient (sigma1 = 0) is drawn
+    ahead by :func:`batch_means`, in blocks of whole steps that fit in one
+    chunk (one step when its batch needs more), so ``rng`` gives at most
+    steps * batch draws.  Noise with sigma1 > 0 is drawn each step by
+    :func:`gradient_oracle`, as its layout and Xi1's coefficient read that
+    step's ``grad_norm``."""
+    if batch < 1:
+        raise PreconditionError("batch must be >= 1")
+    if model.sigma0 == 0.0 and model.sigma1 == 0.0:
+        return lambda grad, grad_norm: grad
+    if model.sigma1 > 0.0:
+        return lambda grad, grad_norm: gradient_oracle(grad, grad_norm, batch, model, rng)
+
+    def ahead():
+        per_block = max(1, _draws_per_chunk(1, tuple(shape)) // batch)
+        for start in range(0, steps, per_block):
+            yield from batch_means(model, shape, batch, min(per_block, steps - start), rng)
+
+    means = ahead()
+    return lambda grad, grad_norm: grad + next(means)
 
 
 def empirical_alpha_moment(

@@ -236,15 +236,18 @@ class PolarConfig:
         """Whether delta is the given float rather than a norm of the input."""
         return not isinstance(self.delta_rule, str)
 
-    def resolve_delta(self, m: np.ndarray) -> float:
+    def resolve_delta(self, m: np.ndarray, frobenius: float | None = None) -> float:
         """The scale delta for ``m``, a finite 2-D float64 array that the
         calling solver has validated: DegenerateInputError if delta is 0 (a
         zero ``m``, or squares that underflow), NumericalAbortError if it is
-        not finite (squares that overflow)."""
+        not finite (squares that overflow).  ``frobenius`` is ||m||_F when
+        the caller has taken it (:func:`_checked_input`)."""
         if self.explicit_delta:
             delta = float(self.delta_rule)
         elif self.delta_rule == "operator-norm":
             delta = matcore._operator_norm(m)
+        elif frobenius is not None:
+            delta = frobenius
         else:
             with np.errstate(over="ignore"):
                 delta = matcore._frobenius(m)
@@ -253,6 +256,22 @@ class PolarConfig:
         if not math.isfinite(delta):
             raise NumericalAbortError("scale delta is not finite")
         return delta
+
+
+def _checked_input(m, cfg: PolarConfig) -> tuple[np.ndarray, float | None]:
+    """``m`` checked as :func:`matcore.as_matrix` checks it, with ||m||_F
+    when ``cfg`` takes delta by the frobenius-norm rule, else None.  That
+    norm is taken before the entries are scanned: a finite norm proves every
+    entry finite, so only a norm that is not finite (a NaN or inf entry, or
+    squares that overflow) scans them, to tell the two apart."""
+    if cfg.delta_rule != "frobenius-norm":
+        return matcore.as_matrix(m), None
+    a = matcore._as_nonempty_2d(m)
+    with np.errstate(over="ignore"):
+        norm = matcore._frobenius(a)
+    if not math.isfinite(norm):
+        matcore._require_finite(a)
+    return a, norm
 
 
 def exact_polar(m) -> np.ndarray:
@@ -335,10 +354,10 @@ def inexact_polar(m, cfg: PolarConfig) -> np.ndarray:
     delta is checked as :meth:`PolarConfig.resolve_delta` says, so only an
     explicit delta maps a zero ``m`` (to p_q(0) = 0).
     """
-    a = matcore.as_matrix(m)
+    a, norm = _checked_input(m, cfg)
     if cfg.solver != "polynomial":
         raise PreconditionError("inexact_polar requires a polynomial config")
-    delta = cfg.resolve_delta(a)
+    delta = cfg.resolve_delta(a, norm)
     if not cfg.explicit_delta:
         return polynomial_iterate(a / delta, cfg.schedule.coeff_array())
     with np.errstate(over="ignore", invalid="ignore"):

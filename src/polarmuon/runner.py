@@ -145,13 +145,19 @@ def _initial_point(cfg: RunConfig, seed: int) -> np.ndarray:
 
 def _run_seed(cfg: RunConfig, seed: int, problem, model, step_flops: int) -> SeedResult:
     """K Muon steps from this seed's start, on the run's resolved inputs, one
-    ||grad f||_F per step.  A non-finite f aborts the seed; a non-finite
-    entry of the iterate makes f non-finite, so the iterate is not checked
-    apart.  A step that raises, or whose projection finds an overflowing
-    norm, aborts the seed without its row."""
+    ||grad f||_F per step.  The stochastic gradient is the seed's
+    :func:`noise.seed_oracle` on its own noise stream: the exact gradient
+    plus the step's batch-mean noise, drawn ahead in blocks of steps when
+    sigma1 = 0 and step by step otherwise, bit for bit one
+    :func:`noise.gradient_oracle` call a step.  A non-finite f aborts the
+    seed; a non-finite entry of the iterate makes f non-finite, so the
+    iterate is not checked apart.  A step that raises, or whose projection
+    finds an overflowing norm, aborts the seed without its row."""
     o = cfg.optimizer
     sched = o.step_schedule(cfg.noise.alpha)
-    noise_rng = RngStream(seed, derive_stream_id(_TAG_NOISE))
+    oracle = noise_mod.seed_oracle(
+        model, cfg.problem.param_shape, o.B, o.K, RngStream(seed, derive_stream_id(_TAG_NOISE))
+    )
     state = opt.MuonState.initial(
         _initial_point(cfg, seed), kind=o.momentum, beta=sched.beta, eta=sched.eta
     )
@@ -164,7 +170,7 @@ def _run_seed(cfg: RunConfig, seed: int, problem, model, step_flops: int) -> See
         if not math.isfinite(f_val):
             return SeedResult(seed, rows, aborted=True)
         gnorm = matcore._frobenius(grad)
-        g = noise_mod.gradient_oracle(grad, gnorm, o.B, model, noise_rng)
+        g = oracle(grad, gnorm)
         try:
             opt.muon_step(state, g, polar)
             state.x = problem.project(state.x)

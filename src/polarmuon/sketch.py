@@ -20,7 +20,9 @@ import numpy as np
 from . import matcore
 from .errors import DegenerateInputError, NumericalAbortError, PreconditionError
 from .matcore import RngStream
-from .polar import SIGMA1_REL_SLACK, PolarConfig, _finite_output, polynomial_iterate
+from .polar import (
+    SIGMA1_REL_SLACK, PolarConfig, _checked_input, _finite_output, polynomial_iterate,
+)
 
 __all__ = [
     "SketchConfig",
@@ -169,11 +171,11 @@ def randomized_polar(
     rank 0, raises DegenerateInputError; a Y that overflowed in the power
     iteration raises NumericalAbortError once its basis fails.
     """
-    a = matcore.as_matrix(m)
+    a, norm = _checked_input(m, pcfg)
     if pcfg.solver != "polynomial":
         raise PreconditionError("randomized_polar requires a polynomial config")
     scfg.check_shape(a.shape)
-    delta = pcfg.resolve_delta(a)
+    delta = pcfg.resolve_delta(a, norm)
     y = power_iterate(a, _draw_sketch(a, scfg, rng), scfg.h)
     try:
         q_basis = matcore.orthonormal_basis(y)

@@ -299,6 +299,53 @@ PINNED_RUNS = {
                 "cfca1539deea26dd5ea83301207a7a7d1051de470db986d9811798bb559dbe73",
         },
     ),
+    # sigma1 = 0: each seed's noise is drawn ahead of its steps; these pin
+    # the bits of the step-by-step draws they replace
+    "noisy-batch3-factorization": (
+        "[problem]\nkind = factorization\nm = 12\nn = 12\nrank = 6\nscale = 1.0\n"
+        "[optimizer]\nschedule = corollary1\nk = 12\nb = 3\n"
+        "[sketch]\ns = 3\np = 2\nh = 1\nkind = gaussian\n"
+        "[noise]\nalpha = 1.5\nsigma0 = 0.5\n[run]\n",
+        {
+            "run_seed1.csv":
+                "f8cbf10a68096f028aea4ef5a6e6c19f7d2c94d0d7faa1c6b481f1e820d63c45",
+            "run_seed2.csv":
+                "a23c35c39edc7bb98329350ceed08aa5c7baa268e6cba01bd7edadffb1abb012",
+            "run.summary.csv":
+                "83084306a45bb15904c615867fab0d9bfcc28803222e86299cd7bfcfd482ac49",
+        },
+    ),
+    # 300 draws of a 16 x 8 factor take 76 800 uniforms: a step's batch
+    # crosses a 2^16-uniform chunk
+    "noisy-batch300-chunk-crossing": (
+        "[problem]\nkind = factorization\nm = 16\nn = 16\nrank = 8\nscale = 1.0\n"
+        "[optimizer]\nschedule = corollary1\nk = 6\nb = 300\n"
+        "[polar]\nsolver = polynomial\nschedule = quintic-theoretical\nq = 5\n"
+        "[noise]\nalpha = 1.25\nsigma0 = 0.5\n[run]\n",
+        {
+            "run_seed1.csv":
+                "6cf88184a8c0c50c6f544736ef5bc725c1aa5ebf1c038832543d2f65e854627b",
+            "run_seed2.csv":
+                "d9ff514df1c01a7fe7389c1f67668402222ddc42c993e48ffa4747cc4ac1a7f1",
+            "run.summary.csv":
+                "c6745ca04ed0453af7664b9ceb9621b285ca5d294ffbe9f8a406986ff7cf531d",
+        },
+    ),
+    # sigma1 > 0: the noise reads each step's grad norm and is drawn step by step
+    "noisy-sigma1-batch2-quadratic": (
+        "[problem]\nkind = quadratic\nm = 10\nn = 8\nrank = 5\n"
+        "[optimizer]\nschedule = corollary1\nk = 12\nb = 2\n"
+        "[polar]\nsolver = polynomial\nschedule = quintic-theoretical\nq = 5\n"
+        "[noise]\nalpha = 1.5\nsigma0 = 0.3\nsigma1 = 0.4\n[run]\n",
+        {
+            "run_seed1.csv":
+                "fd8989ab7d49ebcc384588b571a372b78ba220186eb4af070b4926791e4f2396",
+            "run_seed2.csv":
+                "866fd2b8a3a25e673fce782a43b4832171284ef2ade9830a325e33af8d626872",
+            "run.summary.csv":
+                "9f065782f9f8388e3c16c21bb3aaad1d414b1bbe1428365a5abd334e844c5593",
+        },
+    ),
     "exact-factorization-verify": (
         "[problem]\nkind = factorization\nm = 10\nn = 10\nrank = 4\nscale = 1.0\n"
         "[optimizer]\nschedule = corollary1\nk = 12\n"

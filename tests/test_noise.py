@@ -456,6 +456,76 @@ class TestDrawOrder:
             assert peak < 4 << 20
 
 
+class TestSeedOracle:
+    """A seed's noise drawn ahead in blocks of steps is bit for bit that of
+    one ``gradient_oracle`` call a step, and reads no further draws."""
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 1 << 11])  # 1 << 11: blocks cross
+    @pytest.mark.parametrize("batch", [1, 3, 300])
+    @pytest.mark.parametrize("shape", [(1, 1), (16, 8)])
+    def test_matches_successive_oracle_calls(self, monkeypatch, shape, batch, chunk):
+        monkeypatch.setattr(noise, "_CHUNK_UNIFORMS", chunk)
+        model = _calibrated("sigma0", shape)
+        steps = 11
+        grads = RngStream(71).normal((steps,) + shape)
+        ahead_rng, step_rng, sample_rng = RngStream(72), RngStream(72), RngStream(72)
+        oracle = noise.seed_oracle(model, shape, batch, steps, ahead_rng)
+        for grad in grads:
+            gnorm = float(np.linalg.norm(grad))
+            got = oracle(grad, gnorm)
+            assert _bitwise_equal(got, gradient_oracle(grad, gnorm, batch, model, step_rng))
+            acc = np.zeros(shape)
+            for _ in range(batch):
+                acc += sample_noise(model, shape, gnorm, sample_rng)
+            assert _bitwise_equal(got, grad + acc / batch)
+        # the draws stop at steps * batch matrices
+        assert ahead_rng.uniform(4).tolist() == step_rng.uniform(4).tolist()
+        with pytest.raises(StopIteration):
+            oracle(grads[0], 1.0)
+
+    @pytest.mark.parametrize(
+        "shape, batch, steps, draws",
+        [((16, 8), 1, 300, [256, 44]),  # 256 single-draw steps a chunk
+         ((16, 8), 3, 100, [255, 45]),  # 85 whole steps of three a chunk
+         ((16, 8), 300, 2, [256, 44, 256, 44]),  # a batch crosses chunks
+         ((256, 256), 1, 3, [1, 1, 1])],  # one step a draw: memory stays bounded
+    )
+    def test_blocks_of_whole_steps(self, monkeypatch, shape, batch, steps, draws):
+        model = _calibrated("sigma0", (4, 4))
+        seen = []
+        draw = noise._draw
+        monkeypatch.setattr(noise, "_draw", lambda c, p, k, *a: seen.append(k) or draw(c, p, k, *a))
+        oracle = noise.seed_oracle(model, shape, batch, steps, RngStream(73))
+        for _ in range(steps):
+            oracle(np.zeros(shape), 0.0)
+        assert seen == draws
+
+    def test_gradient_scaled_noise_draws_each_step(self, monkeypatch):
+        # sigma1 > 0: each step's layout reads its grad norm, so each call
+        # is one gradient_oracle call with the caller's norm
+        model = _calibrated("both", (3, 2))
+        norms = []
+        exact = noise.gradient_oracle
+        monkeypatch.setattr(noise, "gradient_oracle",
+                            lambda g, gn, *a: norms.append(gn) or exact(g, gn, *a))
+        oracle = noise.seed_oracle(model, (3, 2), 2, 3, RngStream(74))
+        grad = RngStream(75).normal((3, 2))
+        got = [oracle(grad, gn) for gn in (1.0, 0.0, 2.0)]
+        assert norms == [1.0, 0.0, 2.0]
+        rng = RngStream(74)
+        for g, gn in zip(got, (1.0, 0.0, 2.0)):
+            assert _bitwise_equal(g, exact(grad, gn, 2, model, rng))
+
+    def test_noiseless_returns_gradient(self):
+        grad = np.ones((2, 2))
+        assert noise.seed_oracle(NoiseModel(), (2, 2), 4, 3, RngStream(76))(grad, 2.0) is grad
+        with pytest.raises(PreconditionError, match="batch"):
+            noise.seed_oracle(_calibrated("sigma0"), (3, 2), 0, 3, RngStream(76))
+        for batch, steps in ((0, 1), (1, 0)):
+            with pytest.raises(PreconditionError, match="steps"):
+                noise.batch_means(_calibrated("sigma0"), (3, 2), batch, steps, RngStream(76))
+
+
 def _model_triple(components):
     """Three calibrated models with the same active components but different
     alpha, tail exponent and scales."""

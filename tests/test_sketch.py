@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from polarmuon import matcore
-from polarmuon.errors import DegenerateInputError, NumericalAbortError, PreconditionError
+from polarmuon.errors import (
+    DegenerateInputError, DimensionError, NumericalAbortError, PreconditionError,
+)
 from polarmuon.matcore import RngStream, inner_product, operator_norm, orthonormal_basis
 from polarmuon.polar import PolarConfig, exact_polar, inexact_polar, quintic_theoretical_schedule
 from polarmuon.sketch import (
@@ -239,6 +241,9 @@ def _solve(solver, scfg, rule, m):
     return randomized_polar(m, scfg, pcfg, RngStream(5))
 
 
+RULES = ("frobenius-norm", "operator-norm", 2.0)
+
+
 class TestDeltaAndZeroInputs:
     """Each failure comes from the operation that the input breaks: the
     scale delta, the basis's rank cut or the Kaczmarz column energies."""
@@ -262,6 +267,49 @@ class TestDeltaAndZeroInputs:
             warnings.simplefilter("error")
             with pytest.raises(error, match="scale delta"):
                 _solve(solver, SketchConfig(s=2, p=2), "frobenius-norm", np.full((8, 8), entry))
+
+    @pytest.mark.parametrize(
+        "entry, rules, error, match",
+        [(np.nan, RULES, NumericalAbortError, "non-finite entries"),
+         (-np.inf, RULES, NumericalAbortError, "non-finite entries"),
+         # a finite entry whose square overflows: only the Frobenius delta breaks
+         (1e200, ("frobenius-norm",), NumericalAbortError, "scale delta is not finite")],
+    )
+    @pytest.mark.parametrize("solver", ["polynomial", "randomized"])
+    def test_non_finite_input_raises(self, solver, entry, rules, error, match):
+        # the Frobenius delta is taken before the entries are scanned; a
+        # finite one proves them finite, and only a non-finite one scans them
+        m = RngStream(6).normal((8, 8))
+        m[3, 2] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rule in rules:
+                with pytest.raises(error, match=match):
+                    _solve(solver, SketchConfig(s=2, p=2), rule, m)
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_non_finite_input_raises_before_config_checks(self, rule):
+        bad = np.full((8, 3), np.nan)  # ell = 4 exceeds min(shape) = 3
+        with pytest.raises(NumericalAbortError, match="non-finite entries"):
+            randomized_polar(bad, SketchConfig(s=2, p=2), PolarConfig(delta_rule=rule),
+                             RngStream(5))
+        for solve in (
+            lambda m: inexact_polar(m, PolarConfig(solver="exact", delta_rule=rule)),
+            lambda m: randomized_polar(m, SketchConfig(s=2, p=2),
+                                       PolarConfig(solver="exact", delta_rule=rule), RngStream(5)),
+        ):
+            with pytest.raises(NumericalAbortError, match="non-finite entries"):
+                solve(bad)
+            with pytest.raises(PreconditionError, match="polynomial config"):
+                solve(np.full((8, 3), 1e200))
+        for shape in ((0, 3), (4,), (2, 2, 2)):
+            for solve in (
+                lambda m: inexact_polar(m, PolarConfig(delta_rule=rule)),
+                lambda m: randomized_polar(m, SketchConfig(s=2, p=2),
+                                           PolarConfig(delta_rule=rule), RngStream(5)),
+            ):
+                with pytest.raises(DimensionError):
+                    solve(np.full(shape, np.nan))
 
     @pytest.mark.parametrize(
         "solver, scfg, entry, delta, match",

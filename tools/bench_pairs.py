@@ -13,7 +13,17 @@ workload in ``--pairs``.  Every run lasts ``--seconds``, by default
 workload and end-to-end metric the medians, the parent's interquartile range
 and the pairs the change wins, and from the traced runs, under
 ``traced[<workload>][<side>]``, every per-layer metric, ``spans_missing``,
-the traced and untraced step rates and the manifest.  ``args`` keeps the
+the traced and untraced step rates and the manifest.
+
+Each untraced run also keeps its details file's ``unscaled`` figures (times
+as measured) and ``no_sample_frac``, the share of its ops that ended before
+the host sampler's first sample (``ref_ms == REF_MS``) and so were scaled
+by 1.  Ops near that first sample (``SAMPLE_S`` of ``perfbench/hostspeed.py``)
+are scaled by 1 or by the host's sampled speed depending on whether they end
+before it, so a faster change can read far faster scaled than unscaled.
+The summary gives the unscaled figures as ``unscaled.<metric>`` beside the
+scaled ones, and ``no_sample_frac`` per side.  Every run keeps its ``exit_code``, which
+is nonzero when an op or a gate failed.  ``args`` keeps the
 ``--pairs``, ``--seed`` and ``--seconds`` that regenerate the file.  Both
 checkouts need git metadata only for the commit and ``src`` tree ids recorded
 beside them.
@@ -28,8 +38,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from hostspeed import REF_MS  # noqa: E402
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+# unscaled figures of an untraced run's details file, as perfbench/run.py names them
+UNSCALED = {"steps_per_s": "higher", "op_ms_p50": "lower", "op_ms_p90": "lower"}
 
 
 def git_id(checkout: Path, rev: str) -> str | None:
@@ -48,23 +65,41 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
         raise SystemExit(f"{checkout}: {' '.join(cmd)} failed:\n{out.stdout}{out.stderr}")
     res = json.loads(lines[-1])
     run = {
+        "exit_code": out.returncode,
         "correct": res["correct"],
         "failed_frac": res["failed"] / res["attempted"],
         "metrics": {k: v["value"] for k, v in res["metrics"].items()},
     }
+    details = json.loads((checkout / ".perfbench" /
+                          f"{workload}-seed{seed}-trace{trace}.json").read_text())
     if trace:
-        details = json.loads((checkout / ".perfbench" /
-                              f"{workload}-seed{seed}-trace1.json").read_text())
         run.update({k: details[k] for k in (
             "manifest", "spans_missing", "steps_per_s", "self_time_share_by_layer")})
+    else:
+        refs = details["ref_ms"]
+        run["unscaled"] = details["unscaled"]
+        run["no_sample_frac"] = sum(r == REF_MS for r in refs) / len(refs)
     return run
 
 
 def summarize(pairs: list) -> dict:
+    out = _compare(pairs, BETTER, lambda run, name: run["metrics"][name])
+    unscaled = _compare(pairs, UNSCALED, lambda run, name: run["unscaled"][name])
+    out.update({f"unscaled.{name}": v for name, v in unscaled.items()})
+    out["no_sample_frac"] = {
+        f"{side}_median": statistics.median(p[side]["no_sample_frac"] for p in pairs)
+        for side in ("parent", "change")
+    }
+    return out
+
+
+def _compare(pairs: list, better_of: dict, value) -> dict:
+    """Per metric of ``better_of``: each side's median, the parent's IQR and
+    the pairs the change wins, reading a run's figure with ``value``."""
     out = {}
-    for name, better in BETTER.items():
-        par = [p["parent"]["metrics"][name] for p in pairs]
-        chg = [p["change"]["metrics"][name] for p in pairs]
+    for name, better in better_of.items():
+        par = [value(p["parent"], name) for p in pairs]
+        chg = [value(p["change"], name) for p in pairs]
         q1, _, q3 = statistics.quantiles(par, n=4) if len(par) > 1 else (par[0],) * 3
         wins = sum((c > p) if better == "higher" else (c < p) for p, c in zip(par, chg))
         out[name] = {
