@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DegenerateInputError, DimensionError, NumericalAbortError
 
@@ -233,6 +234,9 @@ def _mean_and_se(vals) -> tuple[float, float]:
     return float(np.mean(v)), float(np.std(v) / np.sqrt(len(v)))
 
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
 def derive_stream_id(*ids: int) -> int:
     """Mix integers into a 64-bit stream id (splitmix-style, documented).
 
@@ -241,47 +245,46 @@ def derive_stream_id(*ids: int) -> int:
     """
     h = 0x9E3779B97F4A7C15
     for x in ids:
-        h ^= int(x) & 0xFFFFFFFFFFFFFFFF
-        h = (h * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        h ^= int(x) & _MASK64
+        h = (h * 0xBF58476D1CE4E5B9) & _MASK64
         h ^= h >> 31
     return h
 
 
-@dataclass
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox its 2-word key as the seed state: ``Philox(_PhiloxKey(k))``
+    draws bit for bit what ``Philox(key=k)`` draws, without the SeedSequence
+    seeded from OS entropy that an explicit key builds and then discards."""
+
+    def __init__(self, key: np.ndarray):
+        self._key = key
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self._key
+
+
 class RngStream:
     """Counter-based RNG stream: identical (seed, stream) replays exactly.
 
-    Backed by Philox4x64 keyed on (seed, stream), so streams with distinct
-    ids are statistically independent and reproducible across platforms.
+    Backed by Philox4x64 keyed on (seed, stream), both taken modulo 2^64, so
+    streams with distinct ids are statistically independent and reproducible
+    across platforms.  A stream's (seed, stream) is fixed when it is built.
     """
 
-    seed: int
-    stream: int = 0
+    __slots__ = ("_seed", "_stream", "_gen")
 
-    def __post_init__(self):
-        self._gen = np.random.Generator(np.random.Philox(key=self._key()))
+    def __init__(self, seed: int, stream: int = 0):
+        self._seed, self._stream = seed, stream
+        key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
-    def _key(self) -> np.ndarray:
-        return np.array(
-            [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream & 0xFFFFFFFFFFFFFFFF],
-            dtype=np.uint64,
-        )
+    @property
+    def seed(self) -> int:
+        return self._seed
 
-    def _rekey(self, stream: int) -> None:
-        """Make this stream ``RngStream(self.seed, stream)`` in place, bit for
-        bit: the Philox takes the new key, counter 0 and an empty buffer
-        through its public state setter.  That costs about a fifth of building
-        a stream, whose Philox first seeds a SeedSequence from OS entropy that
-        the explicit key then discards."""
-        self.stream = stream
-        self._gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key()},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    @property
+    def stream(self) -> int:
+        return self._stream
 
     @property
     def generator(self) -> np.random.Generator:
@@ -295,4 +298,4 @@ class RngStream:
 
     def substream(self, *ids: int) -> "RngStream":
         """Fresh stream derived from this one's identity plus extra ids."""
-        return RngStream(self.seed, derive_stream_id(self.stream, *ids))
+        return RngStream(self._seed, derive_stream_id(self._stream, *ids))

@@ -5,8 +5,7 @@ The noise family is symmetric Pareto: entry density proportional to
 index alpha, so the alpha-th moment is finite while the variance can be
 infinite.  Entry scales are calibrated by Monte Carlo so the empirical
 Frobenius alpha-moment sits below the budget sigma0^alpha +
-sigma1^alpha * ||grad||^alpha with deliberate slack.  Batch-mean moments
-come only from :func:`empirical_batch_moments`.
+sigma1^alpha * ||grad||^alpha with deliberate slack.
 
 Draw order: each noise matrix takes, per active component (Xi0, then Xi1),
 one uniform per entry for the magnitudes, then one per entry for the signs;
@@ -17,18 +16,19 @@ the stream unchanged.  At that bound a chunk's arrays (512 KB of uniforms,
 about 256 KB per derived array) fit in a core's L2 cache, so the allocator
 recycles them instead of mapping and faulting in fresh pages.
 
-A run's seed draws its noise through :func:`seed_oracle`.  When the noise
-does not read the gradient (sigma1 = 0) the draw layout is fixed by the
-model, so the seed's steps are drawn ahead by :func:`batch_means`, in blocks
-of whole steps that fit in one chunk; a step whose batch needs more than a
-chunk is drawn alone, its running sum carried across chunks.  Either way
-each step's noise is bit for bit that of one :func:`gradient_oracle` call,
-which is the one-step case of :func:`batch_means`.  With sigma1 > 0 whether
-Xi1 is drawn, and its coefficient, read each step's ||grad f||_F, so those
-runs draw step by step.
+Batch means come from one lazy generator of blocks: as many whole steps as
+fit in one chunk, or one step whose batch needs more, its running sum
+carried across chunks.  :func:`batch_means` collects the blocks, and a run's
+seed, whose noise :func:`seed_oracle` draws, takes them one at a time when
+the noise does not read the gradient (sigma1 = 0) and so has a layout fixed
+by the model.  Either way each step's noise is bit for bit that of one
+:func:`gradient_oracle` call, the one-step case of :func:`batch_means`.
+With sigma1 > 0 whether Xi1 is drawn, and its coefficient, read each step's
+||grad f||_F, so those runs draw step by step.
 
-The estimators take a tuple of models and draw each chunk once for all of
-them: the models share its uniforms and signs and differ only in the power
+The two estimators run one loop: the alpha-moment estimate is the batch-mean
+estimate at the one batch size 1.  The loop takes a tuple of models and
+draws each chunk once for all of them: the models share its uniforms and signs and differ only in the power
 and the scales applied to them, so each model's estimate is bit for bit that
 of a call with it alone on the same stream.  The shared layout needs the
 models to agree on their number of active components.  :func:`calibrate_models`
@@ -346,7 +346,18 @@ def batch_means(
 ) -> np.ndarray:
     """(steps, *shape) means of ``steps`` successive batches of ``batch``
     noise draws from ``rng``, each batch summed in draw order; ``grad_norm``
-    scales Xi1 as in :func:`sample_noise`.
+    scales Xi1 as in :func:`sample_noise`.  Memory holds the output and one
+    chunk."""
+    if batch < 1 or steps < 1:
+        raise PreconditionError("batch and steps must be >= 1")
+    blocks = list(_mean_blocks(model, tuple(shape), batch, steps, rng, grad_norm))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _mean_blocks(model: NoiseModel, shape: tuple, batch: int, steps: int,
+                 rng: RngStream, grad_norm: float):
+    """Yield the (k, *shape) blocks of :func:`batch_means`, in step order,
+    each drawn when it is asked for.
 
     Steps whose draws fit in one chunk of ``_CHUNK_UNIFORMS`` uniforms are
     drawn and composed together, as many whole steps a chunk as fit; a step
@@ -355,14 +366,9 @@ def batch_means(
     is summed over its batch axis by :func:`_prefix_sums`, which keeps draw
     order also where that axis is the innermost (1 x 1 matrices).  A batch
     of one is its own mean (x / 1 = x), so its draws are returned as drawn.
-    Memory holds the output and one chunk.
     """
-    if batch < 1 or steps < 1:
-        raise PreconditionError("batch and steps must be >= 1")
-    shape = tuple(shape)
     comps, plans = _noise_plans((model,), grad_norm)
     per_chunk = _draws_per_chunk(comps, shape)
-    blocks = []
     if batch > per_chunk:
         for _ in range(steps):
             total = None
@@ -370,17 +376,16 @@ def batch_means(
                 if total is not None:
                     draws[0] += total  # carry the running sum across chunks
                 total = np.add.accumulate(draws)[-1]  # in draw order; sum may pair up
-            blocks.append(total[None] / batch)
-    else:
-        per_block = per_chunk // batch
-        for start in range(0, steps, per_block):
-            k = min(per_block, steps - start)
-            (draws,) = _draw(comps, plans, k * batch, shape, rng)
-            if batch > 1:
-                draws = _prefix_sums(draws.reshape((k, batch) + shape), (batch,))[0]
-                draws /= batch
-            blocks.append(draws)
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+            yield total[None] / batch
+        return
+    per_block = per_chunk // batch
+    for start in range(0, steps, per_block):
+        k = min(per_block, steps - start)
+        (draws,) = _draw(comps, plans, k * batch, shape, rng)
+        if batch > 1:
+            draws = _prefix_sums(draws.reshape((k, batch) + shape), (batch,))[0]
+            draws /= batch
+        yield draws
 
 
 def gradient_oracle(
@@ -404,11 +409,10 @@ def seed_oracle(
     its k-th call returns bit for bit the k-th of ``steps`` successive
     :func:`gradient_oracle` calls on ``rng``, and it takes at most ``steps``
     calls.  Noise that does not read the gradient (sigma1 = 0) is drawn
-    ahead by :func:`batch_means`, in blocks of whole steps that fit in one
-    chunk (one step when its batch needs more), so ``rng`` gives at most
-    steps * batch draws.  Noise with sigma1 > 0 is drawn each step by
-    :func:`gradient_oracle`, as its layout and Xi1's coefficient read that
-    step's ``grad_norm``."""
+    ahead in the blocks of :func:`batch_means`, each when its first step is
+    asked for, so ``rng`` gives at most steps * batch draws.  Noise with
+    sigma1 > 0 is drawn each step by :func:`gradient_oracle`, as its layout
+    and Xi1's coefficient read that step's ``grad_norm``."""
     if batch < 1:
         raise PreconditionError("batch must be >= 1")
     if model.sigma0 == 0.0 and model.sigma1 == 0.0:
@@ -416,12 +420,8 @@ def seed_oracle(
     if model.sigma1 > 0.0:
         return lambda grad, grad_norm: gradient_oracle(grad, grad_norm, batch, model, rng)
 
-    def ahead():
-        per_block = max(1, _draws_per_chunk(1, tuple(shape)) // batch)
-        for start in range(0, steps, per_block):
-            yield from batch_means(model, shape, batch, min(per_block, steps - start), rng)
-
-    means = ahead()
+    blocks = _mean_blocks(model, tuple(shape), batch, steps, rng, 0.0)
+    means = (mean for block in blocks for mean in block)
     return lambda grad, grad_norm: grad + next(means)
 
 
@@ -433,17 +433,11 @@ def empirical_alpha_moment(
     grad_norm: float = 0.0,
 ) -> list[tuple[float, float]]:
     """Monte Carlo estimates of E ||Xi||_F^alpha (with their standard errors)
-    over ``n`` noise draws Xi, one per model of ``models``, in order; batch
-    means take :func:`empirical_batch_moments`.  The models share one draw
-    (see :func:`_draw`), so each estimate equals that of a call with
-    its model alone on the same stream."""
-    if n < 1000:
-        raise PreconditionError("need at least 1000 samples")
-    vals = [array("d") for _ in models]
-    for chunk in _noise_chunks(models, n, tuple(shape), grad_norm, rng):
-        for v, model, draws in zip(vals, models, chunk):
-            v.extend(_frobenius_powers(draws, model.alpha))
-    return [matcore._mean_and_se(v) for v in vals]
+    over ``n`` noise draws Xi, one per model of ``models``, in order: the
+    batch-size-1 estimates of :func:`empirical_batch_moments`, bit for bit.
+    The models share one draw (see :func:`_draw`), so each estimate equals
+    that of a call with its model alone on the same stream."""
+    return [m[1] for m in _batch_moments(models, shape, n, rng, (1,), grad_norm)]
 
 
 def empirical_batch_moments(
@@ -469,6 +463,12 @@ def empirical_batch_moments(
     :func:`_draw`), so each model's dict equals that of a call with
     its model alone on the same stream, and the stream is drawn once.
     """
+    return _batch_moments(models, shape, n, rng, batches, grad_norm)
+
+
+def _batch_moments(models: tuple, shape: tuple, n: int, rng: RngStream,
+                   batches: tuple, grad_norm: float) -> list[dict]:
+    """The one estimator loop behind both public estimators."""
     if n < 1000:
         raise PreconditionError("need at least 1000 samples")
     if not batches or len(set(batches)) < len(batches) or min(batches) < 1:
@@ -478,8 +478,11 @@ def empirical_batch_moments(
     vals = [{b: array("d") for b in batches} for _ in models]
     for chunk in _noise_chunks(models, n, (max(batches),) + shape, grad_norm, rng):
         for v, model, draws in zip(vals, models, chunk):
-            means = _prefix_sums(draws, batches)
-            means /= sizes
+            if max(batches) == 1:  # a batch of one is its own mean (x / 1 = x)
+                means = draws.swapaxes(0, 1)
+            else:
+                means = _prefix_sums(draws, batches)
+                means /= sizes
             powers = _frobenius_powers(means.reshape((-1,) + shape), model.alpha)
             k = len(draws)
             for i, b in enumerate(batches):

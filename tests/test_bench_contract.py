@@ -7,9 +7,13 @@ raises fails the op.  This test runs op 0 of each workload in
 ``perfbench/workloads.py`` under ``Tracer(hooks=Probe().hooks())``, as a
 traced benchmark run does, and checks that no wrap point is missing, the op
 exits 0, its outputs pass the workload's own check and the probe gates hold.
-It imports the three modules and changes nothing in them.
+A traced certify op also goes through ``run.py``'s own metric code, whose
+metrics must be strict JSON.  It imports the four modules and changes
+nothing in them.
 """
 
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -21,6 +25,12 @@ sys.path.insert(0, str(PERFBENCH))
 import probes
 import workloads
 from tracer import Tracer
+
+_ENVIRON = dict(os.environ)
+import run  # pins BLAS threads and POLARMUON_WORKERS for its own process
+
+os.environ.clear()
+os.environ.update(_ENVIRON)
 
 from polarmuon import cli
 
@@ -44,3 +54,20 @@ def test_traced_op_keeps_the_contract(tmp_path, capsys, name):
     if name == "wide-sketch":
         assert tracer.calls("sketch.orthonormal_basis") > 0
         assert not probe.rank_short_ops
+
+
+def test_traced_certify_metrics_are_strict_json(tmp_path):
+    # a traced run's last stdout line holds these metrics; a NaN or an
+    # infinity there is not JSON, and the run reports no result
+    wl = workloads.WORKLOADS["certify"](1)
+    probe = probes.Probe()
+    tracer = Tracer(hooks=probe.hooks())
+    with tracer:
+        wl.setup()
+    setup_self = {k: v[2] for k, v in tracer.stats.items()}
+    untraced = [run.run_op(wl, 0, tmp_path / "op0")]
+    traced = [run.run_op(wl, 0, tmp_path / "traced-op0", tracer)]
+    assert [r["error"] for r in untraced + traced] == [None, None]
+    assert tracer.missing == []
+    metrics, _shares = run.traced_metrics(wl, tracer, probe, setup_self, untraced, traced, 1)
+    json.dumps(metrics, allow_nan=False)

@@ -336,6 +336,21 @@ class TestRngStream:
         assert derive_stream_id(1, 2, 3) == derive_stream_id(1, 2, 3)
         assert derive_stream_id(1, 2) != derive_stream_id(2, 1)
 
+    @pytest.mark.parametrize("seed", [0, -5, 2**64 - 1, derive_stream_id(3, 4)])
+    @pytest.mark.parametrize("stream", [0, -5, 2**64 - 1, derive_stream_id(3, 4)])
+    def test_draws_match_explicit_philox_key(self, seed, stream):
+        # a stream is Philox4x64 keyed on (seed, stream) modulo 2^64, bit for bit
+        key = np.array([seed & (2**64 - 1), stream & (2**64 - 1)], dtype=np.uint64)
+        ref = np.random.Generator(np.random.Philox(key=key))
+        rng = RngStream(seed, stream)
+        p = np.array([0.5, 0.1, 0.3, 0.1])
+        got = [rng.normal((7, 3)), rng.uniform(11), rng.generator.integers(3, 12, 9),
+               rng.generator.choice(4, size=(2, 6), replace=True, p=p)]
+        want = [ref.standard_normal((7, 3)), ref.random(11), ref.integers(3, 12, 9),
+                ref.choice(4, size=(2, 6), replace=True, p=p)]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert (rng.seed, rng.stream) == (seed, stream)
+
     def test_substream_reproducible(self):
         r = RngStream(9, 1)
         a = r.substream(4).normal((50,))

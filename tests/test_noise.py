@@ -244,6 +244,18 @@ class TestGradientOracle:
         coupled = empirical_batch_moments((m,), (3, 3), 5000, RngStream(68), batches=(1,))[0]
         plain, se = empirical_alpha_moment((m,), (3, 3), 5000, RngStream(69))[0]
         assert coupled[1][0] == pytest.approx(plain, abs=6 * se)
+        # on one stream, the plain estimate is the coupled one at b = 1, bit for bit
+        paired = _model_triple("paired")[:2]
+        for shape in ((1, 1), (1, 7), (3, 5), (6, 6), (16, 8)):
+            for models in ((_calibrated("sigma0", shape),), (_calibrated("both", shape),), paired):
+                for grad_norm in (0.0, 2.5):
+                    plain = empirical_alpha_moment(
+                        models, shape, 1000, RngStream(68), grad_norm=grad_norm
+                    )
+                    coupled = empirical_batch_moments(
+                        models, shape, 1000, RngStream(68), batches=(1,), grad_norm=grad_norm
+                    )
+                    assert plain == [c[1] for c in coupled], (shape, len(models), grad_norm)
 
     def test_coupled_preconditions(self):
         m = calibrate(NoiseModel(alpha=1.5, sigma0=1.0), (2, 2), RngStream(70))

@@ -48,8 +48,8 @@ class TestEstimateGammaNu:
         assert est.nu_hat <= 1e-10
 
     def test_trial_streams_match_substreams(self):
-        # one stream is re-keyed for every trial; it draws what a fresh
-        # rng.substream(t) draws, and a draw of trial t - 1 leaves no trace
+        # trial t draws what a fresh rng.substream(t) draws, and a draw of
+        # trial t - 1 leaves no trace
         rng, drawn = RngStream(74, 9), []
 
         def record(a, r):
@@ -130,21 +130,29 @@ class TestEstimateGammaNu:
 
 
 class TestCheckProp2:
-    def test_streams_built_do_not_grow_with_trials(self, monkeypatch):
-        # the trial loop re-keys one stream instead of building one per trial
-        built = []
-        post_init = RngStream.__post_init__
+    def test_kept_trial_streams_replay_their_substreams(self, monkeypatch):
+        # a polar map may keep the rng of each trial: after the check returns,
+        # each kept rng goes on drawing what rng.substream(t) draws after the
+        # trial's own draws
+        m = np.diag([10.0, 10.0, 1.0, 1.0])
+        scfg = SketchConfig(s=2, p=2, h=0)
+        pcfg = PolarConfig(schedule=quintic_theoretical_schedule(6), delta_rule=10.0)
+        kept, polar = [], verify.randomized_polar
         monkeypatch.setattr(
-            RngStream, "__post_init__", lambda self: (built.append(1), post_init(self))
+            verify, "randomized_polar",
+            lambda a, s, cfg, r: kept.append((r, cfg)) or polar(a, s, cfg, r),
         )
-        args = (np.diag([10.0, 10.0, 1.0, 1.0]), SketchConfig(s=2, p=2, h=0),
-                PolarConfig(schedule=quintic_theoretical_schedule(6), delta_rule=10.0))
-        counts = []
-        for trials in (3, 60):
-            built.clear()
-            check_prop2(*args, trials=trials, rng=RngStream(77))
-            counts.append(len(built))
-        assert counts == [2, 2]  # the caller's stream and the trial stream
+        rng = RngStream(77, 3)
+        check_prop2(m, scfg, pcfg, trials=6, rng=rng)
+        estimate_gamma_nu(m, lambda a, r: kept.append((r, None)) or r.normal(a.shape), 6, rng)
+        assert len(kept) == 12
+        for i, (r, cfg) in enumerate(kept):
+            replay = rng.substream(i % 6)
+            if cfg is None:
+                replay.normal(m.shape)
+            else:
+                polar(m, scfg, cfg, replay)
+            assert r.normal(5).tobytes() == replay.normal(5).tobytes(), i
 
     def test_gapped_spectrum_passes(self):
         m = np.diag([10.0, 10.0, 1.0, 1.0])
