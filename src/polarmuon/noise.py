@@ -160,12 +160,14 @@ class NoiseModel:
     def __post_init__(self):
         if not 1.0 < self.alpha <= 2.0:
             raise PreconditionError("alpha must lie in (1, 2]")
-        if self.sigma0 < 0 or self.sigma1 < 0:
-            raise PreconditionError("sigma0, sigma1 must be nonnegative")
+        if not (0 <= self.sigma0 < math.inf and 0 <= self.sigma1 < math.inf):
+            raise PreconditionError("sigma0, sigma1 must be nonnegative and finite")
         if self.tail_exponent is None:
             object.__setattr__(self, "tail_exponent", self.alpha + 0.25)
-        if self.tail_exponent <= self.alpha:
-            raise PreconditionError("tail exponent must exceed alpha")
+        if not self.alpha < self.tail_exponent < math.inf:
+            raise PreconditionError("tail exponent must exceed alpha and be finite")
+        if not all(math.isfinite(s) for s in (self.scale0, self.scale1) if s is not None):
+            raise PreconditionError("scale0, scale1 must be finite")
 
     @property
     def calibrated(self) -> bool:
@@ -362,10 +364,10 @@ def _mean_blocks(model: NoiseModel, shape: tuple, batch: int, steps: int,
     Steps whose draws fit in one chunk of ``_CHUNK_UNIFORMS`` uniforms are
     drawn and composed together, as many whole steps a chunk as fit; a step
     whose batch needs more is drawn alone, chunk by chunk, its running sum
-    carried across chunk boundaries.  The (k, batch, *shape) block of draws
-    is summed over its batch axis by :func:`_prefix_sums`, which keeps draw
-    order also where that axis is the innermost (1 x 1 matrices).  A batch
-    of one is its own mean (x / 1 = x), so its draws are returned as drawn.
+    carried across chunk boundaries.  Either way :func:`_prefix_sums` adds
+    the draws, which keeps draw order also where the batch axis is the
+    innermost (1 x 1 matrices).  A batch of one is its own mean
+    (x / 1 = x), so its draws are returned as drawn.
     """
     comps, plans = _noise_plans((model,), grad_norm)
     per_chunk = _draws_per_chunk(comps, shape)
@@ -375,7 +377,7 @@ def _mean_blocks(model: NoiseModel, shape: tuple, batch: int, steps: int,
             for (draws,) in _noise_chunks((model,), batch, shape, grad_norm, rng):
                 if total is not None:
                     draws[0] += total  # carry the running sum across chunks
-                total = np.add.accumulate(draws)[-1]  # in draw order; sum may pair up
+                total = _prefix_sums(draws[None], (len(draws),))[0, 0]
             yield total[None] / batch
         return
     per_block = per_chunk // batch

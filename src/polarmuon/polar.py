@@ -95,18 +95,21 @@ def _extrema(f, k: tuple, lo: float, hi: float) -> tuple[float, float]:
     return min(v), max(v)
 
 
+def _step_map(a: float, b: float, c: float):
+    """The step phi(x) = a*x + b*x^3 + c*x^5 on Python floats, evaluated
+    with products, not ** (which raises on overflow)."""
+    return lambda x: a * x + b * x * x * x + c * x * x * x * x * x
+
+
 def certified_range(steps) -> tuple[float, float]:
     """The image (lo, hi) of [0, 1] under the composite map of ``steps``,
-    exact up to rounding: step phi(x) = a*x + b*x^3 + c*x^5 takes its
-    extrema on an interval at the ends or where phi' = a + 3b*x^2 + 5c*x^4
-    vanishes.  Overflowing coefficients give (-inf, inf), which no
-    schedule's slack admits."""
+    exact up to rounding: step phi (:func:`_step_map`) takes its extrema on
+    an interval at the ends or where phi' = a + 3b*x^2 + 5c*x^4 vanishes.
+    Overflowing coefficients give (-inf, inf), which no schedule's slack
+    admits."""
     lo, hi = 0.0, 1.0
     for a, b, c in steps:
-        def phi(x):  # products, not **, which raises on overflow
-            return a * x + b * x * x * x + c * x * x * x * x * x
-
-        lo, hi = _extrema(phi, (a, 3.0 * b, 5.0 * c), lo, hi)
+        lo, hi = _extrema(_step_map(a, b, c), (a, 3.0 * b, 5.0 * c), lo, hi)
     return lo, hi
 
 
@@ -222,8 +225,8 @@ class PolarConfig:
         if self.solver not in ("exact", "polynomial"):
             raise PreconditionError(f"unknown solver: {self.solver!r}")
         if isinstance(self.delta_rule, (int, float)):
-            if self.delta_rule <= 0:
-                raise PreconditionError("explicit delta must be positive")
+            if not 0 < self.delta_rule < math.inf:
+                raise PreconditionError("explicit delta must be positive and finite")
         elif self.delta_rule not in ("operator-norm", "frobenius-norm"):
             raise PreconditionError(f"unknown delta rule: {self.delta_rule!r}")
 
@@ -258,19 +261,23 @@ class PolarConfig:
         return delta
 
 
-def _checked_input(m, cfg: PolarConfig) -> tuple[np.ndarray, float | None]:
-    """``m`` checked as :func:`matcore.as_matrix` checks it, with ||m||_F
-    when ``cfg`` takes delta by the frobenius-norm rule, else None.  That
-    norm is taken before the entries are scanned: a finite norm proves every
-    entry finite, so only a norm that is not finite (a NaN or inf entry, or
-    squares that overflow) scans them, to tell the two apart."""
+def _checked_input(m, cfg: PolarConfig, solver: str) -> tuple[np.ndarray, float | None]:
+    """``m`` checked as :func:`matcore.as_matrix` checks it, then ``cfg``,
+    which the calling ``solver`` needs polynomial, with ||m||_F when ``cfg``
+    takes delta by the frobenius-norm rule, else None.  That norm is taken
+    before the entries are scanned: a finite norm proves every entry finite,
+    so only a norm that is not finite (a NaN or inf entry, or squares that
+    overflow) scans them, to tell the two apart."""
     if cfg.delta_rule != "frobenius-norm":
-        return matcore.as_matrix(m), None
-    a = matcore._as_nonempty_2d(m)
-    with np.errstate(over="ignore"):
-        norm = matcore._frobenius(a)
-    if not math.isfinite(norm):
-        matcore._require_finite(a)
+        a, norm = matcore.as_matrix(m), None
+    else:
+        a = matcore._as_nonempty_2d(m)
+        with np.errstate(over="ignore"):
+            norm = matcore._frobenius(a)
+        if not math.isfinite(norm):
+            matcore._require_finite(a)
+    if cfg.solver != "polynomial":
+        raise PreconditionError(f"{solver} requires a polynomial config")
     return a, norm
 
 
@@ -333,12 +340,16 @@ def polynomial_iterate(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out if rows <= cols else out.T
 
 
-def _finite_output(z: np.ndarray) -> np.ndarray:
-    """``z``, a polynomial output under an explicit delta, if its entries are
-    finite, else NumericalAbortError.  No norm of the input bounds an
-    explicit delta, so p_q(M / delta) may overflow: the solvers run the
-    polynomial with numpy's overflow warnings silenced and check its output
-    once here."""
+def _scaled_polynomial(kernel, b: np.ndarray, delta: float, cfg: PolarConfig) -> np.ndarray:
+    """p_q(b / delta) for the schedule of ``cfg``, run by ``kernel``, the
+    calling solver's own.  No norm of the input bounds an explicit delta, so
+    under one the kernel runs with numpy's overflow warnings silenced and an
+    output that is not finite raises NumericalAbortError."""
+    coeffs = cfg.schedule.coeff_array()
+    if not cfg.explicit_delta:
+        return kernel(b / delta, coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = kernel(b / delta, coeffs)
     if not np.isfinite(z).all():
         raise NumericalAbortError("polynomial output is not finite under the explicit delta")
     return z
@@ -349,19 +360,13 @@ def inexact_polar(m, cfg: PolarConfig) -> np.ndarray:
 
     The operator norm of the output is at most 1 (up to rounding) when the
     schedule is ``theoretical`` and delta >= ||m||_op, which the two norm
-    rules guarantee; an explicit delta below the operator norm voids it, and
-    an output it overflows raises NumericalAbortError (:func:`_finite_output`).
-    delta is checked as :meth:`PolarConfig.resolve_delta` says, so only an
-    explicit delta maps a zero ``m`` (to p_q(0) = 0).
+    rules guarantee; an explicit delta below the operator norm voids it.
+    The checks are the randomized solver's: :func:`_checked_input`, then
+    :meth:`PolarConfig.resolve_delta` (only an explicit delta maps a zero
+    ``m``, to p_q(0) = 0) and :func:`_scaled_polynomial`.
     """
-    a, norm = _checked_input(m, cfg)
-    if cfg.solver != "polynomial":
-        raise PreconditionError("inexact_polar requires a polynomial config")
-    delta = cfg.resolve_delta(a, norm)
-    if not cfg.explicit_delta:
-        return polynomial_iterate(a / delta, cfg.schedule.coeff_array())
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite_output(polynomial_iterate(a / delta, cfg.schedule.coeff_array()))
+    a, norm = _checked_input(m, cfg, "inexact_polar")
+    return _scaled_polynomial(polynomial_iterate, a, cfg.resolve_delta(a, norm), cfg)
 
 
 # Relative slack of the bounds' hypothesis delta >= sigma_1: delta and sigma

@@ -248,8 +248,6 @@ _INTEGER_AXES = ("s", "q", "K", "B")
 
 def _apply_axis(cfg: RunConfig, axis: str, value) -> RunConfig:
     if axis == "s":
-        if cfg.sketch is None:
-            raise ConfigError("sweep axis 's' requires a [sketch] section")
         return replace(cfg, sketch=replace(cfg.sketch, s=int(value)))
     if axis == "q":
         schedule = polar_mod.schedule_by_name(cfg.polar.schedule.name, int(value))
@@ -283,17 +281,16 @@ def sweep(template: RunConfig, axis: str, values, write_files: bool = True) -> l
     rejects) raises ConfigError naming the axis and the value, and nothing is
     written.  So does an axis the run does not read (its cells would all run
     the same steps): q unless a polynomial solver repeats its schedule q
-    times, and s under the exact solver.
+    times, and s unless the run draws a sketch (:func:`_polar_kind`).
     """
-    pl = template.polar
-    name = pl.schedule.name
-    if axis == "q" and (pl.solver == "exact" or name not in polar_mod._REPEATED):
+    kind, name = _polar_kind(template), template.polar.schedule.name
+    if axis == "q" and (kind == "exact" or name not in polar_mod._REPEATED):
         raise ConfigError(
             f"sweep axis 'q': q does not set the step count of solver "
-            f"{pl.solver!r} with schedule {name!r}"
+            f"{template.polar.solver!r} with schedule {name!r}"
         )
-    if axis == "s" and pl.solver == "exact":
-        raise ConfigError("sweep axis 's': the exact solver draws no sketch")
+    if axis == "s" and kind != "randomized":
+        raise ConfigError("sweep axis 's': only a polynomial solver with [sketch] draws a sketch")
     out_dir = Path(template.output_dir)
     cell_cfgs = []
     for value in values:

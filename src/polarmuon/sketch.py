@@ -21,7 +21,7 @@ from . import matcore
 from .errors import DegenerateInputError, NumericalAbortError, PreconditionError
 from .matcore import RngStream
 from .polar import (
-    SIGMA1_REL_SLACK, PolarConfig, _checked_input, _finite_output, polynomial_iterate,
+    SIGMA1_REL_SLACK, PolarConfig, _checked_input, _scaled_polynomial, polynomial_iterate,
 )
 
 __all__ = [
@@ -133,9 +133,10 @@ def _kaczmarz_sketch(
     pi = col_energy / total
     n = a.shape[1]
     size = ell if stack is None else (stack, ell)
-    idx = rng.generator.choice(n, size=size, replace=True, p=pi)  # (..., ell)
-    hit = np.arange(n)[:, None] == idx[..., None, :]  # (..., n, ell)
-    return np.where(hit, 1.0 / np.sqrt(ell * pi[idx])[..., None, :], 0.0)
+    idx = rng.generator.choice(n, size=size, replace=True, p=pi)[..., None, :]  # (..., 1, ell)
+    omega = np.zeros(idx.shape[:-2] + (n, ell))
+    np.put_along_axis(omega, idx, 1.0 / np.sqrt(ell * pi[idx]), axis=-2)
+    return omega
 
 
 def power_iterate(m: np.ndarray, omega: np.ndarray, h: int) -> np.ndarray:
@@ -164,16 +165,15 @@ def randomized_polar(
 
     delta is resolved from ``pcfg.delta_rule`` on the *original* matrix, so
     a ``theoretical`` schedule keeps the almost-sure operator-norm <= 1
-    guarantee whenever delta >= ||m||_op; a delta that ``resolve_delta``
-    rejects raises before the sketch is drawn.  Under an explicit delta the
-    compressed iterate Z is checked once for overflow, before the lift.  A
-    zero ``m`` under an explicit delta, or a Y that underflowed to numerical
-    rank 0, raises DegenerateInputError; a Y that overflowed in the power
-    iteration raises NumericalAbortError once its basis fails.
+    guarantee whenever delta >= ||m||_op.  ``m`` and ``pcfg`` are checked by
+    :func:`polarmuon.polar._checked_input`, then the sketch shape, then
+    delta, all before the sketch is drawn; the compressed iterate Z is
+    checked by :func:`polarmuon.polar._scaled_polynomial`, before the lift.
+    A zero ``m`` under an explicit delta, or a Y that underflowed to
+    numerical rank 0, raises DegenerateInputError; a Y that overflowed in
+    the power iteration raises NumericalAbortError once its basis fails.
     """
-    a, norm = _checked_input(m, pcfg)
-    if pcfg.solver != "polynomial":
-        raise PreconditionError("randomized_polar requires a polynomial config")
+    a, norm = _checked_input(m, pcfg, "randomized_polar")
     scfg.check_shape(a.shape)
     delta = pcfg.resolve_delta(a, norm)
     y = power_iterate(a, _draw_sketch(a, scfg, rng), scfg.h)
@@ -183,12 +183,7 @@ def randomized_polar(
         if not np.isfinite(y).all():  # checked only once the basis failed
             raise NumericalAbortError("power iteration overflows") from None
         raise
-    b = q_basis.T @ a
-    if not pcfg.explicit_delta:
-        return q_basis @ polynomial_iterate(b / delta, pcfg.schedule.coeff_array())
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = _finite_output(polynomial_iterate(b / delta, pcfg.schedule.coeff_array()))
-    return q_basis @ z
+    return q_basis @ _scaled_polynomial(polynomial_iterate, q_basis.T @ a, delta, pcfg)
 
 
 def prop2_lower_bound(spec: SpectrumSummary, p: int, h: int, delta: float) -> float:

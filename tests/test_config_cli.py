@@ -441,6 +441,21 @@ class TestRunner:
                for f in (tmp_path / "out").glob("run*.csv")}
         assert got == pins
 
+    def test_verify_bytes_pinned(self, tmp_path, capsys):
+        # all seven scopes, in the order polynomials, prop1, prop2,
+        # sketch-moments, noise-moments, flops, lemma1: a refactor of the
+        # harness must not move a byte of either report
+        out = tmp_path / "verify"
+        argv = ["verify", "polynomials", "prop1", "prop2", "sketch-moments", "noise-moments",
+                "flops", "lemma1", "--output-dir", str(out)]
+        assert cli.main(argv) == cli.EXIT_OK
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("verify.txt", "verify.csv")}
+        assert got == {
+            "verify.txt": "d58c872ea1855a74ae022cc3c128a58e9fd2e9df0dd438d91eaac5b584f59252",
+            "verify.csv": "79c47c1331f4075caaf9f9b70790e3d8b217985958d2b212abce18a7c98d04a3",
+        }
+
     def test_theorem1_reads_noise_alpha(self, tmp_path, monkeypatch):
         # theorem 1's step sizes are functions of the noise's tail index
         seen = set()
@@ -859,6 +874,17 @@ class TestCli:
         assert "sweep axis 's'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert cli.main(["run", str(path)]) == cli.EXIT_OK
+
+    def test_sweep_s_without_sketch_is_config_error(self, tmp_path, capsys):
+        # a polynomial run without [sketch] draws no sketch for s to set
+        cfg = small_run_config(tmp_path, seeds=(1,))
+        assert cfg.sketch is None and cfg.polar.solver == "polynomial"
+        path = tmp_path / "cfg.ini"
+        save(cfg, path)
+        rc = cli.main(["sweep", str(path), "--axis", "s", "--values", "2,3"])
+        assert rc == cli.EXIT_CONFIG_ERROR
+        assert "sweep axis 's'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_verify_command(self, tmp_path, capsys):
         rc = cli.main(["verify", "flops", "lemma1", "--output-dir", str(tmp_path)])

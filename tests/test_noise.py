@@ -132,6 +132,14 @@ class TestNoiseModel:
         with pytest.raises(PreconditionError):
             NoiseModel(alpha=1.5, sigma0=1.0, tail_exponent=1.4)
 
+    @pytest.mark.parametrize("field", ["sigma0", "sigma1", "tail_exponent", "scale0", "scale1"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_parameter_rejected_when_built(self, field, value):
+        # not at the first draw, where a NaN sigma0 calibrated to scale 0 and
+        # an inf one drew +-inf
+        with pytest.raises(PreconditionError, match="finite"):
+            NoiseModel(**{"alpha": 1.5, "sigma0": 1.0, "sigma1": 0.5, field: value})
+
     def test_calibrated_flag(self):
         m = NoiseModel(alpha=1.5, sigma0=1.0)
         assert not m.calibrated
@@ -368,6 +376,22 @@ class TestDrawOrder:
         draws = _zeros_start_draws(model, 1, (4, 3), gnorm, RngStream(93))
         ref = grad + np.add.accumulate(draws)[-1] / 1
         assert _bitwise_equal(gradient_oracle(grad, gnorm, 1, model, RngStream(93)), ref)
+
+    @pytest.mark.parametrize("components", ["sigma0", "both"])
+    @pytest.mark.parametrize(
+        "shape, batch",
+        [((1, 1), 70_000), ((1, 3), 20_000), ((3, 5), 5_000), ((16, 8), 300), ((40, 40), 30)],
+    )
+    def test_long_batch_mean_sums_in_draw_order(self, components, shape, batch):
+        # each batch needs more than one chunk of uniforms, so its running sum
+        # is carried across chunks; a 1 x 1 matrix makes the batch axis the
+        # innermost, which numpy would sum pairwise
+        model = _calibrated(components, shape)
+        rng = RngStream(94, shape[0])
+        means = noise.batch_means(model, shape, batch, 2, RngStream(94, shape[0]), 2.5)
+        for mean in means:
+            draws = _zeros_start_draws(model, batch, shape, 2.5, rng)
+            assert _bitwise_equal(mean, np.add.accumulate(draws)[-1] / batch)
 
     def test_alpha_moment_is_loop_over_samples(self):
         model = _calibrated("both")

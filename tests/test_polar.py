@@ -191,6 +191,12 @@ class TestInexactPolar:
         with pytest.raises(DegenerateInputError):
             inexact_polar(np.zeros((2, 2)), PolarConfig())
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_explicit_delta_rejected_when_built(self, delta):
+        # not at the first solver call, as "scale delta is not finite"
+        with pytest.raises(PreconditionError, match="explicit delta must be positive and finite"):
+            PolarConfig(delta_rule=delta)
+
     def test_matches_scalar_recursion(self):
         m = RngStream(26).normal((6, 4))
         sched = quintic_theoretical_schedule(4)

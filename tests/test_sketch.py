@@ -116,6 +116,20 @@ class TestStackedDraws:
         assert np.array_equal(om, ref)
 
 
+    @pytest.mark.parametrize("stack", [None, 1, 7])
+    def test_kaczmarz_matches_where_construction(self, stack):
+        # the sketch as an (n, ell) mask of the sampled rows and np.where
+        m = gapped_matrix([3.0, 1.0, 0.5], 5, 6, seed=14)
+        col_energy = np.sum(m * m, axis=0)
+        pi = col_energy / float(np.sum(col_energy))
+        om = kaczmarz_sketch(m, 4, RngStream(14), stack)
+        size = 4 if stack is None else (stack, 4)
+        idx = RngStream(14).generator.choice(6, size=size, replace=True, p=pi)
+        hit = np.arange(6)[:, None] == idx[..., None, :]
+        ref = np.where(hit, 1.0 / np.sqrt(4 * pi[idx])[..., None, :], 0.0)
+        assert om.shape == ref.shape and om.tobytes() == ref.tobytes()
+
+
 class TestRandomizedPolar:
     def test_dominant_direction_captured(self):
         m = np.diag([5.0, 0.01, 0.01])
