@@ -96,8 +96,7 @@ def _extrema(f, k: tuple, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _step_map(a: float, b: float, c: float):
-    """The step phi(x) = a*x + b*x^3 + c*x^5 on Python floats, evaluated
-    with products, not ** (which raises on overflow)."""
+    """Step phi(x) = a*x + b*x^3 + c*x^5 by products (** raises on overflow)."""
     return lambda x: a * x + b * x * x * x + c * x * x * x * x * x
 
 
@@ -262,12 +261,12 @@ class PolarConfig:
 
 
 def _checked_input(m, cfg: PolarConfig, solver: str) -> tuple[np.ndarray, float | None]:
-    """``m`` checked as :func:`matcore.as_matrix` checks it, then ``cfg``,
-    which the calling ``solver`` needs polynomial, with ||m||_F when ``cfg``
-    takes delta by the frobenius-norm rule, else None.  That norm is taken
-    before the entries are scanned: a finite norm proves every entry finite,
-    so only a norm that is not finite (a NaN or inf entry, or squares that
-    overflow) scans them, to tell the two apart."""
+    """(``m`` checked as :func:`matcore.as_matrix` checks it, ||m||_F when
+    ``cfg`` takes delta by the frobenius-norm rule, else None); after ``m``,
+    ``cfg`` must select the polynomial solver (the error names ``solver``).
+    The norm is taken before the entries are scanned: a finite norm proves
+    every entry finite, so only a norm that is not finite (NaN or inf
+    entries, or overflowing squares) scans them, to tell the two apart."""
     if cfg.delta_rule != "frobenius-norm":
         a, norm = matcore.as_matrix(m), None
     else:

@@ -152,10 +152,8 @@ def _scope_sketch_moments() -> list[CheckResult]:
 
 def _scope_noise_moments() -> list[CheckResult]:
     # The calibration and the estimators each draw their stream once for all
-    # three models, which share its uniforms.  The alpha-moment check bounds
-    # nothing: ||Xi||_F^alpha has tail index 1 + 0.25 / alpha < 2, so an
-    # infinite variance, and the sample SE behind its 3-SE margin does not
-    # estimate the error of the sample mean.
+    # three models, which share its uniforms.  ||Xi||_F^alpha has tail index
+    # 1 + 0.25 / alpha < 2, so infinite variance: the 3-SE check bounds nothing.
     shape, batches = (6, 6), (1, 4, 16, 64)
     models = tuple(noise_mod.calibrate_models(
         tuple(noise_mod.NoiseModel(alpha=alpha, sigma0=1.0) for alpha in (1.25, 1.5, 2.0)),
