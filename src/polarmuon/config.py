@@ -121,6 +121,7 @@ class OptimizerSpec:
         if self.B < 1:
             raise PreconditionError("B must be >= 1")
         opt.check_momentum(self.momentum, self.beta)
+        opt.check_eta(self.eta)
 
     def step_schedule(self, alpha: float) -> opt.Schedule:
         """The (eta, beta) pair of this spec's schedule; theorem 1 reads the noise's ``alpha``."""
@@ -264,13 +265,16 @@ def _delta_rule(raw: str) -> str | float:
 
 def _polar(cp) -> PolarConfig:
     name = _get(cp, "polar", "schedule", str, "quintic-theoretical")
+    q = _get(cp, "polar", "q", int)
     if name == "custom":
         coefficients = _get(cp, "polar", "coefficients", _triples, ())
         if not coefficients:
             raise PreconditionError("coefficients: required for a custom schedule")
         schedule = PolynomialSchedule(coefficients, name="custom")
     else:
-        schedule = schedule_by_name(name, _get(cp, "polar", "q", int, 6))
+        schedule = schedule_by_name(name, 6 if q is None else q)
+    if q is not None and q != schedule.q:
+        raise ConfigError(f"polar.q: the {schedule.name} schedule has {schedule.q} steps, not {q}")
     return PolarConfig(
         solver=_get(cp, "polar", "solver", str, "polynomial"),
         schedule=schedule,

@@ -15,6 +15,7 @@ from .errors import DimensionError, PreconditionError
 __all__ = [
     "MuonState",
     "Schedule",
+    "check_eta",
     "check_momentum",
     "muon_step",
     "scaled_momentum",
@@ -32,6 +33,12 @@ def check_momentum(kind: str, beta: float) -> None:
         raise PreconditionError("beta must lie in [0, 1)")
 
 
+def check_eta(eta: float) -> None:
+    """A Muon step size eta is positive and finite."""
+    if not 0.0 < eta < math.inf:
+        raise PreconditionError("eta must be positive and finite")
+
+
 @dataclass
 class MuonState:
     """Per-matrix optimizer state: parameter x and momentum buffer c."""
@@ -44,6 +51,7 @@ class MuonState:
 
     def __post_init__(self):
         check_momentum(self.kind, self.beta)
+        check_eta(self.eta)
         if self.x.shape != self.c.shape:
             raise DimensionError("momentum buffer shape must match parameter shape")
 

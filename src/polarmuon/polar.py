@@ -116,11 +116,11 @@ def certified_range(steps) -> tuple[float, float]:
 # float64 values of a*x + b*x^3 + c*x^5 at rounded points.  At an interior
 # extremum phi' = 0, so rounding the point moves phi by second order only;
 # the evaluation itself (eight products and two sums) rounds a result near
-# 1, where the bound matters, by a few ulps of 1.  On a 2M-point grid of
-# ``scalar_map`` the builtin schedules exceed their certified bounds by at
-# most 2 ulps of 1.  Four ulps per step, summed over the steps, cover that;
-# a designed schedule's real overshoot is orders of magnitude larger
-# (quintic-empirical's is 0.2), so the slack admits none.
+# 1 by a few ulps of 1.  On a 2M-point grid, ``scalar_map`` (the same step
+# maps) exceeds the builtin schedules' bounds at q = 1 to 9 by at most 2.5
+# ulps of 1 (the nanogpt table; quintic-theoretical 2).  Four ulps per step,
+# summed over the steps, cover that; a designed schedule's real overshoot
+# is far larger (quintic-empirical's is 0.2), so the slack admits none.
 RANGE_SLACK = 4.0 * float(np.finfo(np.float64).eps)
 
 
@@ -161,10 +161,10 @@ class PolynomialSchedule:
         return self._coeffs
 
     def scalar_map(self, x):
-        """Apply the scalar recursion p_0(x)=x, p_{t+1}=phi_t(p_t) elementwise."""
+        """Apply p_0(x) = x, p_{t+1} = phi_t(p_t) elementwise, phi_t by :func:`_step_map`."""
         p = np.asarray(x, dtype=np.float64)
         for a, b, c in self.steps:
-            p = a * p + b * p**3 + c * p**5
+            p = _step_map(a, b, c)(p)
         return p
 
 

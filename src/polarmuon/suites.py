@@ -209,14 +209,14 @@ def _scope_lemma1() -> list[CheckResult]:
     beta = 0.9
     shape = (5, 4)
     state = opt.MuonState.initial(np.zeros(shape), kind="nesterov", beta=beta, eta=0.1)
-    c = np.zeros(shape)
+    steps = []  # each M_k that muon_step hands its polar map
     g_prev = np.zeros(shape)
     m_tilde = np.zeros(shape)
     worst = 0.0
     for k in range(10):
         g = rng.normal(shape)
-        c = beta * c + g
-        m_direct = beta * c + g
+        opt.muon_step(state, g, lambda m: steps.append(m) or m)
+        m_direct = steps[k]
         if k == 0:
             m_tilde = (1.0 - beta) * m_direct
         else:

@@ -18,7 +18,7 @@ import numpy as np
 from . import matcore
 from .errors import ConfigError, PreconditionError
 from .matcore import RngStream
-from .polar import RANGE_SLACK, PolarConfig, PolynomialSchedule, _extrema, _gram_form, _step_map
+from .polar import RANGE_SLACK, PolarConfig, PolynomialSchedule, _extrema, _gram_form, _step_map, certified_range
 from .sketch import SketchConfig, SpectrumSummary, prop2_lower_bound, randomized_polar
 
 __all__ = [
@@ -178,15 +178,15 @@ class PolynomialLemmaReport:
 
 def check_polynomial_lemmas(schedule: PolynomialSchedule) -> PolynomialLemmaReport:
     """The extrema on [0, 1] of each step phi(x) = a*x + b*x^3 + c*x^5
-    (:func:`polarmuon.polar._step_map`), of phi(x) - x and of
-    phi'(x) = a + 3b*x^2 + 5c*x^4, taken at the ends and at the critical
-    points: x = sqrt(y) for the roots y of a quadratic in x^2 (for phi', of
-    phi''(x) / (2x) = 3b + 10c*x^2, and x = 0)."""
+    (:func:`polarmuon.polar._step_map`): of phi by :func:`certified_range`,
+    of phi(x) - x and of phi'(x) = a + 3b*x^2 + 5c*x^4 at the ends and at
+    the critical points: x = sqrt(y) for the roots y of a quadratic in x^2
+    (for phi', of phi''(x) / (2x) = 3b + 10c*x^2, and x = 0)."""
     s = RANGE_SLACK
     results = []
     for a, b, c in schedule.steps:
         phi = _step_map(a, b, c)
-        min_v, max_v = _extrema(phi, (a, 3.0 * b, 5.0 * c), 0.0, 1.0)
+        min_v, max_v = certified_range([(a, b, c)])
         min_gain = _extrema(lambda x: phi(x) - x, (a - 1.0, 3.0 * b, 5.0 * c), 0.0, 1.0)[0]
         def dphi(x):
             return a + 3.0 * b * x * x + 5.0 * c * x * x * x * x

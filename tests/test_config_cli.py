@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -211,6 +212,50 @@ class TestConfigRoundTrip:
             parse("[polar]\ndelta = spectral\n")
         with pytest.raises(ConfigError):
             parse("[polar]\nschedule = custom\n")
+
+
+    @pytest.mark.parametrize("schedule", ["manual", "corollary1", "theorem1"])
+    @pytest.mark.parametrize("eta", [0.0, -0.5, math.inf, math.nan])
+    def test_eta_positive_and_finite_whatever_the_schedule(self, schedule, eta):
+        with pytest.raises(ConfigError, match="optimizer: eta must be positive and finite"):
+            OptimizerSpec(schedule=schedule, eta=eta)
+
+    def test_negative_eta_is_config_error(self, tmp_path, capsys):
+        # a negative step size would run gradient ascent
+        path = tmp_path / "ascent.ini"
+        path.write_text(
+            "[problem]\nm = 4\nn = 4\nrank = 2\n"
+            "[optimizer]\nschedule = manual\nk = 3\neta = -0.5\n"
+            f"[run]\noutput_dir = {tmp_path / 'out'}\n"
+        )
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert "optimizer: eta must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "body, steps",
+        [
+            ("schedule = polar-express-nanogpt\nq = 3\n", 9),
+            ("schedule = polar-express-cifar10\nq = 0\n", 9),
+            ("schedule = custom\ncoefficients = 1.5, -0.5, 0.0\nq = 7\n", 1),
+        ],
+    )
+    def test_q_the_schedule_does_not_read_is_config_error(self, tmp_path, capsys, body, steps):
+        with pytest.raises(ConfigError, match=f"polar.q: the .* schedule has {steps} steps, not"):
+            parse("[polar]\n" + body)
+        path = tmp_path / "q.ini"
+        path.write_text("[polar]\n" + body)
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert "polar.q" in capsys.readouterr().err
+
+    def test_q_equal_to_the_step_count_is_read(self):
+        assert parse("[polar]\nschedule = polar-express-cifar10\nq = 9\n").polar.q == 9
+        two = "coefficients = 1.5, -0.5, 0.0; 1.875, -1.25, 0.375\nq = 2\n"
+        assert parse("[polar]\nschedule = custom\n" + two).polar.q == 2
+        # serialize writes q as the step count, so these configs round-trip
+        for schedule in (polar_express_schedule("nanogpt"), PolynomialSchedule(((1.5, -0.5, 0.0),))):
+            cfg = RunConfig(polar=PolarConfig(schedule=schedule))
+            assert parse(serialize(cfg)) == cfg
 
 
 def small_run_config(tmp_path, **kw) -> RunConfig:

@@ -49,7 +49,7 @@ POOLS = {
         "schedule": (["corollary1", "theorem1", "manual"], ["cosine"]),
         "k": (["3", "2", "1"], ["0", "-1", "2.0"]),
         "b": (["1", "2"], ["0", "-1", "x"]),
-        "eta": (["0.1", "0", "-1", "1e300"], ["inf"]),
+        "eta": (["0.1", "1e300"], ["inf", "0", "-1"]),
         "beta": (["0.9", "0", "0.999"], ["1.0", "-0.5"]),
     },
     "polar": {

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,11 @@ class TestMuonStep:
     def test_bad_kind(self):
         with pytest.raises(PreconditionError):
             MuonState.initial(np.zeros((2, 2)), kind="heavy-ball")
+
+    @pytest.mark.parametrize("eta", [0.0, -0.5, math.inf, math.nan])
+    def test_step_size_positive_and_finite(self, eta):
+        with pytest.raises(PreconditionError, match="eta must be positive and finite"):
+            MuonState.initial(np.zeros((2, 2)), eta=eta)
 
 
 class TestScaledMomentum:

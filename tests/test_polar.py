@@ -11,6 +11,7 @@ from polarmuon.polar import (
     RANGE_SLACK,
     PolarConfig,
     PolynomialSchedule,
+    _step_map,
     certified_range,
     cubic_schedule,
     exact_polar,
@@ -290,6 +291,13 @@ class TestSchedules:
             schedule_by_name("nope", 1)
 
 
+BUILTIN_NAMES = (
+    "cubic",
+    "quintic-theoretical",
+    "quintic-empirical",
+    "polar-express-nanogpt",
+    "polar-express-cifar10",
+)
 OVERSHOOTING = PolynomialSchedule(((2.0, -1.5, 0.6),) * 3)  # peak 1.2528 after q = 3
 
 
@@ -350,6 +358,23 @@ class TestCertifiedRange:
             assert not PolynomialSchedule(((1e300, 1e300, 1e300),)).theoretical
             lo, hi = certified_range(((1e300, 1e300, 1e300),) * 3)
             assert hi == np.inf
+
+    @pytest.mark.parametrize(
+        "sched",
+        [schedule_by_name(name, 5) for name in BUILTIN_NAMES],
+        ids=lambda s: f"{s.name}-q{s.q}",
+    )
+    def test_scalar_map_is_the_certified_step_map(self, sched):
+        # bit for bit the composite of the Python-float step maps that
+        # certified_range evaluates, so prop1_gamma and the certificate share phi
+        grid = np.linspace(0.0, 1.0, 100_001)
+        maps = [_step_map(a, b, c) for a, b, c in sched.steps]
+        expected = []
+        for x in grid.tolist():
+            for phi in maps:
+                x = phi(x)
+            expected.append(x)
+        assert np.array_equal(sched.scalar_map(grid), np.array(expected))
 
     def test_theoretical_is_no_field(self):
         assert [f.name for f in fields(PolynomialSchedule)] == ["steps", "name"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polarmuon import cli, matcore, suites, verify
+from polarmuon import cli, matcore, optimizer as opt, suites, verify
 from polarmuon.errors import ConfigError, DimensionError, NumericalAbortError, PreconditionError
 from polarmuon.matcore import RngStream, nuclear_norm, svd
 from polarmuon.polar import (
@@ -392,6 +392,18 @@ class TestSuites:
         got_mean, got_se = suites._gram_moments(omega)
         assert np.array_equal(got_mean, mean)
         assert np.array_equal(got_se, se)
+
+    def test_lemma1_checks_muon_step(self, monkeypatch):
+        # the scope compares the rescaled recursion with the M_k that
+        # optimizer.muon_step forms, so a step that forms Polyak momentum
+        # M_k = C_k under kind = "nesterov" fails it
+        def polyak_step(state, g, polar):
+            state.c = state.c * state.beta + g
+            polar(state.c)
+
+        monkeypatch.setattr(opt, "muon_step", polyak_step)
+        (result,) = suites.run_scope("lemma1")
+        assert not result.passed
 
     def test_scope_outputs_pinned(self, tmp_path, capsys):
         # a change of the bound calculators, the range checks, the sketch draws

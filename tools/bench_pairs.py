@@ -8,7 +8,10 @@ Pair i of a workload runs ``perfbench/run.py --trace 0 --seed <seed + i>``
 once in each checkout, back to back; the parent goes first in even pairs and
 the change in odd ones, so neither side always meets the host's slow phases.
 Then each side runs one ``--trace 1`` op set (seed ``--seed``) of every
-workload in ``--pairs``.  Every run lasts ``--seconds``, by default
+workload in ``--pairs``, back to back: the parent goes first for the first,
+third, ... workload and the change for the others, as
+``traced_first[<workload>]`` records.  The per-layer figures still come from
+one traced run per side.  Every run lasts ``--seconds``, by default
 ``run_seconds`` of BENCHMARK.json.  The file keeps every run's metrics, per
 workload and end-to-end metric the medians, the parent's interquartile range
 and the pairs the change wins, and from the traced runs, under
@@ -115,6 +118,11 @@ def _compare(pairs: list, better_of: dict, value) -> dict:
     return out
 
 
+def _order(i: int) -> tuple[str, str]:
+    """The sides in the order they run: the parent first when ``i`` is even."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -135,13 +143,14 @@ def main(argv=None) -> int:
         "pairs": {},
         "summary": {},
         "traced": {},
+        "traced_first": {},
     }
     for spec in args.pairs.split(","):
         workload, count = spec.split("=")
         pairs = []
         for i in range(int(count)):
             seed = args.seed + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order = _order(i)
             pair = {"seed": seed, "first": order[0]}
             for name in order:
                 pair[name] = bench(sides[name], workload, seed, args.seconds, 0)
@@ -150,10 +159,11 @@ def main(argv=None) -> int:
             pairs.append(pair)
         result["pairs"][workload] = pairs
         result["summary"][workload] = summarize(pairs)
-    for workload in result["pairs"]:
-        result["traced"][workload] = {
-            name: bench(d, workload, args.seed, args.seconds, 1) for name, d in sides.items()
-        }
+    for i, workload in enumerate(result["pairs"]):
+        order = _order(i)
+        result["traced_first"][workload] = order[0]
+        traced = {name: bench(sides[name], workload, args.seed, args.seconds, 1) for name in order}
+        result["traced"][workload] = {name: traced[name] for name in sides}
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 
