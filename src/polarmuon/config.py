@@ -24,7 +24,13 @@ import numpy as np
 from . import optimizer as opt
 from .errors import ConfigError, NumericalAbortError, PreconditionError
 from .matcore import RngStream, derive_stream_id
-from .noise import NoiseModel, Problem, factorization_problem, quadratic_problem
+from .noise import (
+    MAX_FIT_TAIL_EXPONENT,
+    NoiseModel,
+    Problem,
+    factorization_problem,
+    quadratic_problem,
+)
 from .polar import PolarConfig, PolynomialSchedule, schedule_by_name
 from .sketch import SketchConfig
 
@@ -149,6 +155,12 @@ class RunConfig:
         _section("optimizer", lambda: self.optimizer.step_schedule(self.noise.alpha))
         if self.sketch is not None:
             _section("sketch", lambda: self.sketch.check_shape(self.problem.param_shape))
+        if not self.noise.calibrated and self.noise.tail_exponent > MAX_FIT_TAIL_EXPONENT:
+            raise ConfigError(
+                f"noise.tail_exponent: the run fits the scales, which takes a tail "
+                f"exponent of at most {MAX_FIT_TAIL_EXPONENT:g}; write scale0 and "
+                "scale1 for a lighter tail"
+            )
         calib, shape = self.noise.calib_shape, self.problem.param_shape
         if calib is not None and tuple(calib) != shape:
             # the fitted scales hold the noise's alpha-moment budget only at

@@ -3,9 +3,13 @@
 The noise family is symmetric Pareto: entry density proportional to
 |x|^-(a+1) beyond the scale, with tail exponent a slightly above the moment
 index alpha, so the alpha-th moment is finite while the variance can be
-infinite.  Entry scales are calibrated by Monte Carlo so the empirical
-Frobenius alpha-moment sits below the budget sigma0^alpha +
-sigma1^alpha * ||grad||^alpha with deliberate slack.
+infinite.  Entry scales are fitted so the exact Frobenius alpha-moment sits
+below the budget sigma0^alpha + sigma1^alpha * ||grad||^alpha with
+deliberate slack.  The unit-scale moment comes from a quadrature
+(:func:`unit_alpha_moment`), not from a sample: a Monte Carlo estimate of
+it has infinite variance and falls short more often than not, which would
+put fitted models above their budget.  The fit draws nothing and costs the
+same at every shape.
 
 Draw order: each noise matrix takes, per active component (Xi0, then Xi1),
 one uniform per entry for the magnitudes, then one per entry for the signs;
@@ -31,17 +35,17 @@ estimate at the one batch size 1.  The loop takes a tuple of models and
 draws each chunk once for all of them: the models share its uniforms and signs and differ only in the power
 and the scales applied to them, so each model's estimate is bit for bit that
 of a call with it alone on the same stream.  The shared layout needs the
-models to agree on their number of active components.  :func:`calibrate_models`
-fits several models from one draw the same way.  The verify noise-moments
-scope calibrates and estimates alpha = 1.25, 1.5 and 2 from one draw of each
-of its three streams, not three, so a ``polarmuon verify`` of all scopes
-makes 330 ``RngStream.uniform`` calls instead of 990.  A batch-mean estimate
+models to agree on their number of active components.  The verify
+noise-moments scope estimates alpha = 1.25, 1.5 and 2 from one draw of each
+of its two streams, not three, so a ``polarmuon verify`` of all scopes
+makes 308 ``RngStream.uniform`` calls instead of 924.  A batch-mean estimate
 forms only the prefix sums of the batch sizes it reads, in draw order.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -59,6 +63,8 @@ __all__ = [
     "NoiseModel",
     "calibrate",
     "calibrate_models",
+    "unit_alpha_moment",
+    "MAX_FIT_TAIL_EXPONENT",
     "sample_noise",
     "batch_means",
     "gradient_oracle",
@@ -145,7 +151,8 @@ class NoiseModel:
     ``scale0``/``scale1`` multiply unit-scale Pareto draws for the constant
     and gradient-proportional components; ``None`` means not yet calibrated.
     ``calib_shape`` records the matrix shape the calibration targeted and
-    ``calib_rel_tol`` the Monte Carlo tolerance of the fit.
+    ``calib_rel_tol`` the relative error bound of the unit moment the fit
+    divides by (:func:`unit_alpha_moment`), so of each fitted moment.
     """
 
     alpha: float = 2.0
@@ -279,55 +286,138 @@ def _prefix_sums(draws: np.ndarray, batches: tuple) -> np.ndarray:
     return out
 
 
-def calibrate_models(
-    models: tuple[NoiseModel, ...],
-    shape: tuple[int, int],
-    rng: RngStream,
-    n_samples: int = 20000,
-) -> list[NoiseModel]:
-    """Fit entry scales by Monte Carlo so each component's Frobenius
-    alpha-moment hits its slack-reduced budget for matrices of ``shape``;
-    one fitted model per model of ``models``, in order.
+# Gauss-Legendre panels in z = log t for :func:`unit_alpha_moment`: the rule
+# with _NODES nodes a panel, and the coarser one whose distance from it bounds
+# the error.  t runs from e^-92 (about 1e-40) to _T_HI = 50.
+_PANELS, _NODES, _CHECK_NODES = 48, 16, 12
+_LOG_T_LO, _T_HI = -92.0, 50.0
+# Largest tail exponent the fit takes.  u's kernel e^(-k (v - z)) narrows as
+# k = a / 2 grows, and the fixed panels resolve it to about 1e-13 up to
+# a = 16; with scales written in, a model may have any tail exponent.
+MAX_FIT_TAIL_EXPONENT = 16.0
+# Rounding floor of the error bound, relative to the terms that cancel.
+_ROUNDING = 32 * sys.float_info.epsilon
 
-    The moment is alpha-homogeneous in the scale, so one unit-scale estimate
-    m_hat of :func:`empirical_alpha_moment` (``n_samples >= 1000``)
-    determines the fit exactly: scale = (target / m_hat)^(1/alpha).  The
-    unit models share one draw, so each fit is bit for bit that of
-    :func:`calibrate` with its model alone on the same stream.
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], from
+    the eigenpairs of its Jacobi matrix (Golub-Welsch)."""
+    j = np.arange(1.0, n)
+    off = j / np.sqrt(4.0 * j * j - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vecs[0] ** 2
+
+
+def _excess_integral(s: float, k: float, size: int, n: int) -> float:
+    """int_0^inf r(t) t^(-s-1) dt with r = N u - 1 + (1 - u)^N, u = 1 - L(t)
+    and N = ``size``, by the n-node rule on each panel in z = log t.
+
+    u(t) = k int_z^inf e^(-k (v - z)) phi(v) dv with phi(v) = 1 - e^(-e^v),
+    v = log(t y): a positive integrand, so u keeps its relative accuracy at
+    every t, also at k = 1, and every exponent is <= 0, so nothing
+    overflows at any k.  At a node the integral is its own panel from the
+    node up (the same rule mapped onto that piece), then each panel above
+    relative to its lower edge, carried down panel by panel with e^(-k h),
+    and 1 / k beyond _T_HI, where e^(-e^v) is below rounding.  Rounding can
+    put u at 1 for large t, where L^N is below rounding too; u is clipped
+    just under 1 so that log1p stays finite.  r >= 0 decays as
+    t^(2 min(k, 1)) at 0, so the panels stop at e^-92; beyond _T_HI,
+    r = N - 1 up to N L(t), which integrates to (N - 1) _T_HI^-s / s.
+    """
+    x, w = _gauss_legendre(n)
+    edges = np.linspace(_LOG_T_LO, math.log(_T_HI), _PANELS + 1)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    z = lo + (hi - lo) / 2.0 * (x + 1.0)
+    wz = (hi - lo) / 2.0 * w
+
+    def phi(v):
+        return -np.expm1(-np.exp(v))
+
+    half = (hi - z)[..., None] / 2.0
+    v = z[..., None] + half * (x + 1.0)
+    own = (np.exp(-k * (v - z[..., None])) * phi(v) * (half * w)).sum(axis=-1)
+    panels = (np.exp(-k * (z - lo)) * phi(z) * wz).sum(axis=1)
+    above, acc, step = np.empty(_PANELS), 1.0 / k, math.exp(-k * (edges[1] - edges[0]))
+    for p in range(_PANELS - 1, -1, -1):
+        above[p] = acc
+        acc = panels[p] + step * acc
+    u = np.minimum(k * (own + np.exp(-k * (hi - z)) * above[:, None]), 1.0 - 2.0**-53)
+    r = size * u + np.expm1(size * np.log1p(-u))
+    return float((r * np.exp(-s * z) * wz).sum()) + (size - 1) * _T_HI**-s / s
+
+
+def unit_alpha_moment(order: float, tail_exponent: float, size: int) -> tuple[float, float]:
+    """(E ||Xi||_F^order, its relative error bound) for a unit-scale noise
+    matrix Xi of ``size`` i.i.d. symmetric Pareto entries with tail exponent
+    a = ``tail_exponent``; 0 < order <= 2, order < a and
+    a <= :data:`MAX_FIT_TAIL_EXPONENT`.
+
+    ||Xi||_F^order = X^s with s = order / 2 and X the sum of N = ``size``
+    squares, each Pareto with index k = a / 2 on [1, inf).  At s = 1,
+    E X = N a / (a - 2).  For s < 1, with L the Laplace transform of a square,
+    E X^s = s / Gamma(1 - s) int_0^inf (1 - L(t)^N) t^(-s-1) dt.  With
+    u = 1 - L, the part N u of the integrand integrates to N E xi^(2s) =
+    N k / (k - s) in closed form; the rest, r = N u - (1 - (1 - u)^N) >= 0,
+    is :func:`_excess_integral`.  The bound is the distance from a coarser
+    rule, and at least a rounding floor on the two terms that cancel.  The
+    cost does not depend on ``size``; nothing is drawn or kept between calls.
+    """
+    s, k = order / 2.0, tail_exponent / 2.0
+    if not (0.0 < s <= 1.0 and s < k <= MAX_FIT_TAIL_EXPONENT / 2.0) or size < 1:
+        raise PreconditionError(
+            "need 0 < order <= 2, order < tail exponent "
+            f"<= {MAX_FIT_TAIL_EXPONENT:g} and size >= 1"
+        )
+    if s == 1.0:
+        return size * tail_exponent / (tail_exponent - 2.0), _ROUNDING
+    head = size * k / (k - s)
+    c = s / math.gamma(1.0 - s)
+    fine, coarse = (c * _excess_integral(s, k, size, n) for n in (_NODES, _CHECK_NODES))
+    moment = head - fine
+    return moment, max(abs(fine - coarse), _ROUNDING * (head + fine)) / moment
+
+
+def calibrate_models(
+    models: tuple[NoiseModel, ...], shape: tuple[int, int]
+) -> list[NoiseModel]:
+    """Fit entry scales so each component's exact Frobenius alpha-moment for
+    matrices of ``shape`` is its slack-reduced budget; one fitted model per
+    model of ``models``, in order.
+
+    The moment is alpha-homogeneous in the scale, so the unit-scale moment m
+    of :func:`unit_alpha_moment` determines the fit:
+    scale = (target / m)^(1/alpha).
     """
     shape = tuple(shape)
-    units = tuple(
-        NoiseModel(model.alpha, 1.0, tail_exponent=model.tail_exponent, scale0=1.0)
-        for model in models
-    )
-    estimates = empirical_alpha_moment(units, shape, n_samples, rng)
-    return [_fit(model, m_hat, se, shape) for model, (m_hat, se) in zip(models, estimates)]
+    return [_fit(model, shape) for model in models]
 
 
-def _fit(model: NoiseModel, m_hat: float, se: float, shape: tuple) -> NoiseModel:
+def _fit(model: NoiseModel, shape: tuple) -> NoiseModel:
     """``model`` with the scales that put each component's moment at its
-    slack-reduced budget, given the unit-scale moment ``m_hat`` (s.e. ``se``)."""
+    slack-reduced budget, and the unit moment's error bound."""
     slack = (
         _SLACK_PAIRED if (model.sigma0 > 0 and model.sigma1 > 0) else _SLACK_SINGLE
     )
+    unit, rel_err = unit_alpha_moment(model.alpha, model.tail_exponent, math.prod(shape))
 
     def fit(sigma: float) -> float:
-        return (slack * sigma**model.alpha / m_hat) ** (1.0 / model.alpha) if sigma > 0 else 0.0
+        return (slack * sigma**model.alpha / unit) ** (1.0 / model.alpha) if sigma > 0 else 0.0
 
     return replace(
         model,
         scale0=fit(model.sigma0),
         scale1=fit(model.sigma1),
         calib_shape=shape,
-        calib_rel_tol=se / m_hat,
+        calib_rel_tol=rel_err,
     )
 
 
 def calibrate(
-    model: NoiseModel, shape: tuple[int, int], rng: RngStream, n_samples: int = 20000
+    model: NoiseModel, shape: tuple[int, int], rng: RngStream | None = None
 ) -> NoiseModel:
-    """:func:`calibrate_models` of the one model ``model``."""
-    return calibrate_models((model,), shape, rng, n_samples)[0]
+    """:func:`calibrate_models` of the one model ``model``.  The fit draws
+    nothing: ``rng`` is ignored, and stays for callers that pass one."""
+    return calibrate_models((model,), shape)[0]
 
 
 def sample_noise(
@@ -433,13 +523,15 @@ def empirical_alpha_moment(
     n: int,
     rng: RngStream,
     grad_norm: float = 0.0,
+    orders: tuple[float, ...] | None = None,
 ) -> list[tuple[float, float]]:
     """Monte Carlo estimates of E ||Xi||_F^alpha (with their standard errors)
     over ``n`` noise draws Xi, one per model of ``models``, in order: the
     batch-size-1 estimates of :func:`empirical_batch_moments`, bit for bit.
-    The models share one draw (see :func:`_draw`), so each estimate equals
-    that of a call with its model alone on the same stream."""
-    return [m[1] for m in _batch_moments(models, shape, n, rng, (1,), grad_norm)]
+    ``orders``, one per model, replaces each model's alpha as the moment
+    order.  The models share one draw (see :func:`_draw`), so each estimate
+    equals that of a call with its model alone on the same stream."""
+    return [m[1] for m in _batch_moments(models, shape, n, rng, (1,), grad_norm, orders)]
 
 
 def empirical_batch_moments(
@@ -469,23 +561,28 @@ def empirical_batch_moments(
 
 
 def _batch_moments(models: tuple, shape: tuple, n: int, rng: RngStream,
-                   batches: tuple, grad_norm: float) -> list[dict]:
-    """The one estimator loop behind both public estimators."""
+                   batches: tuple, grad_norm: float, orders: tuple | None = None) -> list[dict]:
+    """The one estimator loop behind both public estimators; the moment
+    orders are ``orders``, or else each model's alpha."""
     if n < 1000:
         raise PreconditionError("need at least 1000 samples")
     if not batches or len(set(batches)) < len(batches) or min(batches) < 1:
         raise PreconditionError("batch sizes must be distinct, >= 1 and at least one")
+    if orders is None:
+        orders = tuple(model.alpha for model in models)
+    if len(orders) != len(models):
+        raise PreconditionError("need one moment order per model")
     shape = tuple(shape)
     sizes = np.array(batches, dtype=np.float64).reshape((-1, 1) + (1,) * len(shape))
     vals = [{b: array("d") for b in batches} for _ in models]
     for chunk in _noise_chunks(models, n, (max(batches),) + shape, grad_norm, rng):
-        for v, model, draws in zip(vals, models, chunk):
+        for v, order, draws in zip(vals, orders, chunk):
             if max(batches) == 1:  # a batch of one is its own mean (x / 1 = x)
                 means = draws.swapaxes(0, 1)
             else:
                 means = _prefix_sums(draws, batches)
                 means /= sizes
-            powers = _frobenius_powers(means.reshape((-1,) + shape), model.alpha)
+            powers = _frobenius_powers(means.reshape((-1,) + shape), order)
             k = len(draws)
             for i, b in enumerate(batches):
                 v[b].extend(powers[i * k:(i + 1) * k])

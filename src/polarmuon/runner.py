@@ -27,7 +27,6 @@ __all__ = ["SeedResult", "RunReport", "run_experiment", "sweep"]
 _TAG_NOISE = 0x01
 _TAG_SKETCH = 0x02
 _TAG_INIT = 0x03
-_CALIB_SEED = 0xCA11B
 
 CSV_COLUMNS = ("k", "f", "grad_norm", "cum_flops", "gamma_hat", "nu_hat")
 SUMMARY_COLUMNS = ("seed", "steps", "min_grad_norm", "final_f", "cum_flops", "aborted")
@@ -196,7 +195,7 @@ def run_experiment(cfg: RunConfig, write_files: bool = True) -> RunReport:
     problem = cfg.problem.build()
     model = cfg.noise
     if not model.calibrated:
-        model = noise_mod.calibrate(model, cfg.problem.param_shape, RngStream(_CALIB_SEED))
+        model = noise_mod.calibrate(model, cfg.problem.param_shape)
     step_flops = _step_flops(cfg)
     out_dir = make_output_dir(cfg.output_dir) if write_files else None
 

@@ -84,7 +84,8 @@ def _scope_prop1() -> list[CheckResult]:
         for sched in schedules:
             for rule in ("operator-norm", "frobenius-norm"):
                 pcfg = PolarConfig(schedule=sched, delta_rule=rule)
-                delta = pcfg.resolve_delta(m)
+                # sigma_1 of the one SVD, as check_prop2 takes it
+                delta = float(sigma[0]) if rule == "operator-norm" else pcfg.resolve_delta(m)
                 # measure at the delta that gamma is computed for
                 pcfg = replace(pcfg, delta_rule=delta)
                 est = estimate_gamma_nu(
@@ -151,29 +152,38 @@ def _scope_sketch_moments() -> list[CheckResult]:
 
 
 def _scope_noise_moments() -> list[CheckResult]:
-    # The calibration and the estimators each draw their stream once for all
-    # three models, which share its uniforms.  ||Xi||_F^alpha has tail index
-    # 1 + 0.25 / alpha < 2, so infinite variance: the 3-SE check bounds nothing.
+    # The fit is exact, so the budget check compares the quadrature's moment
+    # with the budget.  ||Xi||_F^alpha has tail index 1 + 0.25 / alpha < 2,
+    # so infinite variance, and an SE at alpha bounds nothing: the sampler is
+    # checked at the order a / 4, whose variance is finite.  Each estimator
+    # draws its stream once for all three models, which share its uniforms.
     shape, batches = (6, 6), (1, 4, 16, 64)
+    size = shape[0] * shape[1]
     models = tuple(noise_mod.calibrate_models(
         tuple(noise_mod.NoiseModel(alpha=alpha, sigma0=1.0) for alpha in (1.25, 1.5, 2.0)),
         shape,
-        RngStream(_SUITE_SEED, 4),
     ))
-    moments = noise_mod.empirical_alpha_moment(models, shape, 20000, RngStream(_SUITE_SEED, 5))
+    orders = tuple(model.tail_exponent / 4.0 for model in models)
+    sampled = noise_mod.empirical_alpha_moment(
+        models, shape, 20000, RngStream(_SUITE_SEED, 5), orders=orders
+    )
     coupled = noise_mod.empirical_batch_moments(
         models, shape, 4000, RngStream(_SUITE_SEED, 6), batches=batches
     )
     out = []
-    for model, (est, se), by_batch in zip(models, moments, coupled):
-        alpha = model.alpha
+    for model, order, (est, se), by_batch in zip(models, orders, sampled, coupled):
+        alpha, a = model.alpha, model.tail_exponent
         budget = model.sigma0**alpha
+        unit, rel_err = noise_mod.unit_alpha_moment(alpha, a, size)
+        exact = model.scale0**alpha * unit
+        at_order = model.scale0**order * noise_mod.unit_alpha_moment(order, a, size)[0]
         out.append(
             CheckResult(
                 "noise-moments",
-                f"alpha={alpha} moment within budget (3 SE)",
-                est <= budget + 3.0 * se,
-                f"estimate={est:.4f} budget={budget:.4f} se={se:.4f}",
+                f"alpha={alpha} exact moment within budget, sampled order {order:g} (3 SE)",
+                exact * (1.0 + rel_err) <= budget and abs(est - at_order) <= 3.0 * se,
+                f"exact/budget={exact / budget:.4f} order {order:g}: "
+                f"estimate={est:.4f} exact={at_order:.4f} se={se:.4f}",
             )
         )
         batch_moments = [by_batch[b][0] for b in batches]
@@ -186,7 +196,8 @@ def _scope_noise_moments() -> list[CheckResult]:
                 "noise-moments",
                 f"alpha={alpha} batch moment decreases over B in (1,4,16,64)",
                 mono,
-                " -> ".join(f"{v:.4f}" for v in batch_moments),
+                " -> ".join(f"{v:.4f}" for v in batch_moments)
+                + " (coupled draws; an SE at alpha is no error bar)",
             )
         )
     return out

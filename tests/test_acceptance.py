@@ -20,7 +20,9 @@ from polarmuon.noise import (
     empirical_alpha_moment,
     empirical_batch_moments,
 )
-from polarmuon.optimizer import MuonState, muon_step, scaled_momentum
+from polarmuon import optimizer
+from polarmuon import optimizer
+from polarmuon.optimizer import MuonState, scaled_momentum
 from polarmuon.polar import (
     PolarConfig,
     cubic_schedule,
@@ -220,29 +222,48 @@ def test_criterion_08_flop_model():
     )
 
 
-def test_criterion_09_lemma1_equivalence():
+def _lemma1_deviation() -> float:
+    """Max |M~_k - (1 - beta) M_k| over 10 steps, where M_k is the matrix
+    ``optimizer.muon_step`` hands its polar map under kind = nesterov, as
+    the lemma1 scope takes it, and M~_k the rescaled recursion."""
     rng = RngStream(0xACC, 9)
     beta = 0.9
     shape = (5, 4)
-    state = MuonState.initial(np.zeros(shape), beta=beta, eta=0.1)
-    c = np.zeros(shape)
+    state = MuonState.initial(np.zeros(shape), kind="nesterov", beta=beta, eta=0.1)
+    steps = []  # each M_k that muon_step hands its polar map
     g_prev = np.zeros(shape)
     m_tilde = np.zeros(shape)
     worst = 0.0
     for k in range(10):
         g = rng.normal(shape)
-        c = beta * c + g
-        m_direct = beta * c + g
+        optimizer.muon_step(state, g, lambda m: steps.append(m) or m)
+        m_direct = steps[k]
         if k == 0:
             m_tilde = (1.0 - beta) * m_direct
         else:
             m_tilde = scaled_momentum(state, g, g_prev, m_tilde)
         worst = max(worst, float(np.max(np.abs(m_tilde - (1.0 - beta) * m_direct))))
         g_prev = g
+    return worst
+
+
+def test_criterion_09_lemma1_equivalence():
+    worst = _lemma1_deviation()
     ok = worst <= 1e-12
     assert report(
         9, ok, f"lemma1: dual-path momentum deviation {worst:.2e} over 10 steps, beta=0.9"
     )
+
+
+def test_criterion_09_rejects_polyak_step(monkeypatch):
+    # a step that forms Polyak momentum M_k = C_k under kind = nesterov
+    # must fail the check
+    def polyak_step(state, g, polar):
+        state.c = state.c * state.beta + g
+        polar(state.c)
+
+    monkeypatch.setattr(optimizer, "muon_step", polyak_step)
+    assert _lemma1_deviation() > 1e-12
 
 
 def test_criterion_10_noise_certification():

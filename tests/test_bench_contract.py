@@ -4,12 +4,13 @@
 ``tracer.py`` and reads argument shapes in the hooks of its ``probes.py``
 (for example ``a, b = m.shape`` and ``np.linalg.norm(out, 2)``); a hook that
 raises fails the op.  This test runs op 0 of each workload in
-``perfbench/workloads.py`` under ``Tracer(hooks=Probe().hooks())``, as a
-traced benchmark run does, and checks that no wrap point is missing, the op
-exits 0, its outputs pass the workload's own check and the probe gates hold.
-A traced certify op also goes through ``run.py``'s own metric code, whose
-metrics must be strict JSON.  It imports the four modules and changes
-nothing in them.
+``perfbench/workloads.py`` untraced and under
+``Tracer(hooks=Probe().hooks())``, after a traced set-up, as a traced
+benchmark run does, and checks that no wrap point is missing, both runs
+exit 0 and pass the workload's own check, and the probe gates hold.  The
+traced op then goes through ``run.py``'s own metric code: its metrics must
+be exactly the ``per_layer`` names that ``BENCHMARK.json`` declares, and
+strict JSON.  It imports the four modules and changes nothing in them.
 """
 
 import json
@@ -32,34 +33,13 @@ import run  # pins BLAS threads and POLARMUON_WORKERS for its own process
 os.environ.clear()
 os.environ.update(_ENVIRON)
 
-from polarmuon import cli
+DECLARED = sorted(m["name"] for m in json.loads(
+    (PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"])
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_traced_op_keeps_the_contract(tmp_path, capsys, name):
+def test_traced_op_keeps_the_contract(tmp_path, name):
     wl = workloads.WORKLOADS[name](1)
-    wl.setup()
-    out_dir = tmp_path / "op0"
-    argv = wl.argv(0, out_dir)
-    probe = probes.Probe()
-    tracer = Tracer(hooks=probe.hooks())
-    with tracer:
-        tracer.op = 0
-        code = cli.main(argv)
-        tracer.op = -1
-    assert code == 0, capsys.readouterr()
-    assert tracer.missing == []
-    assert wl.inspect(0, out_dir).error is None
-    assert probe.op_norm_failures() == []
-    if name == "wide-sketch":
-        assert tracer.calls("sketch.orthonormal_basis") > 0
-        assert not probe.rank_short_ops
-
-
-def test_traced_certify_metrics_are_strict_json(tmp_path):
-    # a traced run's last stdout line holds these metrics; a NaN or an
-    # infinity there is not JSON, and the run reports no result
-    wl = workloads.WORKLOADS["certify"](1)
     probe = probes.Probe()
     tracer = Tracer(hooks=probe.hooks())
     with tracer:
@@ -69,5 +49,12 @@ def test_traced_certify_metrics_are_strict_json(tmp_path):
     traced = [run.run_op(wl, 0, tmp_path / "traced-op0", tracer)]
     assert [r["error"] for r in untraced + traced] == [None, None]
     assert tracer.missing == []
+    assert probe.op_norm_failures() == []
+    if name == "wide-sketch":
+        assert tracer.calls("sketch.orthonormal_basis") > 0
+        assert not probe.rank_short_ops
+    # a traced run's last stdout line holds these metrics; a NaN or an
+    # infinity there is not JSON, and a missing name is a missing result
     metrics, _shares = run.traced_metrics(wl, tracer, probe, setup_self, untraced, traced, 1)
+    assert sorted(metrics) == DECLARED
     json.dumps(metrics, allow_nan=False)

@@ -184,10 +184,23 @@ class TestConfigRoundTrip:
         assert "run.seeds: seed 1 is listed twice" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_unfittable_tail_is_config_error(self, tmp_path, capsys):
+        # the run fits its scales only up to the quadrature's largest tail
+        # exponent; with the scales written in, any tail runs
+        body = "[problem]\nm = 4\nn = 3\n[optimizer]\nk = 2\n[noise]\nalpha = 1.5\nsigma0 = 1.0\n"
+        path = tmp_path / "tail.ini"
+        path.write_text(body + f"tail_exponent = 40.0\n[run]\noutput_dir = {tmp_path / 'a'}\n")
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert "noise.tail_exponent: the run fits the scales" in capsys.readouterr().err
+        path.write_text(
+            body + f"tail_exponent = 40.0\nscale0 = 0.1\n[run]\noutput_dir = {tmp_path / 'b'}\n"
+        )
+        assert cli.main(["run", str(path)]) == cli.EXIT_OK
+
     def test_calib_shape_must_match_parameter_shape(self, tmp_path, capsys):
-        # the run's calibration stream fits 2 x 2 scales 7.2x the 16 x 16 fit
-        # at alpha = 1.5: about 17x the noise's alpha-moment budget on the
-        # 16 x 16 parameter (20,000 draws)
+        # the exact fit gives 2 x 2 scales 11.9x the 16 x 16 fit at
+        # alpha = 1.5: 37x the noise's alpha-moment budget on the 16 x 16
+        # parameter
         path = tmp_path / "calib.ini"
         path.write_text(
             "[problem]\nm = 16\nn = 16\n[noise]\nalpha = 1.5\nsigma0 = 1.0\nscale0 = 0.3\n"
@@ -309,11 +322,11 @@ PINNED_RUNS = {
         "[noise]\nalpha = 1.5\nsigma0 = 0.5\n[run]\n",
         {
             "run_seed1.csv":
-                "480ae0bdcafd3dd4a2f51375dbfffb40d570c8cc902333dee29cb53637ce380c",
+                "44973eeefed87048883f706fbb93f962ad5b68c57a709b14941ea470138eb195",
             "run_seed2.csv":
-                "500a7df99ac4a83658d732e4cc63a05f55a8e4abea9c64ebea0bd2b318d7f9b2",
+                "57b1f4a37e50d8c20c30714ce2f7bed8b1e11349c1d329249d80d3f10c91603d",
             "run.summary.csv":
-                "fa5c052cbfe7528293010869d050e9522dbf83db62e43451ed9bdd4a6c7b0a98",
+                "0a16469a870834ebde1027823050eb6e5872aa42e11cdfbfe4eb4caed4a6a161",
         },
     ),
     # hashed when the INI still set theorem 1's alpha twice, in [optimizer]
@@ -353,11 +366,11 @@ PINNED_RUNS = {
         "[noise]\nalpha = 1.5\nsigma0 = 0.5\n[run]\n",
         {
             "run_seed1.csv":
-                "f8cbf10a68096f028aea4ef5a6e6c19f7d2c94d0d7faa1c6b481f1e820d63c45",
+                "459724d4850f6b70917dac72af7b9359e0a4f5882a225fb74c36553a69325b8a",
             "run_seed2.csv":
-                "a23c35c39edc7bb98329350ceed08aa5c7baa268e6cba01bd7edadffb1abb012",
+                "9d823ac225442d7da4f28ebfd7b6ce8d8f9acaaad2889e2df8c1fc6013cf9b20",
             "run.summary.csv":
-                "83084306a45bb15904c615867fab0d9bfcc28803222e86299cd7bfcfd482ac49",
+                "9b12ffdf168d851bb162a6d4aa03f0abf038845b42551c24125d99bc894b5463",
         },
     ),
     # 300 draws of a 16 x 8 factor take 76 800 uniforms: a step's batch
@@ -369,11 +382,11 @@ PINNED_RUNS = {
         "[noise]\nalpha = 1.25\nsigma0 = 0.5\n[run]\n",
         {
             "run_seed1.csv":
-                "6cf88184a8c0c50c6f544736ef5bc725c1aa5ebf1c038832543d2f65e854627b",
+                "17014838b691d8d8bba14b749f881b6ed25f67f141a68886930462d3f5dde586",
             "run_seed2.csv":
-                "d9ff514df1c01a7fe7389c1f67668402222ddc42c993e48ffa4747cc4ac1a7f1",
+                "08e37135a352a1008389f3bbc64c3b03db4e1fa767e1c9fe51b4f920bd681b99",
             "run.summary.csv":
-                "c6745ca04ed0453af7664b9ceb9621b285ca5d294ffbe9f8a406986ff7cf531d",
+                "905af569ec0e10788709f089e5f07997dce18135abd529d98cbd7a42a1360ce4",
         },
     ),
     # sigma1 > 0: the noise reads each step's grad norm and is drawn step by step
@@ -384,11 +397,11 @@ PINNED_RUNS = {
         "[noise]\nalpha = 1.5\nsigma0 = 0.3\nsigma1 = 0.4\n[run]\n",
         {
             "run_seed1.csv":
-                "fd8989ab7d49ebcc384588b571a372b78ba220186eb4af070b4926791e4f2396",
+                "b4c04c8f1ebbc330b3e236595d72af2c86572069b1880fe695981136b419ec7e",
             "run_seed2.csv":
-                "866fd2b8a3a25e673fce782a43b4832171284ef2ade9830a325e33af8d626872",
+                "5f276596e4ca5a797bfbd5d516d01b312c623909719e4e87bada49de175917a5",
             "run.summary.csv":
-                "9f065782f9f8388e3c16c21bb3aaad1d414b1bbe1428365a5abd334e844c5593",
+                "050312c9d9fdc06ff65b104a87d37d9b3aff2b43f0f17de0cf77c2b603dc0d5d",
         },
     ),
     "exact-factorization-verify": (
@@ -497,8 +510,8 @@ class TestRunner:
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("verify.txt", "verify.csv")}
         assert got == {
-            "verify.txt": "d58c872ea1855a74ae022cc3c128a58e9fd2e9df0dd438d91eaac5b584f59252",
-            "verify.csv": "79c47c1331f4075caaf9f9b70790e3d8b217985958d2b212abce18a7c98d04a3",
+            "verify.txt": "1c0cb8ad9f8d8717c0335c85441f181bf2950ab08323bbc343c23aaa113b6d65",
+            "verify.csv": "bc48a4681a755e755fea678324ffbd187efb8650e38f222cf0038a2dc034ce95",
         }
 
     def test_theorem1_reads_noise_alpha(self, tmp_path, monkeypatch):

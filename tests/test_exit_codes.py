@@ -7,7 +7,8 @@ cleanly) and the rest one invalid value.  Whatever is drawn,
 ``cli.main(["run", ini])`` must return 0 (ran), 2 (config error) or 3
 (numerical abort) and never raise.  Shapes stay at most 8x8 and K at most 3
 so one example costs milliseconds.  ``scale0`` and ``scale1`` are always
-written, so no example runs the 20 000-draw noise calibration.
+written, so no example runs the noise calibration (a quadrature of about a
+millisecond, checked in ``test_noise.py``).
 
 ``sweep`` draws an axis and one to three values, each valid or not, over
 one small valid template; ``cli.main(["sweep", ...])`` must return 0, 2 or 3

@@ -432,36 +432,38 @@ class TestSuites:
         ]
 
     def test_noise_moments_output_pinned(self, tmp_path, capsys):
-        # the lines the scope printed before its draws were chunked to fit
-        # in cache; a change of draw order or summation order shows here
+        # the exact fit's moment/budget, and the lines of the scope's draws;
+        # a change of the quadrature, of draw order or of summation order
+        # shows here
         assert cli.main(["verify", "noise-moments", "--output-dir", str(tmp_path)]) == cli.EXIT_OK
         capsys.readouterr()
         lines = (tmp_path / "verify.txt").read_text(encoding="utf-8").splitlines()
+        trend = " (coupled draws; an SE at alpha is no error bar)"
         assert lines == [
-            "[PASS] noise-moments: alpha=1.25 moment within budget (3 SE) -- "
-            "estimate=1.0228 budget=1.0000 se=0.0794",
+            "[PASS] noise-moments: alpha=1.25 exact moment within budget, sampled order 0.375 "
+            "(3 SE) -- exact/budget=0.9000 order 0.375: estimate=0.7816 exact=0.7825 se=0.0017",
             "[PASS] noise-moments: alpha=1.25 batch moment decreases over B in (1,4,16,64) -- "
-            "0.8967 -> 0.5264 -> 0.2766 -> 0.1747",
-            "[PASS] noise-moments: alpha=1.5 moment within budget (3 SE) -- "
-            "estimate=1.0304 budget=1.0000 se=0.0821",
+            "0.7048 -> 0.4137 -> 0.2174 -> 0.1373" + trend,
+            "[PASS] noise-moments: alpha=1.5 exact moment within budget, sampled order 0.4375 "
+            "(3 SE) -- exact/budget=0.9000 order 0.4375: estimate=0.7891 exact=0.7899 se=0.0016",
             "[PASS] noise-moments: alpha=1.5 batch moment decreases over B in (1,4,16,64) -- "
-            "0.8991 -> 0.3987 -> 0.1584 -> 0.0741",
-            "[PASS] noise-moments: alpha=2.0 moment within budget (3 SE) -- "
-            "estimate=1.0155 budget=1.0000 se=0.0708",
+            "0.6810 -> 0.3019 -> 0.1200 -> 0.0561" + trend,
+            "[PASS] noise-moments: alpha=2.0 exact moment within budget, sampled order 0.5625 "
+            "(3 SE) -- exact/budget=0.9000 order 0.5625: estimate=0.8209 exact=0.8215 se=0.0013",
             "[PASS] noise-moments: alpha=2.0 batch moment decreases over B in (1,4,16,64) -- "
-            "0.9015 -> 0.2409 -> 0.0597 -> 0.0163",
+            "0.6717 -> 0.1795 -> 0.0445 -> 0.0121" + trend,
         ]
 
     def test_noise_moments_uniform_calls(self, monkeypatch):
-        # 22 chunks for the calibration, 22 for the moments and 286 for the
-        # batch moments: each stream is drawn once for the three models
+        # 22 chunks for the moments and 286 for the batch moments: each
+        # stream is drawn once for the three models, and the fit draws nothing
         calls = []
         uniform = RngStream.uniform
         monkeypatch.setattr(
             RngStream, "uniform", lambda self, shape: (calls.append(1), uniform(self, shape))[1]
         )
         suites._scope_noise_moments()
-        assert len(calls) == 330
+        assert len(calls) == 308
 
     def test_noise_moments_estimates_pinned(self, monkeypatch):
         # full-precision estimates of the scope, as three alpha-by-alpha
@@ -478,29 +480,28 @@ class TestSuites:
         for name in ("empirical_alpha_moment", "empirical_batch_moments"):
             monkeypatch.setattr(suites.noise_mod, name, record(getattr(suites.noise_mod, name)))
         suites._scope_noise_moments()
-        # one calibration draw fits the three models; then one call per estimator
+        # one call per estimator, each for the three models
         assert [call[:2] for call in calls] == [
-            ("empirical_alpha_moment", 3),
             ("empirical_alpha_moment", 3),
             ("empirical_batch_moments", 3),
         ]
-        moments, coupled = (out for *_, out in calls[1:])
+        moments, coupled = (out for *_, out in calls)
         assert repr(moments) == (
-            "[(1.0227799526804908, 0.07936390736379262), "
-            "(1.0304203139055632, 0.0820791229995404), "
-            "(1.0155077490472264, 0.07079192835897816)]"
+            "[(0.7816260402001886, 0.0017481901700791293), "
+            "(0.7891129608968149, 0.0015907144316293115), "
+            "(0.8208870514804237, 0.0013125106461734477)]"
         )
         assert repr(coupled) == (
-            "[{1: (0.896662694560438, 0.0847769015142869), "
-            "4: (0.5263914276188644, 0.03975147365661524), "
-            "16: (0.27660159203106593, 0.014419131274430967), "
-            "64: (0.17468152090964265, 0.0126464373121831)}, "
-            "{1: (0.8991153313894059, 0.08517936437651125), "
-            "4: (0.3986835005917291, 0.028588810271284425), "
-            "16: (0.15839603224765045, 0.007413501099193826), "
-            "64: (0.07411851544085164, 0.004840671242808705)}, "
-            "{1: (0.9015045482661904, 0.07091532903568952), "
-            "4: (0.24092266011884697, 0.012205060036212195), "
-            "16: (0.05973578889036809, 0.0016371396036551236), "
-            "64: (0.016267548775139726, 0.0005640503325442695)}]"
+            "[{1: (0.704754760191765, 0.0666325534216535), "
+            "4: (0.4137306777554673, 0.03124367775540241), "
+            "16: (0.21740202848081686, 0.01133308150894665), "
+            "64: (0.1372953666138166, 0.00993978778117556)}, "
+            "{1: (0.6809546969535817, 0.06451151062686611), "
+            "4: (0.30194725064503863, 0.021652043909052753), "
+            "16: (0.11996294398758761, 0.005614695043143672), "
+            "64: (0.05613445734784763, 0.0036661345926611794)}, "
+            "{1: (0.6717019213014834, 0.0528382944430076), "
+            "4: (0.1795090374176462, 0.009093866793784591), "
+            "16: (0.04450853214805113, 0.001219816161026391), "
+            "64: (0.012120786066073747, 0.0004202681981021521)}]"
         )

@@ -16,7 +16,11 @@ one traced run per side.  Every run lasts ``--seconds``, by default
 workload and end-to-end metric the medians, the parent's interquartile range
 and the pairs the change wins, and from the traced runs, under
 ``traced[<workload>][<side>]``, every per-layer metric, ``spans_missing``,
-the traced and untraced step rates and the manifest.
+the traced and untraced step rates and the manifest.  Each run's last line
+is parsed as strict JSON: a NaN or an infinity in it stops the tool, as it
+is no result.  ``metrics_missing[<workload>][<side>]`` lists the
+``per_layer`` names of BENCHMARK.json that a traced side did not print; the
+tool writes the file, then exits 1 when any side misses one.
 
 Each untraced run also keeps its details file's ``unscaled`` figures (times
 as measured) and ``no_sample_frac``, the share of its ops that ended before
@@ -48,6 +52,7 @@ from hostspeed import REF_MS  # noqa: E402
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+DECLARED = [m["name"] for m in BENCHMARK["per_layer"]]
 # unscaled figures of an untraced run's details file, as perfbench/run.py names them
 UNSCALED = {"steps_per_s": "higher", "op_ms_p50": "lower", "op_ms_p90": "lower"}
 
@@ -66,7 +71,10 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
     lines = out.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
         raise SystemExit(f"{checkout}: {' '.join(cmd)} failed:\n{out.stdout}{out.stderr}")
-    res = json.loads(lines[-1])
+    try:
+        res = json.loads(lines[-1], parse_constant=_reject_constant)
+    except ValueError as e:
+        raise SystemExit(f"{checkout}: {' '.join(cmd)}: last line is not strict JSON: {e}")
     run = {
         "exit_code": out.returncode,
         "correct": res["correct"],
@@ -83,6 +91,10 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
         run["unscaled"] = details["unscaled"]
         run["no_sample_frac"] = sum(r == REF_MS for r in refs) / len(refs)
     return run
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def summarize(pairs: list) -> dict:
@@ -144,6 +156,7 @@ def main(argv=None) -> int:
         "summary": {},
         "traced": {},
         "traced_first": {},
+        "metrics_missing": {},
     }
     for spec in args.pairs.split(","):
         workload, count = spec.split("=")
@@ -164,8 +177,15 @@ def main(argv=None) -> int:
         result["traced_first"][workload] = order[0]
         traced = {name: bench(sides[name], workload, args.seed, args.seconds, 1) for name in order}
         result["traced"][workload] = {name: traced[name] for name in sides}
+        result["metrics_missing"][workload] = {
+            name: [m for m in DECLARED if m not in traced[name]["metrics"]] for name in sides
+        }
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
-    return 0
+    missing = {(w, side): names for w, by_side in result["metrics_missing"].items()
+               for side, names in by_side.items() if names}
+    for (workload, side), names in missing.items():
+        print(f"{workload} {side}: traced run lacks {', '.join(names)}", file=sys.stderr)
+    return 1 if missing else 0
 
 
 if __name__ == "__main__":
