@@ -380,21 +380,23 @@ def unit_alpha_moment(order: float, tail_exponent: float, size: int) -> tuple[fl
 def calibrate_models(
     models: tuple[NoiseModel, ...], shape: tuple[int, int]
 ) -> list[NoiseModel]:
-    """Fit entry scales so each component's exact Frobenius alpha-moment for
-    matrices of ``shape`` is its slack-reduced budget; one fitted model per
-    model of ``models``, in order.
+    """:func:`calibrate` of each model of ``models``, in order."""
+    return [calibrate(model, shape) for model in models]
+
+
+def calibrate(
+    model: NoiseModel, shape: tuple[int, int], rng: RngStream | None = None
+) -> NoiseModel:
+    """``model`` with the entry scales that put each component's exact
+    Frobenius alpha-moment for matrices of ``shape`` at its slack-reduced
+    budget, and the error bound of the unit moment they divide by.
 
     The moment is alpha-homogeneous in the scale, so the unit-scale moment m
     of :func:`unit_alpha_moment` determines the fit:
-    scale = (target / m)^(1/alpha).
+    scale = (target / m)^(1/alpha).  The fit draws nothing: ``rng`` is
+    ignored, and stays for callers that pass one.
     """
     shape = tuple(shape)
-    return [_fit(model, shape) for model in models]
-
-
-def _fit(model: NoiseModel, shape: tuple) -> NoiseModel:
-    """``model`` with the scales that put each component's moment at its
-    slack-reduced budget, and the unit moment's error bound."""
     slack = (
         _SLACK_PAIRED if (model.sigma0 > 0 and model.sigma1 > 0) else _SLACK_SINGLE
     )
@@ -410,14 +412,6 @@ def _fit(model: NoiseModel, shape: tuple) -> NoiseModel:
         calib_shape=shape,
         calib_rel_tol=rel_err,
     )
-
-
-def calibrate(
-    model: NoiseModel, shape: tuple[int, int], rng: RngStream | None = None
-) -> NoiseModel:
-    """:func:`calibrate_models` of the one model ``model``.  The fit draws
-    nothing: ``rng`` is ignored, and stays for callers that pass one."""
-    return calibrate_models((model,), shape)[0]
 
 
 def sample_noise(
