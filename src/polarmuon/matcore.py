@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import DegenerateInputError, DimensionError, NumericalAbortError
+from .errors import DegenerateInputError, DimensionError, NumericalAbortError, PreconditionError
 
 __all__ = [
     "Svd",
@@ -229,9 +229,18 @@ def orthonormal_basis(y: np.ndarray) -> np.ndarray:
 
 
 def _mean_and_se(vals) -> tuple[float, float]:
-    """Sample mean of ``vals`` and its standard error std / sqrt(count)."""
-    v = np.asarray(vals)
-    return float(np.mean(v)), float(np.std(v) / np.sqrt(len(v)))
+    """Sample mean of ``vals`` and its standard error std / sqrt(count), by
+    ``np.mean`` and ``np.std``'s own arithmetic, bit for bit, without their
+    wrappers: the sum over n, the sum of the squared deviations over n, its
+    root over sqrt(n).  PreconditionError for no value."""
+    v = np.asarray(vals, dtype=np.float64)
+    n = v.size
+    if n == 0:
+        raise PreconditionError("the mean of no value is undefined")
+    mean = np.add.reduce(v, axis=None) / n
+    dev = v - mean
+    var = np.add.reduce(dev * dev, axis=None) / n
+    return float(mean), math.sqrt(var) / math.sqrt(n)
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF

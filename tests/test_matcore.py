@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polarmuon import matcore
-from polarmuon.errors import DegenerateInputError, DimensionError, NumericalAbortError
+from polarmuon.errors import (
+    DegenerateInputError,
+    DimensionError,
+    NumericalAbortError,
+    PreconditionError,
+)
 from polarmuon.matcore import (
     RngStream,
     derive_stream_id,
@@ -319,6 +324,19 @@ def test_norm_inequalities(a):
     assert fro <= nuc + tol
     assert nuc <= np.sqrt(r) * fro + tol
     assert fro <= np.sqrt(min(a.shape)) * op + tol
+
+
+class TestMeanAndSe:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 2000, 20000])
+    def test_equals_numpy_mean_and_std(self, n):
+        for vals in (RngStream(15).normal(n) * 1e3 + 7.0, RngStream(16).uniform(n) ** -1.2):
+            want = (float(np.mean(vals)), float(np.std(vals) / np.sqrt(len(vals))))
+            got = matcore._mean_and_se(vals)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_empty_raises(self):
+        with pytest.raises(PreconditionError):
+            matcore._mean_and_se(np.empty(0))
 
 
 class TestRngStream:

@@ -11,6 +11,7 @@ from polarmuon.polar import (
     exact_polar,
     inexact_polar,
     polar_express_schedule,
+    polynomial_iterate,
     prop1_gamma,
     quintic_empirical_schedule,
     quintic_theoretical_schedule,
@@ -127,6 +128,113 @@ class TestEstimateGammaNu:
     def test_trials_precondition(self):
         with pytest.raises(PreconditionError):
             estimate_gamma_nu(np.eye(2), lambda a, _r: a, 0, RngStream(76))
+
+
+def _reference_measure(a, t):
+    """(<A, T>, ||T||_op) of one output by the public per-matrix norms."""
+    return matcore.inner_product(a, t), matcore.operator_norm(t)
+
+
+def _outputs(shape, count, seed):
+    """``count`` polar outputs of ``shape``: C- and Fortran-ordered, all-zero,
+    and, for a tall shape, the Fortran-ordered transpose that
+    ``polynomial_iterate``'s Gram form returns."""
+    rng = RngStream(seed)
+    kinds = [
+        lambda: rng.normal(shape),
+        lambda: np.asfortranarray(rng.normal(shape)),
+        lambda: np.zeros(shape),
+    ]
+    if shape[0] >= 2 * shape[1]:
+        steps = quintic_theoretical_schedule(5).coeff_array()
+        kinds.append(lambda: polynomial_iterate(rng.normal(shape) / (4.0 * shape[0]), steps))
+    return [kinds[t % len(kinds)]() for t in range(count)]
+
+
+def _replay(outs):
+    """A polar map that returns ``outs`` in turn, whatever its input."""
+    it = iter(outs)
+    return lambda a, rng: next(it)
+
+
+class TestStackedMeasurement:
+    """Trials are measured in C-ordered blocks, bit for bit the per-matrix
+    measurement of each output."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 8), (11, 3), (24, 6), (16, 8), (7, 7)])
+    @pytest.mark.parametrize("block_matrices", [1, 3, 64])
+    def test_blocks_equal_per_trial_measurement(self, monkeypatch, shape, block_matrices):
+        a = RngStream(97).normal(shape)
+        outs = _outputs(shape, 17, 98)
+        if shape == (24, 6):
+            assert outs[3].flags.f_contiguous and not outs[3].flags.c_contiguous
+        monkeypatch.setattr(verify, "BLOCK_ENTRIES", block_matrices * a.size)
+        inners, op_norms = verify._polar_trials(a, _replay(outs), 17, RngStream(99))
+        single = [verify._alignment_and_op_norm(a, t) for t in outs]
+        ref = [_reference_measure(a, t) for t in outs]
+        got = [(x.hex(), y.hex()) for x, y in zip(inners.tolist(), op_norms.tolist())]
+        assert got == [(x.hex(), y.hex()) for x, y in single]
+        assert got == [(x.hex(), y.hex()) for x, y in ref]
+        assert 0.0 in op_norms.tolist()
+
+    def test_stacked_svd_failure_retries_each_matrix(self, monkeypatch):
+        a = RngStream(100).normal((6, 4))
+        outs = _outputs((6, 4), 9, 101)
+        want = verify._polar_trials(a, _replay(outs), 9, RngStream(0))
+        shapes, lapack = [], np.linalg.svd
+
+        def stacked_fails(x, *args, **kwargs):
+            shapes.append(x.shape)
+            if x.ndim == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return lapack(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", stacked_fails)
+        got = verify._polar_trials(a, _replay(outs), 9, RngStream(0))
+        assert shapes == [(9, 6, 4)] + [(6, 4)] * 9
+        assert [w.tobytes() for w in want] == [g.tobytes() for g in got]
+
+    @pytest.mark.parametrize("shape, trials", [((64, 40), 60), ((4, 4), 5000), ((300, 300), 3)])
+    def test_block_never_exceeds_entry_bound(self, monkeypatch, shape, trials):
+        a = np.ones(shape)
+        blocks, measure = [], verify._measure_block
+        monkeypatch.setattr(
+            verify, "_measure_block", lambda x, b: blocks.append(b.shape) or measure(x, b)
+        )
+        verify._polar_trials(a, lambda x, r: x, trials, RngStream(102))
+        assert sum(b[0] for b in blocks) == trials
+        assert all(b[1:] == shape for b in blocks)
+        assert all(b[0] == 1 or b[0] * a.size <= verify.BLOCK_ENTRIES for b in blocks)
+        full = max(1, verify.BLOCK_ENTRIES // a.size)
+        assert [b[0] for b in blocks[:-1]] == [full] * (len(blocks) - 1)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(np.ones((4, 6)), DimensionError), (np.full((6, 4), np.inf), NumericalAbortError)],
+    )
+    def test_invalid_output_raises_at_its_own_trial(self, monkeypatch, bad, error):
+        a = RngStream(103).normal((6, 4))
+        calls, measured, measure = [], [], verify._measure_block
+        monkeypatch.setattr(
+            verify, "_measure_block", lambda x, b: measured.append(len(b)) or measure(x, b)
+        )
+
+        def polar(x, r):
+            calls.append(r.stream)
+            return bad if len(calls) == 4 else x
+
+        with pytest.raises(error):
+            verify._polar_trials(a, polar, 10, RngStream(104))
+        assert len(calls) == 4 and measured == []
+
+    def test_one_validation_per_trial(self, monkeypatch):
+        a = RngStream(105).normal((5, 3))
+        checked, as_matrix = [], matcore.as_matrix
+        monkeypatch.setattr(
+            matcore, "as_matrix", lambda m, *n: checked.append(n) or as_matrix(m, *n)
+        )
+        verify._polar_trials(a, lambda x, r: x, 40, RngStream(106))
+        assert checked == [("polar output",)] * 40
 
 
 class TestCheckProp2:

@@ -21,6 +21,10 @@ is parsed as strict JSON: a NaN or an infinity in it stops the tool, as it
 is no result.  ``metrics_missing[<workload>][<side>]`` lists the
 ``per_layer`` names of BENCHMARK.json that a traced side did not print; the
 tool writes the file, then exits 1 when any side misses one.
+``calls_changed[<workload>]`` lists the ``.calls`` names whose count per
+traced op (over ``cli.main.calls``) differs between the two sides, with both
+counts; a name with fewer calls than ops on both sides, a set-up span such
+as ``noise.calibrate``, is skipped.
 
 Each untraced run also keeps its details file's ``unscaled`` figures (times
 as measured) and ``no_sample_frac``, the share of its ops that ended before
@@ -130,6 +134,24 @@ def _compare(pairs: list, better_of: dict, value) -> dict:
     return out
 
 
+def calls_changed(parent: dict, change: dict) -> dict:
+    """``{name: {side: calls per op}}`` for the ``.calls`` names of two traced
+    runs' metrics whose count per op differs; ops are ``cli.main.calls``.
+    A name with fewer calls than ops on both sides (set-up) is skipped, and
+    a name one side lacks counts 0 calls there."""
+    sides = {"parent": parent, "change": change}
+    ops = {side: m["cli.main.calls"] for side, m in sides.items()}
+    names = sorted({k for m in sides.values() for k in m if k.endswith(".calls")})
+    out = {}
+    for name in names:
+        calls = {side: m.get(name, 0) for side, m in sides.items()}
+        if all(calls[side] < ops[side] for side in sides):
+            continue
+        if calls["parent"] * ops["change"] != calls["change"] * ops["parent"]:
+            out[name] = {side: calls[side] / ops[side] for side in sides}
+    return out
+
+
 def _order(i: int) -> tuple[str, str]:
     """The sides in the order they run: the parent first when ``i`` is even."""
     return ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -157,6 +179,7 @@ def main(argv=None) -> int:
         "traced": {},
         "traced_first": {},
         "metrics_missing": {},
+        "calls_changed": {},
     }
     for spec in args.pairs.split(","):
         workload, count = spec.split("=")
@@ -177,6 +200,8 @@ def main(argv=None) -> int:
         result["traced_first"][workload] = order[0]
         traced = {name: bench(sides[name], workload, args.seed, args.seconds, 1) for name in order}
         result["traced"][workload] = {name: traced[name] for name in sides}
+        result["calls_changed"][workload] = calls_changed(
+            traced["parent"]["metrics"], traced["change"]["metrics"])
         result["metrics_missing"][workload] = {
             name: [m for m in DECLARED if m not in traced[name]["metrics"]] for name in sides
         }
