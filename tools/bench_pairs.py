@@ -138,7 +138,9 @@ def calls_changed(parent: dict, change: dict) -> dict:
     """``{name: {side: calls per op}}`` for the ``.calls`` names of two traced
     runs' metrics whose count per op differs; ops are ``cli.main.calls``.
     A name with fewer calls than ops on both sides (set-up) is skipped, and
-    a name one side lacks counts 0 calls there."""
+    a name one side lacks counts 0 calls there.  Set-up calls are in the
+    counts, so a span that both set-up and the ops call reads as changed
+    when the two sides ran different numbers of ops."""
     sides = {"parent": parent, "change": change}
     ops = {side: m["cli.main.calls"] for side, m in sides.items()}
     names = sorted({k for m in sides.values() for k in m if k.endswith(".calls")})
